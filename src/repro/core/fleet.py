@@ -10,13 +10,15 @@ its own cell ground truth, runs the same small sweep on each, and
 reduces the per-device datasets to population distributions of the
 per-device minimum HC_first and mean BER.
 
-Execution rides the warm worker pool
-(:class:`~repro.engine.pool.PoolBackend`): a device is one work item,
-devices dispatch in batches, and each worker's LRU-bounded session
-cache rotates through device specs without accumulating board state.
-The merge is deterministic — datasets concatenate in device-index
-order — so a fleet run is byte-identical at any ``jobs`` level, and
-``--resume`` replays completed devices from a
+A fleet is one campaign on :class:`~repro.core.campaign.CampaignRunner`,
+the lifecycle sweeps use too: a device is one work item, run inline when
+``jobs == 1`` and no ``device_timeout_s`` is set, and otherwise on the
+warm worker pool (:class:`~repro.engine.pool.PoolBackend`), where
+devices dispatch in batches and each worker's LRU-bounded session cache
+rotates through device specs without accumulating board state.  The
+merge is deterministic — datasets concatenate in device-index order —
+so a fleet run is byte-identical at any ``jobs`` level, and ``--resume``
+replays completed devices from a
 :class:`~repro.core.campaign.CampaignCheckpoint` directory exactly as
 campaign resume replays shards.
 """
@@ -25,36 +27,23 @@ from __future__ import annotations
 
 import json
 import math
-import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bender.board import BoardSpec
 from repro.core.campaign import (
-    CampaignCheckpoint,
-    checkpoint_events,
+    CampaignRunner,
+    ProgressCallback,
     fleet_fingerprint,
 )
 from repro.core.experiment import ExperimentConfig
 from repro.core.patterns import ROWSTRIPE0
 from repro.core.results import REGION_FIRST, CharacterizationDataset
 from repro.core.sweeps import SweepConfig
-from repro.engine.plan import item_coords
-from repro.errors import DiskSpaceError, ExperimentError, PoolDegradedError
-from repro.faults.plan import FaultPlan, resolve_fault_spec
-from repro.obs import (
-    MetricsRegistry,
-    ObsConfig,
-    get_events,
-    get_metrics,
-    get_tracer,
-    read_jsonl,
-)
-from repro.obs.events import dataset_delta
-
-ProgressCallback = Callable[[str], None]
+from repro.engine.pool import run_shard
+from repro.errors import ExperimentError
+from repro.obs import get_events
 
 __all__ = [
     "FleetConfig",
@@ -141,10 +130,12 @@ def run_fleet_device(spec: BoardSpec, device: FleetDevice
     shipped by the pool initializer and deliberately ignored — the
     device carries its own re-seeded spec, and the worker's LRU session
     cache keys on it, so a worker rotating through many devices keeps
-    only the most recent boards alive.
+    only the most recent boards alive.  The dataset is tagged with its
+    device's index and seed, so checkpoint archives carry provenance.
     """
-    from repro.engine.pool import run_shard
-    return run_shard(device.spec, device)
+    dataset = run_shard(device.spec, device)
+    dataset.metadata["device"] = {"index": device.index, "seed": device.seed}
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,8 @@ class FleetConfig:
     #: Simulated specimens; device ``i`` is built with ``base_seed + i``.
     devices: int = 100
     base_seed: int = 0
-    #: Worker processes (1 = run devices inline, serially).
+    #: Worker processes (1 = run devices inline, serially, unless
+    #: ``device_timeout_s`` asks for a supervised worker).
     jobs: int = 1
     #: Extra sequential attempts for devices that fail.
     max_retries: int = 1
@@ -162,7 +154,7 @@ class FleetConfig:
     spec: BoardSpec = field(default_factory=BoardSpec)
     #: Per-device sweep (identical across the fleet).
     sweep: SweepConfig = field(default_factory=default_fleet_sweep)
-    #: Per-device wall-clock limit for pooled runs (None = unlimited).
+    #: Per-device wall-clock limit (None = unlimited).
     device_timeout_s: Optional[float] = None
     #: Heterogeneous population: device-family profile names assigned
     #: round-robin across device indices (device ``i`` gets
@@ -320,335 +312,61 @@ class FleetResult:
                            kind="fleet-result")
 
 
-class FleetRunner:
+class FleetRunner(CampaignRunner):
     """Runs a fleet and reduces it to population statistics.
 
-    Mirrors :class:`~repro.core.parallel.ParallelSweepRunner` at device
-    granularity: first round dispatches every pending device on the
-    warm pool (or inline when ``jobs=1``), retry rounds re-run failures
-    sequentially on the same pool so a crashing device cannot sink the
-    others, and the integrity fingerprint each device's dataset carries
-    is verified before the dataset is accepted.
+    The fleet's front end on :class:`~repro.core.campaign.CampaignRunner`:
+    devices are the work items, :func:`run_fleet_device` is the item
+    runner, each completed device emits its ``device_done`` summary,
+    and the merge reduces the per-device datasets to a
+    :class:`FleetResult`.
     """
+
+    kind = "fleet"
+    noun = "device"
 
     def __init__(self, config: FleetConfig, *,
                  campaign_dir: Optional[Union[str, Path]] = None,
                  mp_context=None, degrade: str = "auto") -> None:
-        if degrade not in ("auto", "never"):
-            raise ExperimentError(
-                f"degrade must be 'auto' or 'never', got {degrade!r}")
+        super().__init__(config.spec, run_fleet_device, jobs=config.jobs,
+                         timeout_s=config.device_timeout_s,
+                         max_retries=config.max_retries,
+                         faults=config.sweep.faults,
+                         campaign_dir=campaign_dir, mp_context=mp_context,
+                         degrade=degrade)
         self._config = config
-        self._campaign_dir = campaign_dir
-        self._mp_context = mp_context
-        self._degrade = degrade
-        self._errors: Tuple[FleetError, ...] = ()
 
     @property
     def errors(self) -> Tuple[FleetError, ...]:
         """Devices that stayed failed after all retries (last run)."""
-        return self._errors
+        return tuple(
+            FleetError(index=error.index,
+                       seed=self._config.base_seed + error.index,
+                       error_type=error.error_type, message=error.message,
+                       attempts=error.attempts)
+            for error in self._errors)
 
-    # ------------------------------------------------------------------
     def run(self, progress: Optional[ProgressCallback] = None
             ) -> FleetResult:
-        from repro.engine.pool import PoolBackend
+        return self._run_campaign(self._config.plan(),
+                                  self._config.fingerprint(), progress)
 
-        config = self._config
-        tracer = get_tracer()
-        metrics = get_metrics()
+    def _on_completed(self, device: FleetDevice,
+                      dataset: CharacterizationDataset, attempt: int,
+                      timing=None) -> None:
         events = get_events()
-        devices = config.plan()
-        events.emit("campaign_started", devices=len(devices), kind="fleet",
-                    timing={"jobs": config.jobs})
-        obs_active = tracer.enabled or metrics.enabled
-        spool = (tempfile.TemporaryDirectory(prefix="repro-fleet-obs-")
-                 if obs_active else None)
-        if spool is not None or events.enabled:
-            obs = ObsConfig(trace=tracer.enabled, metrics=metrics.enabled,
-                            spool_dir=(spool.name if spool is not None
-                                       else None),
-                            events_path=(str(events.path)
-                                         if events.enabled else None),
-                            epoch=events.epoch)
-            devices = tuple(
-                replace(device, config=replace(device.config, obs=obs))
-                for device in devices)
-        started = time.perf_counter()
-        fingerprint = config.fingerprint()
-        results: Dict[int, CharacterizationDataset] = {}
-        attempts_used: Dict[int, int] = {}
-        last_error: Dict[int, BaseException] = {}
-        backend: Optional[PoolBackend] = None
-        if config.jobs > 1:
-            backend = PoolBackend(config.spec, runner=run_fleet_device,
-                                  timeout_s=config.device_timeout_s,
-                                  mp_context=self._mp_context)
-        try:
-            with tracer.span("campaign", kind="fleet",
-                             devices=len(devices),
-                             jobs=config.jobs) as campaign:
-                checkpoint = self._prepare_checkpoint(
-                    fingerprint, devices, results, progress)
-                pending = [device for device in devices
-                           if device.index not in results]
-                for attempt in range(1 + config.max_retries):
-                    if not pending:
-                        break
-                    if attempt and progress:
-                        progress(f"retry round {attempt}: "
-                                 f"{len(pending)} device(s)")
-                    pending = self._run_round(
-                        pending, attempt, backend, results, attempts_used,
-                        last_error, checkpoint, progress,
-                        sequential=bool(attempt))
-                self._errors = tuple(
-                    FleetError(
-                        index=device.index, seed=device.seed,
-                        error_type=type(
-                            last_error[device.index]).__name__,
-                        message=str(last_error[device.index]),
-                        attempts=attempts_used.get(device.index, 0))
-                    for device in devices
-                    if device.index not in results)
-                for error in self._errors:
-                    events.emit("quarantine", item=error.index,
-                                attempt=1 + config.max_retries,
-                                error_type=error.error_type,
-                                device=error.index, seed=error.seed)
-                metrics.counter("fleet.devices_completed").inc(
-                    len(results))
-                metrics.counter("fleet.devices_failed").inc(
-                    len(self._errors))
-                result = self._reduce(devices, results, fingerprint)
-                if spool is not None:
-                    self._merge_spool(
-                        devices, spool.name, tracer, metrics, campaign,
-                        result.dataset, time.perf_counter() - started)
-                events.emit(
-                    "campaign_finished", devices=len(devices),
-                    completed=len(results),
-                    quarantined=len(self._errors),
-                    records=sum(result.dataset.record_counts()),
-                    timing={"wall_s": round(
-                        time.perf_counter() - started, 6)})
-                events.finalize()
-                return result
-        finally:
-            if backend is not None:
-                backend.close()
-            if spool is not None:
-                spool.cleanup()
-
-    # ------------------------------------------------------------------
-    def _prepare_checkpoint(self, fingerprint, devices, results, progress
-                            ) -> Optional[CampaignCheckpoint]:
-        if self._campaign_dir is None:
-            return None
-        fault_spec = resolve_fault_spec(self._config.sweep.faults)
-        fault_plan = (FaultPlan(fault_spec)
-                      if fault_spec is not None and fault_spec.has_io_faults
-                      else None)
-        checkpoint = CampaignCheckpoint(self._campaign_dir,
-                                        fault_plan=fault_plan)
-        try:
-            resuming = checkpoint.prepare(fingerprint, len(devices))
-        except DiskSpaceError:
-            # A full volume at fleet start: run without checkpoints
-            # (results stay in memory) rather than refuse the campaign.
-            get_metrics().counter(
-                "campaign.checkpoint_write_errors").inc()
-            return checkpoint
-        if resuming:
-            loaded = checkpoint.load(device.index for device in devices)
-            results.update(loaded)
-            if loaded:
-                events = get_events()
-                checkpoint_events(events, devices, loaded)
-                if events.enabled:
-                    for device in devices:
-                        dataset = loaded.get(device.index)
-                        if dataset is not None:
-                            events.emit(
-                                "device_done", item=device.index,
-                                attempt=0,
-                                timing={"source": "checkpoint"},
-                                **device_summary(device, dataset))
-                get_metrics().counter("fleet.devices_resumed").inc(
-                    len(loaded))
-                if progress:
-                    recovered = (f" ({checkpoint.recovered} corrupt "
-                                 f"quarantined)" if checkpoint.recovered
-                                 else "")
-                    progress(f"[resume] {len(loaded)}/{len(devices)} "
-                             f"device(s) restored from "
-                             f"{checkpoint.directory}{recovered}")
-        return checkpoint
-
-    def _run_round(self, pending, attempt, backend, results,
-                   attempts_used, last_error, checkpoint, progress, *,
-                   sequential) -> List[FleetDevice]:
-        """One dispatch round; returns the devices that failed in it."""
-        config = self._config
-        events = get_events()
-        failed: List[FleetDevice] = []
-        if attempt:
-            for device in pending:
-                events.emit("retry", item=device.index, attempt=attempt,
-                            error_type=type(
-                                last_error[device.index]).__name__,
-                            **item_coords(device))
-
-        settled: set = set()
-
-        def on_result(device, dataset) -> None:
-            settled.add(device.index)
-            attempts_used[device.index] = attempt + 1
-            if not self._accept(device, dataset, results, checkpoint,
-                                attempt):
-                last_error[device.index] = ExperimentError(
-                    f"{device.describe()}: integrity fingerprint "
-                    f"mismatch (dataset corrupted in flight)")
-                failed.append(device)
-            elif progress:
-                progress(f"{device.describe()} done "
-                         f"({len(results)}/{config.devices})")
-
-        def on_failure(device, error) -> None:
-            settled.add(device.index)
-            attempts_used[device.index] = attempt + 1
-            last_error[device.index] = error
-            failed.append(device)
-            if progress:
-                progress(f"{device.describe()} FAILED "
-                         f"[{type(error).__name__}]: {error}")
-
-        def run_inline(devices) -> None:
-            for device in devices:
-                job = replace(device, attempt=attempt)
-                events.emit("shard_dispatched", item=device.index,
-                            attempt=attempt, **item_coords(device))
-                try:
-                    dataset = run_fleet_device(config.spec, job)
-                except Exception as error:
-                    on_failure(device, error)
-                else:
-                    on_result(device, dataset)
-                events.tick()
-
-        if backend is None:
-            run_inline(pending)
-        else:
-            workers = min(config.jobs, len(pending))
-            try:
-                backend.run(list(pending), workers, attempt, on_result,
-                            on_failure, sequential=sequential)
-            except PoolDegradedError as error:
-                # The pool's crash-loop breaker opened: finish the
-                # round inline (same runner the workers use, so the
-                # merged result is byte-identical), unless the caller
-                # asked for a loud failure instead.
-                if self._degrade == "never":
-                    raise
-                get_metrics().counter("fleet.degraded_serial").inc(
-                    len(pending) - len(settled))
-                if progress:
-                    progress(f"[degraded] worker pool gave up "
-                             f"({error}); finishing serially")
-                run_inline([device for device in pending
-                            if device.index not in settled])
-        return failed
-
-    def _accept(self, device, dataset, results, checkpoint,
-                attempt: int = 0) -> bool:
-        """Verify and record one device's dataset; False = poisoned."""
-        integrity = dataset.metadata.pop("integrity", None)
-        if integrity != dataset.fingerprint():
-            get_metrics().counter("fleet.devices_poisoned").inc()
-            return False
-        dataset.metadata["device"] = {"index": device.index,
-                                      "seed": device.seed}
-        first = device.index not in results
-        results[device.index] = dataset
-        if checkpoint is not None:
-            try:
-                checkpoint.write(device.index, dataset)
-            except DiskSpaceError:
-                # Kept in memory; the run continues uncheckpointed.
-                get_metrics().counter(
-                    "campaign.checkpoint_write_errors").inc()
-        if first:
-            events = get_events()
-            events.emit("item_completed", item=device.index,
-                        attempt=attempt, **item_coords(device),
-                        **dataset_delta(dataset))
+        if events.enabled:
             events.emit("device_done", item=device.index, attempt=attempt,
-                        **device_summary(device, dataset))
-        return True
+                        timing=timing, **device_summary(device, dataset))
 
-    def _merge_spool(self, devices, spool_dir, tracer, metrics, campaign,
-                     dataset, wall_s) -> None:
-        """Fold device spool files back into the parent collectors.
-
-        The fleet analogue of
-        :meth:`~repro.core.parallel.ParallelSweepRunner._merge_spool`:
-        device subtrees graft under the fleet ``campaign`` span in
-        device-index order, worker metric snapshots merge (with the
-        per-item ``shard.*`` gauges folded into a
-        ``fleet.device_wall_s`` histogram), and per-device wall/records
-        telemetry lands in ``dataset.metadata["telemetry"]``.  Devices
-        satisfied from a checkpoint spooled nothing — they did no work
-        this run.
-        """
-        obs = ObsConfig(trace=tracer.enabled, metrics=metrics.enabled,
-                        spool_dir=spool_dir)
-        device_rows: List[Dict[str, object]] = []
-        total_records = 0
-        for device in devices:
-            if tracer.enabled:
-                trace_path = obs.trace_path(device.index)
-                if trace_path.exists():
-                    tracer.graft(read_jsonl(trace_path),
-                                 parent_id=campaign.span_id)
-            metrics_path = obs.metrics_path(device.index)
-            if not metrics_path.exists():
-                continue
-            snapshot = MetricsRegistry.read_snapshot(metrics_path)
-            gauges = snapshot.get("gauges", {})
-            device_wall = gauges.pop("shard.wall_s", None)
-            device_records = gauges.pop("shard.records", None)
-            if metrics.enabled:
-                metrics.merge_snapshot(snapshot)
-                if device_wall:
-                    metrics.histogram("fleet.device_wall_s").observe(
-                        device_wall)
-            row: Dict[str, object] = {
-                "device": device.index,
-                "seed": device.seed,
-                "wall_s": device_wall,
-            }
-            if device_records is not None:
-                total_records += int(device_records)
-                row["records"] = int(device_records)
-                if device_wall:
-                    row["rows_per_s"] = round(
-                        device_records / device_wall, 3)
-            device_rows.append(row)
-        dataset.metadata["telemetry"] = {
-            "kind": "fleet",
-            "jobs": self._config.jobs,
-            "wall_s": round(wall_s, 6),
-            "records": total_records,
-            "rows_per_s": (round(total_records / wall_s, 3)
-                           if wall_s > 0 else None),
-            "devices": device_rows,
-        }
-
-    def _reduce(self, devices, results, fingerprint) -> FleetResult:
+    def _merge(self, devices, results) -> Tuple[FleetResult,
+                                                 CharacterizationDataset]:
         config = self._config
         completed = [device for device in devices
                      if device.index in results]
         summaries = [device_summary(device, results[device.index])
                      for device in completed]
+        fingerprint = config.fingerprint()
         merged = CharacterizationDataset.merged(
             (results[device.index] for device in completed),
             metadata={
@@ -659,6 +377,7 @@ class FleetRunner:
                     "fingerprint": fingerprint,
                 },
             })
-        return FleetResult(dataset=merged, devices=summaries,
-                           population=population_summary(summaries),
-                           errors=self._errors, fingerprint=fingerprint)
+        result = FleetResult(dataset=merged, devices=summaries,
+                             population=population_summary(summaries),
+                             errors=self.errors, fingerprint=fingerprint)
+        return result, merged

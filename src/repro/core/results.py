@@ -204,10 +204,17 @@ class CharacterizationDataset:
             raise AnalysisError(
                 f"dataset payload must be a mapping, "
                 f"got {type(payload).__name__}")
+        # Every payload carries both record lists, even empty ones; a
+        # mapping without them (e.g. an archive whose envelope key was
+        # bit-flipped) is not a dataset, not an empty one.
+        missing = {"ber_records", "hcfirst_records"} - set(payload)
+        if missing:
+            raise AnalysisError(
+                f"dataset payload lacks {sorted(missing)}")
         dataset = cls(metadata=payload.get("metadata", {}))
-        for raw in payload.get("ber_records", []):
+        for raw in payload["ber_records"]:
             dataset.add(BerRecord(**raw))
-        for raw in payload.get("hcfirst_records", []):
+        for raw in payload["hcfirst_records"]:
             dataset.add(HcFirstRecord(**raw))
         return dataset
 

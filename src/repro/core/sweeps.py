@@ -75,10 +75,11 @@ class SweepConfig:
     release_rows_between_regions: bool = True
     #: Synthesize the WCDP records after the sweep (Figs. 3-5 need them).
     append_wcdp: bool = True
-    #: Worker processes for the sweep; 1 = the serial path in this module,
-    #: > 1 = :class:`repro.core.parallel.ParallelSweepRunner` sharding.
+    #: Worker processes for a sharded sweep
+    #: (:class:`repro.core.parallel.ParallelSweepRunner`); 1 runs the
+    #: shards inline unless ``shard_timeout_s`` is set.
     jobs: int = 1
-    #: Per-shard wall-clock timeout for parallel runs (None = unlimited).
+    #: Per-shard wall-clock timeout (None = unlimited).
     shard_timeout_s: Optional[float] = None
     #: Observability carried across the process boundary: the parallel
     #: executor injects this into shard configs so workers know what to

@@ -51,7 +51,7 @@ Scheduling semantics (the parent side of :meth:`PoolBackend.run`):
   item proceeds on a fresh pool, while exception-only retries keep
   their warm sessions;
 * worker-side failures arrive as picklable
-  :class:`~repro.core.parallel.ShardRunError` with the item's wall
+  :class:`~repro.core.campaign.ShardRunError` with the item's wall
   time and metric snapshot.
 
 Fault injection happens here, at the session boundary: injected
@@ -190,9 +190,9 @@ def run_shard(spec: BoardSpec, shard,
     (e.g. by tests) since it has no pool-specific state.  Every item
     runs under its own metrics registry (cheap enough to be always-on)
     so that a *failing* item can report its wall time and metric
-    snapshot via :class:`~repro.core.parallel.ShardRunError`.
+    snapshot via :class:`~repro.core.campaign.ShardRunError`.
     """
-    from repro.core.parallel import ShardRunError
+    from repro.core.campaign import ShardRunError
 
     obs = shard.config.obs
     want_trace = bool(obs is not None and obs.trace)

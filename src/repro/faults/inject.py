@@ -121,9 +121,9 @@ def _corrupt_readback(result: ExecutionResult) -> ExecutionResult:
 def _in_pool_worker() -> bool:
     """Whether this process is a pool worker (vs. a campaign parent).
 
-    Process faults (SIGKILL) must never fire in inline execution — the
-    fleet's ``jobs=1`` path and the degraded-serial fallback run shards
-    in the *parent*, and killing it would turn a survivable worker
+    Process faults (SIGKILL) must never fire in inline execution — a
+    campaign's ``jobs=1`` path and the degraded-serial fallback run
+    items in the *parent*, and killing it would turn a survivable worker
     fault into a campaign loss (or kill pytest).  The pool initializer
     installs per-worker state only in real workers, so its presence is
     the gate.

@@ -219,9 +219,7 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
                         ("engine.pool.breaker_open",
                          "pool circuit-breaker trips"),
                         ("sweep.degraded_serial",
-                         "shards finished degraded-serial"),
-                        ("fleet.degraded_serial",
-                         "devices finished degraded-serial"),
+                         "items finished degraded-serial"),
                         ("events.dropped_lines",
                          "torn event-log lines dropped")):
         if name in counters:

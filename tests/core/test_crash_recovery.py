@@ -37,6 +37,7 @@ from repro.errors import PoolDegradedError
 from repro.faults.plan import FaultSpec
 from repro.obs import MetricsRegistry, use_metrics
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
+from tests.core.test_parallel import CAMPAIGNS
 
 SHARDS = 6  # 2 channels x 1 bank x 3 regions in the lean topology
 
@@ -210,6 +211,21 @@ class TestCorruptArchiveSelfHealing:
         assert _archive_bytes(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
+    def test_flipped_envelope_key_quarantined_not_loaded_empty(
+            self, tmp_path, baseline_bytes):
+        """A bit flip inside the envelope key leaves valid JSON with no
+        envelope; it must not pass as a legacy archive without records."""
+        campaign = self._completed_campaign(tmp_path)
+        victim = campaign / "shard_00001.json"
+        victim.write_text(victim.read_text().replace(
+            durable.ENVELOPE_KEY, "__rePro_artifact__"))
+
+        dataset, counters = self._resume(campaign)
+        assert counters["campaign.recovered_shards"] == 1
+        assert (campaign / "shard_00001.json.corrupt").exists()
+        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+            baseline_bytes
+
     def test_corrupt_manifest_quarantined_and_rewritten(
             self, tmp_path, baseline_bytes):
         campaign = self._completed_campaign(tmp_path)
@@ -229,23 +245,25 @@ class TestCorruptArchiveSelfHealing:
 
 
 class TestSupervisedDegradation:
+    @CAMPAIGNS
     def test_crash_loop_degrades_to_serial_with_identical_output(
-            self, tmp_path, baseline_bytes):
+            self, kind):
+        # Every pool worker dies by SIGKILL at item entry; the inline
+        # finish is immune (process faults fire only in pool workers).
+        faults = FaultSpec(seed=11, worker_sigkill=1.0)
         metrics = MetricsRegistry()
-        runner = ParallelSweepRunner(small_spec(),
-                                     lean_config(jobs=2), max_retries=2,
-                                     shard_runner=_crash_in_pool_workers)
+        runner = kind.runner(jobs=2, faults=faults, max_retries=2)
         with use_metrics(metrics):
-            dataset = runner.run()
+            output = runner.run()
 
         assert runner.errors == ()
-        assert runner.coverage["complete"] is True
+        assert kind.complete(runner, output)
         counters = metrics.snapshot()["counters"]
         assert counters["engine.pool.breaker_open"] >= 1
         assert counters["engine.pool.worker_crashes"] >= 1
         assert counters["sweep.degraded_serial"] >= 1
-        assert _archive_bytes(dataset, tmp_path / "degraded.json") == \
-            baseline_bytes
+        clean = kind.runner(jobs=2, faults=FaultSpec()).run()
+        assert kind.measured(output) == kind.measured(clean)
 
     def test_degrade_never_surfaces_the_breaker(self, tmp_path):
         runner = ParallelSweepRunner(small_spec(),

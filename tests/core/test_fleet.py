@@ -16,6 +16,7 @@ from repro.core.patterns import ROWSTRIPE0
 from repro.core.results import REGION_FIRST
 from repro.core.sweeps import SweepConfig
 from repro.errors import CampaignStateError, ExperimentError
+from repro.faults.plan import FaultSpec
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
 
 
@@ -96,7 +97,9 @@ class TestFleetRun:
 
     def test_resume_replays_completed_devices(self, tmp_path):
         campaign = tmp_path / "fleet"
-        config = fleet_config()
+        # Explicitly fault-free: an env-injected IO fault on a checkpoint
+        # would change the resume count asserted below.
+        config = fleet_config(sweep=fleet_sweep(faults=FaultSpec()))
         reference = FleetRunner(config).run()
         first = FleetRunner(config, campaign_dir=campaign).run()
         # Simulate a kill after three devices: drop the others' files.
@@ -116,9 +119,11 @@ class TestFleetRun:
 
     def test_resume_refuses_different_fleet(self, tmp_path):
         campaign = tmp_path / "fleet"
-        FleetRunner(fleet_config(), campaign_dir=campaign).run()
+        # Fault-free: a corrupt manifest is rewritten, not refused.
+        sweep = fleet_sweep(faults=FaultSpec())
+        FleetRunner(fleet_config(sweep=sweep), campaign_dir=campaign).run()
         with pytest.raises(CampaignStateError):
-            FleetRunner(fleet_config(devices=7),
+            FleetRunner(fleet_config(devices=7, sweep=sweep),
                         campaign_dir=campaign).run()
 
     def test_merged_dataset_carries_fleet_metadata(self):

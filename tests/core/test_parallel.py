@@ -4,6 +4,7 @@ The fault-injection shard runners live at module level so the process
 pool can pickle them by reference.
 """
 
+import json
 import os
 import uuid
 from dataclasses import replace
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.bender.board import BoardSpec
-from repro.core import parallel
+from repro.core import campaign, parallel
 from repro.core.experiment import ExperimentConfig
+from repro.core.fleet import FleetRunner
 from repro.core.parallel import ParallelSweepRunner, ShardPlan, run_sweep
 from repro.core.patterns import ROWSTRIPE0, ROWSTRIPE1
 from repro.core.results import REGION_FIRST, REGION_MIDDLE, REGIONS
@@ -97,16 +99,6 @@ def _transient_fail_ch1_middle(spec, shard):
             flag.write_text("tripped")
             raise RuntimeError("transient fault")
     return parallel.run_shard(spec, shard)
-
-
-class _FakeDataset:
-    """Stands in for a shard dataset in aggregator unit tests."""
-
-    def __init__(self, ber=3, hcfirst=1):
-        self._counts = (ber, hcfirst)
-
-    def record_counts(self):
-        return self._counts
 
 
 class TestShardPlan:
@@ -367,12 +359,10 @@ class TestObservability:
     def test_aggregator_is_idempotent_per_shard(self):
         shard = ShardPlan.from_config(lean_config()).shards[0]
         messages = []
-        aggregator = parallel._ProgressAggregator(2, messages.append)
-        dataset = _FakeDataset(ber=3, hcfirst=1)
-        assert aggregator.completed(shard, dataset, attempt=0) is True
+        aggregator = campaign._ProgressAggregator(2, messages.append)
+        assert aggregator.completed(shard, attempt=0) is True
         # e.g. a timed-out shard that still finished, then passed retry:
-        assert aggregator.completed(shard, dataset, attempt=1) is False
-        assert aggregator.records_done == 4
+        assert aggregator.completed(shard, attempt=1) is False
         assert len(messages) == 2
         assert all("[1/2 shards" in message for message in messages)
 
@@ -382,33 +372,113 @@ def _archive_bytes(dataset, path):
     return path.read_bytes()
 
 
+class SweepCampaign:
+    """The lean sweep (6 shards) as one kind of campaign under test."""
+
+    name = "sweep"
+    items = 6
+    #: The item ``FaultSpec(seed=8, shard_poison=0.15)`` poisons.
+    poisoned = 3
+
+    @staticmethod
+    def runner(jobs=2, faults=None, max_retries=1, timeout_s=None,
+               **options):
+        config = lean_config(jobs=jobs, faults=faults,
+                             shard_timeout_s=timeout_s)
+        return ParallelSweepRunner(small_spec(), config,
+                                   max_retries=max_retries, **options)
+
+    @staticmethod
+    def measured(dataset) -> bytes:
+        """The archive bytes."""
+        return json.dumps(dataset.to_payload(), indent=1).encode()
+
+    @staticmethod
+    def complete(runner, dataset) -> bool:
+        return runner.coverage["complete"]
+
+
+class FleetCampaign:
+    """A 5-device fleet as the other kind of campaign under test."""
+
+    name = "fleet"
+    items = 5
+    poisoned = 1
+
+    @staticmethod
+    def runner(jobs=2, faults=None, max_retries=1, timeout_s=None,
+               **options):
+        from tests.core.test_fleet import fleet_config, fleet_sweep
+        config = fleet_config(jobs=jobs, max_retries=max_retries,
+                              device_timeout_s=timeout_s,
+                              sweep=fleet_sweep(faults=faults))
+        return FleetRunner(config, **options)
+
+    @staticmethod
+    def measured(result) -> bytes:
+        """Records, per-device summaries and population.  The archives'
+        fleet fingerprint keys the fault plan, so it is left out."""
+        return json.dumps([result.dataset.fingerprint(), result.devices,
+                           result.population], indent=1).encode()
+
+    @staticmethod
+    def complete(runner, result) -> bool:
+        return len(result.devices) == result.dataset.metadata[
+            "fleet"]["devices"]
+
+
+#: Both campaign kinds, for tests of the shared campaign lifecycle.
+CAMPAIGNS = pytest.mark.parametrize(
+    "kind", [SweepCampaign, FleetCampaign],
+    ids=lambda kind: kind.name)
+
+
 class TestInjectedFaultRecovery:
     """Campaigns under seeded fault plans.  The seeds were chosen (by
-    searching the deterministic schedules) so that specific shards of
-    the lean topology are injured on attempt 0 and draw clean on retry;
-    the assertions pin the exact counts, so a schedule change surfaces
-    as a loud failure rather than a silently weaker test."""
+    searching the deterministic schedules) so that specific items of
+    the lean sweep and the test fleet are injured on attempt 0 and draw
+    clean on retry; the assertions pin the exact counts, so a schedule
+    change surfaces as a loud failure rather than a silently weaker
+    test."""
 
+    @CAMPAIGNS
     def test_transient_shard_errors_recovered_with_full_coverage(
-            self, tmp_path):
-        spec = small_spec()
+            self, kind):
         # An explicit empty spec suppresses any $REPRO_FAULTS plan, so
         # the baseline stays clean even under the CI chaos job.
-        clean = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=FaultSpec())).run()
-        faults = FaultSpec(seed=0, shard_error=0.15)  # 2 shards injured
-        runner = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=faults))
+        clean = kind.runner(faults=FaultSpec()).run()
+        faults = FaultSpec(seed=24, shard_error=0.15)  # 2 items injured
+        runner = kind.runner(faults=faults)
         metrics = MetricsRegistry()
         with use_metrics(metrics):
-            dataset = runner.run()
+            output = runner.run()
 
         assert runner.errors == ()
-        assert runner.coverage["complete"] is True
+        assert kind.complete(runner, output)
         counters = metrics.snapshot()["counters"]
         assert counters["sweep.shard_retries"] == 2
-        assert _archive_bytes(dataset, tmp_path / "faulty.json") == \
-            _archive_bytes(clean, tmp_path / "clean.json")
+        assert kind.measured(output) == kind.measured(clean)
+
+    @CAMPAIGNS
+    def test_item_timeout_enforced_at_one_job(self, kind):
+        """A per-item timeout needs a worker to abandon, so even jobs=1
+        runs on the pool when one is set: the hung item times out, is
+        retried, and the output matches a clean run."""
+        faults = FaultSpec(seed=534, shard_hang=0.15, hang_s=6.0)
+        runner = kind.runner(jobs=1, faults=faults, timeout_s=2.0)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            output = runner.run()
+
+        assert runner.errors == ()
+        counters = metrics.snapshot()["counters"]
+        # The seed hangs only the last item, on attempt 0: with one
+        # worker, an earlier hang would also time out the item queued
+        # behind it.
+        assert counters["sweep.shard_timeouts"] == 1
+        assert counters["sweep.shard_retries"] == 1
+        clean = kind.runner(jobs=1, faults=FaultSpec()).run()
+        assert kind.measured(output) == kind.measured(clean)
 
     def test_hang_detected_by_dispatch_timeout_and_retried(self, tmp_path):
         from repro.obs import use_events
@@ -450,36 +520,50 @@ class TestInjectedFaultRecovery:
         assert _archive_bytes(dataset, tmp_path / "faulty.json") == \
             _archive_bytes(clean, tmp_path / "clean.json")
 
-    def test_poisoned_readback_detected_and_retried(self, tmp_path):
-        spec = small_spec()
-        faults = FaultSpec(seed=8, shard_poison=0.15)  # 1 shard poisoned
-        runner = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=faults))
+    @CAMPAIGNS
+    def test_poisoned_readback_detected_and_retried(self, kind):
+        faults = FaultSpec(seed=8, shard_poison=0.15)  # 1 item poisoned
+        runner = kind.runner(faults=faults)
         metrics = MetricsRegistry()
         with use_metrics(metrics):
-            dataset = runner.run()
+            output = runner.run()
 
         assert runner.errors == ()
         counters = metrics.snapshot()["counters"]
         assert counters["sweep.shard_poisoned"] == 1
         assert counters["sweep.shard_retries"] == 1
-        clean = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=FaultSpec())).run()
-        assert _archive_bytes(dataset, tmp_path / "faulty.json") == \
-            _archive_bytes(clean, tmp_path / "clean.json")
+        clean = kind.runner(faults=FaultSpec()).run()
+        assert kind.measured(output) == kind.measured(clean)
 
-    def test_exhausted_retries_quarantine_with_exact_coverage(self):
-        spec = small_spec()
+    @CAMPAIGNS
+    def test_exhausted_retries_quarantine_with_exact_coverage(
+            self, kind, tmp_path):
+        from repro.obs import use_events
+        from repro.obs.events import EventBus, read_events
+
         faults = FaultSpec(seed=8, shard_poison=0.15)
-        runner = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=faults), max_retries=0)
-        dataset = runner.run()
+        runner = kind.runner(faults=faults, max_retries=0)
+        bus = EventBus(tmp_path / "events.jsonl")
+        with use_events(bus):
+            output = runner.run()
 
         assert len(runner.errors) == 1
         error = runner.errors[0]
+        assert error.index == kind.poisoned
+        assert error.error_type == "ShardFault"
+        assert error.attempts == 1
+        (quarantine,) = [event for event in read_events(bus.path)
+                         if event.type == "quarantine"]
+        assert quarantine.item == kind.poisoned
+        assert quarantine.data["category"] == "poison"
+        assert not kind.complete(runner, output)
+        if kind is FleetCampaign:
+            assert [summary["device"] for summary in output.devices] == \
+                [0, 2, 3, 4]
+            return
+
         assert (error.channel, error.region) == (1, REGION_FIRST)
         assert error.fault_category == "poison"
-        assert error.attempts == 1
         archived = error.as_dict()
         assert archived["fault_category"] == "poison"
         assert archived["backoff_s"] == 0.0
@@ -490,8 +574,8 @@ class TestInjectedFaultRecovery:
             "complete": False,
         }
         assert runner.coverage == expected_coverage
-        assert dataset.metadata["coverage"] == expected_coverage
-        assert dataset.metadata["shard_errors"] == [archived]
+        assert output.metadata["coverage"] == expected_coverage
+        assert output.metadata["shard_errors"] == [archived]
 
 
 class TestRetryBackoff:
@@ -587,11 +671,12 @@ class TestCheckpointResume:
     def test_resume_against_different_experiment_refused(self, tmp_path):
         spec = small_spec()
         campaign = tmp_path / "campaign"
-        ParallelSweepRunner(spec, lean_config(jobs=2),
+        # Fault-free: a corrupt manifest is rewritten, not refused.
+        ParallelSweepRunner(spec, lean_config(jobs=2, faults=FaultSpec()),
                             campaign_dir=campaign).run()
-        other = ParallelSweepRunner(spec,
-                                    lean_config(jobs=2, rows_per_region=3),
-                                    campaign_dir=campaign)
+        other = ParallelSweepRunner(
+            spec, lean_config(jobs=2, rows_per_region=3, faults=FaultSpec()),
+            campaign_dir=campaign)
         with pytest.raises(CampaignStateError):
             other.run()
 

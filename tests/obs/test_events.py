@@ -7,7 +7,6 @@ whether a campaign runs serial, pooled, or killed-and-resumed.
 
 import pytest
 
-from repro.core.parallel import ParallelSweepRunner
 from repro.errors import AnalysisError
 from repro.obs import use_events
 from repro.obs.events import (
@@ -18,7 +17,7 @@ from repro.obs.events import (
     read_events,
     strip_timing,
 )
-from tests.core.test_parallel import lean_config, small_spec
+from tests.core.test_parallel import CAMPAIGNS, SweepCampaign
 
 
 class TestEventSchema:
@@ -112,35 +111,38 @@ class TestTickDispatch:
 
 
 def _campaign_events(tmp_path, name, jobs, campaign_dir=None,
-                     interrupt_after=None, max_retries=1):
-    """Run the lean sweep with events on; return the finalized log."""
+                     kind=SweepCampaign):
+    """Run a campaign of ``kind`` with events on; return the output and
+    the finalized log."""
     path = tmp_path / f"{name}.jsonl"
     bus = EventBus(path)
-    runner = ParallelSweepRunner(small_spec(), lean_config(jobs=jobs),
-                                 max_retries=max_retries,
-                                 campaign_dir=campaign_dir)
+    runner = kind.runner(jobs=jobs, campaign_dir=campaign_dir)
     with use_events(bus):
-        dataset = runner.run()
-    return dataset, read_events(path)
+        output = runner.run()
+    return output, read_events(path)
 
 
 class TestCrossModeStability:
-    def test_events_identical_across_jobs_levels_and_resume(self, tmp_path):
-        serial_dataset, serial = _campaign_events(tmp_path, "serial", 1)
-        pooled_dataset, pooled = _campaign_events(tmp_path, "pooled", 2)
+    @CAMPAIGNS
+    def test_events_identical_across_jobs_levels_and_resume(self, tmp_path,
+                                                            kind):
+        serial_output, serial = _campaign_events(tmp_path, "serial", 1,
+                                                 kind=kind)
+        pooled_output, pooled = _campaign_events(tmp_path, "pooled", 2,
+                                                 kind=kind)
 
         # Resume: fill a campaign directory without events, lose half
         # the checkpoints ("killed mid-run"), then rerun with events.
         campaign = tmp_path / "ckpt"
-        ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                            campaign_dir=campaign).run()
-        for index in (1, 3, 5):
+        kind.runner(jobs=2, campaign_dir=campaign).run()
+        for index in range(1, kind.items, 2):
             (campaign / f"shard_{index:05d}.json").unlink()
-        resumed_dataset, resumed = _campaign_events(
-            tmp_path, "resumed", 2, campaign_dir=campaign)
+        resumed_output, resumed = _campaign_events(
+            tmp_path, "resumed", 2, campaign_dir=campaign, kind=kind)
 
-        assert pooled_dataset.ber_records == serial_dataset.ber_records
-        assert resumed_dataset.ber_records == serial_dataset.ber_records
+        assert kind.measured(pooled_output) == kind.measured(serial_output)
+        assert kind.measured(resumed_output) == \
+            kind.measured(serial_output)
         assert strip_timing(pooled) == strip_timing(serial)
         assert strip_timing(resumed) == strip_timing(serial)
         # But resume marks its synthesized events.

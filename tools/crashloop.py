@@ -3,21 +3,23 @@
 prove resume is byte-identical.
 
 The CI crash-recovery job's second stage (after tier-1 under chaos
-faults).  For each seeded kill point the harness re-invokes itself as a
-child campaign process with ``$REPRO_KILL_AFTER_WRITES=N`` — the
-durable store then SIGKILLs the child right after its N-th shard-archive
-rename — and asserts:
+faults).  Every drill runs for both campaign kinds: a sharded sweep and
+a fleet population.  For each seeded kill point the harness re-invokes
+itself as a child campaign process with ``$REPRO_KILL_AFTER_WRITES=N``
+— the durable store then SIGKILLs the child right after its N-th
+shard-archive rename — and asserts:
 
 * the child actually died by SIGKILL (a survivor means the kill hook
   regressed);
 * exactly N complete shard archives exist, none torn;
-* ``--resume`` completes the campaign and the final dataset is
-  **byte-identical** to an uninterrupted run's;
+* ``--resume`` completes the campaign and the final output is
+  **byte-identical** to an uninterrupted run's (the dataset archive;
+  for a fleet also its ``FleetResult.to_json`` summary);
 * resume loaded exactly N checkpoints and recomputed the rest.
 
-A final quarantine drill flips one bit in a finished campaign's shard
-archive and asserts the corrupt file is quarantined to ``*.corrupt``
-and transparently recomputed — again byte-identically.
+A final quarantine drill per kind flips one bit in a finished
+campaign's shard archive and asserts the corrupt file is quarantined to
+``*.corrupt`` and transparently recomputed — again byte-identically.
 
 Usage::
 
@@ -42,8 +44,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bender.board import BoardSpec  # noqa: E402
 from repro.core.experiment import ExperimentConfig  # noqa: E402
+from repro.core.fleet import FleetConfig, FleetRunner  # noqa: E402
 from repro.core.parallel import ParallelSweepRunner  # noqa: E402
 from repro.core.patterns import ROWSTRIPE0  # noqa: E402
+from repro.core.results import (  # noqa: E402
+    REGION_FIRST,
+    CharacterizationDataset,
+)
 from repro.core.sweeps import SweepConfig  # noqa: E402
 from repro.dram.calibration import default_profile  # noqa: E402
 from repro.dram.geometry import HBM2Geometry  # noqa: E402
@@ -51,7 +58,10 @@ from repro.durable import KILL_VAR, read_artifact  # noqa: E402
 from repro.faults.plan import FaultSpec  # noqa: E402
 from repro.obs import MetricsRegistry, use_metrics  # noqa: E402
 
-SHARDS = 6  # 2 channels x 1 bank x 3 regions
+#: Work items per drill campaign: the sweep's 2 channels x 1 bank x 3
+#: regions, and the fleet's devices.
+SHARDS = 6
+KINDS = ("sweep", "fleet")
 
 
 def drill_spec() -> BoardSpec:
@@ -88,12 +98,31 @@ def drill_config(**overrides) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
-def archive_bytes(dataset, path: Path) -> bytes:
-    dataset.to_json(path)
-    return path.read_bytes()
+def campaign(kind: str, campaign_dir=None):
+    """The drill campaign of ``kind`` at jobs=2."""
+    if kind == "sweep":
+        return ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
+                                   campaign_dir=campaign_dir)
+    fleet = FleetConfig(devices=SHARDS, base_seed=5, jobs=2,
+                        spec=drill_spec(),
+                        sweep=drill_config(channels=(0,),
+                                           regions=(REGION_FIRST,),
+                                           append_wcdp=False))
+    return FleetRunner(fleet, campaign_dir=campaign_dir)
 
 
-def run_child(campaign: Path, kill_after: int) -> int:
+def output_bytes(output, path: Path) -> bytes:
+    """The dataset archive, plus the summary for a fleet result."""
+    if isinstance(output, CharacterizationDataset):
+        output.to_json(path)
+        return path.read_bytes()
+    output.dataset.to_json(path)
+    summary = path.with_suffix(".result.json")
+    output.to_json(summary)
+    return path.read_bytes() + summary.read_bytes()
+
+
+def run_child(kind: str, campaign_dir: Path, kill_after: int) -> int:
     """One doomed campaign in a subprocess; returns its exit code.
 
     The child gets its own session (= process group) so the pool
@@ -105,8 +134,8 @@ def run_child(campaign: Path, kill_after: int) -> int:
     env[KILL_VAR] = str(kill_after)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     child = subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--child",
-         str(campaign)],
+        [sys.executable, str(Path(__file__).resolve()), "--child", kind,
+         str(campaign_dir)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
     try:
@@ -119,24 +148,22 @@ def run_child(campaign: Path, kill_after: int) -> int:
     return code
 
 
-def resume(campaign: Path):
+def resume(kind: str, campaign_dir: Path):
     metrics = MetricsRegistry()
-    runner = ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
-                                 campaign_dir=campaign)
     with use_metrics(metrics):
-        dataset = runner.run()
-    return dataset, metrics.snapshot()["counters"]
+        output = campaign(kind, campaign_dir).run()
+    return output, metrics.snapshot()["counters"]
 
 
-def kill_drills(baseline: bytes, scratch: Path) -> int:
+def kill_drills(kind: str, baseline: bytes, scratch: Path) -> int:
     failures = 0
     for kill_after in range(1, SHARDS + 1):
-        campaign = scratch / f"kill-{kill_after}"
-        code = run_child(campaign, kill_after)
+        campaign_dir = scratch / f"{kind}-kill-{kill_after}"
+        code = run_child(kind, campaign_dir, kill_after)
         problems = []
         if code != -signal.SIGKILL:
             problems.append(f"child exited {code}, expected SIGKILL")
-        archives = sorted(campaign.glob("shard_*.json"))
+        archives = sorted(campaign_dir.glob("shard_*.json"))
         if len(archives) != kill_after:
             problems.append(f"{len(archives)} archives on disk, "
                             f"expected {kill_after}")
@@ -147,80 +174,79 @@ def kill_drills(baseline: bytes, scratch: Path) -> int:
                 problems.append(f"{archive.name} failed verification: "
                                 f"{error}")
         if not problems:
-            dataset, counters = resume(campaign)
+            output, counters = resume(kind, campaign_dir)
             if counters.get("campaign.checkpoint_loads") != kill_after:
                 problems.append(
                     f"resume loaded "
                     f"{counters.get('campaign.checkpoint_loads', 0)} "
                     f"checkpoints, expected {kill_after}")
-            healed = archive_bytes(dataset, campaign / "final.json")
+            healed = output_bytes(output, campaign_dir / "final.json")
             if healed != baseline:
-                problems.append("resumed dataset differs from baseline")
+                problems.append("resumed output differs from baseline")
         verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
-        print(f"kill after {kill_after}/{SHARDS} shard writes ... "
+        print(f"{kind}: kill after {kill_after}/{SHARDS} shard writes ... "
               f"{verdict}")
         failures += bool(problems)
     return failures
 
 
-def quarantine_drill(baseline: bytes, scratch: Path) -> int:
-    campaign = scratch / "quarantine"
-    ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
-                        campaign_dir=campaign).run()
-    victim = campaign / "shard_00003.json"
+def quarantine_drill(kind: str, baseline: bytes, scratch: Path) -> int:
+    campaign_dir = scratch / f"{kind}-quarantine"
+    campaign(kind, campaign_dir).run()
+    victim = campaign_dir / "shard_00003.json"
     raw = bytearray(victim.read_bytes())
     raw[-16] ^= 0x04
     victim.write_bytes(bytes(raw))
 
-    dataset, counters = resume(campaign)
+    output, counters = resume(kind, campaign_dir)
     problems = []
     if counters.get("campaign.recovered_shards") != 1:
         problems.append(f"recovered_shards="
                         f"{counters.get('campaign.recovered_shards', 0)}, "
                         f"expected 1")
-    if not (campaign / "shard_00003.json.corrupt").exists():
+    if not (campaign_dir / "shard_00003.json.corrupt").exists():
         problems.append("no *.corrupt quarantine file")
-    if archive_bytes(dataset, campaign / "final.json") != baseline:
-        problems.append("healed dataset differs from baseline")
+    if output_bytes(output, campaign_dir / "final.json") != baseline:
+        problems.append("healed output differs from baseline")
     verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
-    print(f"bit-flipped archive quarantined and recomputed ... {verdict}")
+    print(f"{kind}: bit-flipped archive quarantined and recomputed ... "
+          f"{verdict}")
     return bool(problems)
 
 
-def child_main(campaign: str) -> int:
+def child_main(kind: str, campaign_dir: str) -> int:
     """The doomed campaign: runs until the durable store kills it."""
-    ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
-                        campaign_dir=Path(campaign)).run()
+    campaign(kind, Path(campaign_dir)).run()
     return 0  # only reached if the kill hook failed to fire
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Kill a live campaign at every shard boundary and "
-                    "assert resume is byte-identical.")
-    parser.add_argument("--child", metavar="CAMPAIGN_DIR",
+        description="Kill a live sweep and fleet at every shard boundary "
+                    "and assert resume is byte-identical.")
+    parser.add_argument("--child", nargs=2, metavar=("KIND", "CAMPAIGN_DIR"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--keep", metavar="DIR", type=Path,
                         help="run drills under DIR and keep the state "
                              "(default: a temp dir, removed on success)")
     args = parser.parse_args(argv)
     if args.child:
-        return child_main(args.child)
+        return child_main(*args.child)
 
     scratch = args.keep or Path(tempfile.mkdtemp(prefix="crashloop-"))
     scratch.mkdir(parents=True, exist_ok=True)
-    baseline = archive_bytes(
-        ParallelSweepRunner(drill_spec(), drill_config(jobs=2)).run(),
-        scratch / "baseline.json")
-
-    failures = kill_drills(baseline, scratch)
-    failures += quarantine_drill(baseline, scratch)
+    failures = 0
+    for kind in KINDS:
+        baseline = output_bytes(campaign(kind).run(),
+                                scratch / f"{kind}-baseline.json")
+        failures += kill_drills(kind, baseline, scratch)
+        failures += quarantine_drill(kind, baseline, scratch)
 
     if failures:
         print(f"{failures} drill(s) failed; campaign state kept in "
               f"{scratch}")
         return 1
-    print(f"all {SHARDS + 1} crash drills passed")
+    print(f"all {len(KINDS) * (SHARDS + 1)} crash drills passed")
     if args.keep is None:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
