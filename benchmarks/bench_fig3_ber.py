@@ -7,11 +7,14 @@ per-row WCDP.  Expected shape: flips in every row; channels 6/7 highest;
 die-pair grouping; rowstripe > checkered; WCDP on top.
 
 Also the analytic fast path's headline benchmark: the campaign runs
-in two arms, once purely interpreted (``REPRO_FASTPATH=0``) and once
-through the effect-summary fast path, on separately built stations,
-each timed steady-state after one warm-up round — the archived record
-carries both wall clocks and the speedup, and the CI equivalence job
-pins the two arms to byte-identical datasets.
+in two arms, once on the oracle (``REPRO_FASTPATH=0``: no program
+cache, every program built, verified and interpreted per call) and
+once on the production path, on separately built stations, each timed
+steady-state after one warm-up round — the archived record carries
+both wall clocks and the speedup, and the CI oracle job pins the two
+arms to byte-identical datasets.  The interpreted arm used to keep the
+program cache on, so ``speedup_x`` is not comparable with records
+made before the oracle became uncached.
 """
 
 import json

@@ -55,11 +55,8 @@ from repro.core import (
 from repro.dram import (
     CalibrationProfile,
     Device,
-    DeviceProfile,
     DramAddress,
     Geometry,
-    HBM2Device,
-    HBM2Geometry,
     RowAddressMapper,
     TimingParameters,
     TrrConfig,
@@ -79,13 +76,10 @@ __all__ = [
     "CharacterizationDataset",
     "DataPattern",
     "Device",
-    "DeviceProfile",
     "DoubleSidedHammer",
     "DramAddress",
     "ExperimentConfig",
     "Geometry",
-    "HBM2Device",
-    "HBM2Geometry",
     "HcFirstRecord",
     "HcFirstSearch",
     "HostInterface",

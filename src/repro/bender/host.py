@@ -6,6 +6,14 @@ uploads test programs, streams back read data, and pokes mode registers.
 :mod:`repro.core` is written exclusively against this interface — the same
 separation the real infrastructure enforces — so swapping the simulated
 device for real hardware would only replace this module's backend.
+
+Programs reach the device one of two ways, with the same resulting
+device state.  A station with engine services installed (see
+:class:`repro.engine.session.EngineSession`) runs each program shape
+through its program cache and analytic fast-path backend; a station
+without them — a bare board, or a session under ``$REPRO_FASTPATH=0``
+— is the oracle: it builds, verifies and interprets every program per
+call.
 """
 
 from __future__ import annotations
@@ -17,14 +25,14 @@ import numpy as np
 from repro.bender.interpreter import ExecutionResult, Interpreter
 from repro.bender.program import Program, ProgramBuilder
 from repro.dram.address import DramAddress
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 from repro.errors import ProgramError
 
 
 class HostInterface:
     """Program upload, data readback, and device management."""
 
-    def __init__(self, device: HBM2Device,
+    def __init__(self, device: Device,
                  interpreter: Optional[Interpreter] = None,
                  transport=None) -> None:
         """
@@ -40,11 +48,12 @@ class HostInterface:
         self._interpreter = interpreter or Interpreter(device)
         self._transport = transport
         #: Engine services, installed by :class:`repro.engine.session.
-        #: EngineSession` when it adopts the board.  ``engine_backend``
-        #: is the station's :class:`~repro.engine.backend.LocalBackend`;
-        #: ``program_cache`` the shape cache (None while the cache is
-        #: disabled, in which case every helper below builds and runs
-        #: its program per call exactly as before the engine existed).
+        #: EngineSession` when it adopts the board: ``engine_backend``
+        #: is the station's :class:`~repro.engine.backend.
+        #: FastPathBackend`, ``program_cache`` the shape cache in front
+        #: of it.  Both stay None on the oracle (a bare board, or a
+        #: session under ``$REPRO_FASTPATH=0``), where every helper
+        #: below builds, verifies and interprets its program per call.
         self.engine_backend = None
         self.program_cache = None
 

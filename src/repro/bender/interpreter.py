@@ -1,35 +1,77 @@
 """Test-program interpreter with a vectorised hammering fast path.
 
 The interpreter executes a :class:`~repro.bender.program.Program` against
-an :class:`~repro.dram.device.HBM2Device`, scheduling every command at its
+a :class:`~repro.dram.device.Device`, scheduling every command at its
 earliest timing-legal cycle (the device enforces constraints) and
 collecting read data.
 
-**Fast path.**  RowHammer programs spend nearly all their dynamic
+**Bulk loops.**  RowHammer programs spend nearly all their dynamic
 instructions inside one loop: ``LOOP N { ACT a1; PRE; ACT a2; PRE }`` with
-N in the hundreds of thousands.  For loops whose body contains only
-ACT/PRE/PREA/WAIT, the interpreter executes the first two iterations
-instruction-by-instruction (the second iteration runs at the pipeline's
-steady-state rate), measures the steady-state iteration period, and
-applies the remaining ``N - 2`` iterations in one call to
-:meth:`~repro.dram.device.HBM2Device.bulk_activations` — whose semantics
-are defined to match the unrolled loop.  A property test in
-``tests/bender/test_interpreter.py`` checks slow/fast equivalence.
+N in the hundreds of thousands.  :func:`run_loop` is the one loop policy
+for loops whose body contains only ACT/PRE/PREA/WAIT: it executes the
+first two iterations one by one (the second runs at the pipeline's
+steady-state rate), measures the steady-state iteration period, applies
+``N - 3`` iterations in one call to
+:meth:`~repro.dram.device.Device.bulk_activations` — whose semantics are
+defined to match the unrolled loop — and runs the last iteration one by
+one.  The engine's analytic fast path applies its hammer ops through the
+same function.  Tests obtain the unrolled oracle by expanding every
+``Loop`` of a program (see ``tests/bender/test_interpreter.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bender import isa
 from repro.bender.program import Program
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 from repro.dram.ecc import encode_words
 from repro.errors import ProgramError
 from repro.obs import get_metrics
+
+
+#: Iteration count from which :func:`run_loop` bulk-applies a loop: the
+#: split needs two warm-up iterations and a trailing one, and shorter
+#: loops are cheaper to just iterate.
+BULK_LOOP_THRESHOLD = 8
+
+
+def run_loop(device: Device, iterations: int,
+             run_iteration: Callable[[], None],
+             body_acts: Iterable[Tuple[int, int, int, int]],
+             on_bulk: Optional[Callable[[int, int], None]] = None) -> bool:
+    """Run ``iterations`` of an ACT/PRE/PREA/WAIT loop body; True if bulk.
+
+    Below :data:`BULK_LOOP_THRESHOLD` every iteration runs through
+    ``run_iteration``.  Otherwise two warm-up iterations run (the first
+    may pay cold timing such as a pending tRP; the second runs at steady
+    state) and measure the steady-state period, ``iterations - 3`` are
+    applied by :meth:`~repro.dram.device.Device.bulk_activations`, and
+    one trailing iteration runs so the bank timing state (e.g. the
+    trailing tRC window) is exactly what the unrolled loop leaves.
+
+    ``body_acts`` lists the body's ACT targets as (channel, pseudo
+    channel, bank, logical row) and is consumed only when the loop is
+    bulk-applied; ``on_bulk(remaining, period)`` is called just before.
+    """
+    if iterations < BULK_LOOP_THRESHOLD:
+        for _ in range(iterations):
+            run_iteration()
+        return False
+    run_iteration()
+    before_second = device.now
+    run_iteration()
+    period = device.now - before_second
+    remaining = iterations - 3
+    if on_bulk is not None:
+        on_bulk(remaining, period)
+    device.bulk_activations(body_acts, remaining, remaining * period)
+    run_iteration()
+    return True
 
 
 @dataclass
@@ -58,53 +100,29 @@ class ExecutionResult:
 class Interpreter:
     """Executes test programs on a device."""
 
-    def __init__(self, device: HBM2Device, fast_loop_threshold: int = 8,
-                 enable_fast_loops: bool = True,
-                 trace: bool = False) -> None:
+    def __init__(self, device: Device, trace: bool = False) -> None:
         """
         Args:
             device: target device model.
-            fast_loop_threshold: minimum iteration count before a loop is
-                eligible for the bulk fast path (tiny loops are cheaper to
-                just run, and the fast path needs 2 warm-up iterations).
-            enable_fast_loops: disable to force instruction-by-instruction
-                execution (used by the equivalence tests).
             trace: record one log line per executed instruction into
                 ``ExecutionResult.trace`` (bulk-applied iterations are
-                summarized).  For debugging; materially slows hot loops
-                when combined with ``enable_fast_loops=False``.
+                summarized).  For debugging.
         """
         self._device = device
-        self._fast_loop_threshold = max(3, fast_loop_threshold)
-        self._enable_fast_loops = enable_fast_loops
         self._trace = trace
         #: Row-payload lowering cache (None = disabled).  Enabled by the
-        #: execution engine's session: maps WRROW payload bytes to their
+        #: engine's fast-path backend: maps WRROW payload bytes to their
         #: (unpacked bits, ECC parity) — both pure functions of the
         #: payload — so repeated data fills skip the unpack and encode.
         self.payload_cache: Optional[
             Dict[bytes, Tuple[np.ndarray, np.ndarray]]] = None
 
     @property
-    def fast_loop_threshold(self) -> int:
-        """Minimum iteration count for the bulk loop fast path.
-
-        Exposed so the engine's analytic fast path can mirror this
-        interpreter's loop policy exactly (same slow/bulk split, same
-        warm-up iterations) and stay cycle-identical to it.
-        """
-        return self._fast_loop_threshold
-
-    @property
-    def fast_loops_enabled(self) -> bool:
-        return self._enable_fast_loops
-
-    @property
     def trace_enabled(self) -> bool:
         return self._trace
 
     def enable_payload_cache(self) -> None:
-        """Memoize WRROW payload lowering (engine sessions call this)."""
+        """Memoize WRROW payload lowering (the engine backend calls this)."""
         if self.payload_cache is None:
             self.payload_cache = {}
 
@@ -186,38 +204,33 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     def _run_loop(self, loop: isa.Loop, result: ExecutionResult) -> None:
-        if not self._loop_is_fast_eligible(loop):
+        def run_iteration() -> None:
+            self._run_sequence(loop.body, result)
+
+        if not all(isinstance(instruction, isa.FAST_LOOP_TYPES)
+                   for instruction in loop.body):
             get_metrics().counter("bender.loop_iterations.slow").inc(
                 loop.count)
             for _ in range(loop.count):
-                self._run_sequence(loop.body, result)
+                run_iteration()
             return
 
-        get_metrics().counter("bender.loop_iterations.fast").inc(loop.count)
-        device = self._device
-        # Warm-up: first iteration may pay cold timing (e.g. a pending
-        # tRP); the second runs at steady state.
-        self._run_sequence(loop.body, result)
-        before_second = device.now
-        self._run_sequence(loop.body, result)
-        period = device.now - before_second
-
-        # Bulk-apply all but the final iteration, then run that final
-        # iteration instruction-by-instruction so the bank timing state
-        # (e.g. the trailing tRC window) is exactly what the unrolled
-        # loop would leave behind.
-        remaining = loop.count - 3
-        body_acts = [
-            (instruction.channel, instruction.pseudo_channel,
-             instruction.bank, instruction.row)
-            for instruction in loop.body if isinstance(instruction, isa.Act)
-        ]
+        on_bulk = None
         if self._trace:
-            result.trace.append(
-                f"{device.now:>12} LOOP x{remaining} (bulk, "
-                f"{len(loop.body)} instrs/iter, {period} cycles/iter)")
-        device.bulk_activations(body_acts, remaining, remaining * period)
-        self._run_sequence(loop.body, result)
+            def on_bulk(remaining: int, period: int) -> None:
+                result.trace.append(
+                    f"{self._device.now:>12} LOOP x{remaining} (bulk, "
+                    f"{len(loop.body)} instrs/iter, {period} cycles/iter)")
+
+        body_acts = ((instruction.channel, instruction.pseudo_channel,
+                      instruction.bank, instruction.row)
+                     for instruction in loop.body
+                     if isinstance(instruction, isa.Act))
+        bulk = run_loop(self._device, loop.count, run_iteration, body_acts,
+                        on_bulk)
+        get_metrics().counter(
+            "bender.loop_iterations.fast" if bulk
+            else "bender.loop_iterations.slow").inc(loop.count)
 
     @staticmethod
     def _operands(instruction) -> str:
@@ -238,11 +251,3 @@ class Interpreter:
         if isinstance(instruction, isa.Wait):
             return f"{instruction.cycles} cycles"
         return ""
-
-    def _loop_is_fast_eligible(self, loop: isa.Loop) -> bool:
-        if not self._enable_fast_loops:
-            return False
-        if loop.count < self._fast_loop_threshold:
-            return False
-        return all(isinstance(instruction, isa.FAST_LOOP_TYPES)
-                   for instruction in loop.body)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 from repro.bender.assembler import assemble, disassemble
 from repro.bender.interpreter import ExecutionResult, Interpreter
 from repro.bender.program import Program
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 from repro.errors import AssemblyError, ConfigurationError, TransportFault
 from repro.obs import get_metrics
 from repro.rng import uniform_hash01
@@ -100,7 +100,7 @@ class PcieTransport:
     #: Per-transfer protocol overhead (descriptors, doorbells), bytes.
     TRANSFER_OVERHEAD_BYTES = 128
 
-    def __init__(self, device: HBM2Device,
+    def __init__(self, device: Device,
                  bandwidth_bytes_per_s: float = 3.0e9,
                  interpreter: Optional[Interpreter] = None) -> None:
         """

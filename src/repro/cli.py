@@ -517,7 +517,7 @@ def cmd_faults_demo(args: argparse.Namespace) -> int:
     fault schedule is deterministic and the resilience layer recovers a
     byte-identical dataset."""
     from repro.core.patterns import ROWSTRIPE0
-    from repro.dram.geometry import HBM2Geometry
+    from repro.dram.geometry import Geometry
     from repro.faults import FaultPlan
     from repro.obs import MetricsRegistry, use_metrics
 
@@ -527,7 +527,7 @@ def cmd_faults_demo(args: argparse.Namespace) -> int:
     plan = FaultPlan(fault_spec)
     print(f"fault plan: {fault_spec.describe()}")
 
-    geometry = HBM2Geometry(channels=2, pseudo_channels=1, banks=2,
+    geometry = Geometry(channels=2, pseudo_channels=1, banks=2,
                             rows=256, columns=4, column_bytes=8,
                             channels_per_die=2)
     board_spec = BoardSpec(seed=args.seed, temperature_c=args.temperature,

@@ -240,9 +240,9 @@ class CampaignCheckpoint:
         torn, bit-rotted, or stamped with a different campaign
         fingerprint — is quarantined to ``*.corrupt`` and omitted from
         the result, so the runner transparently recomputes that shard.
-        ``campaign.recovered_shards`` counts the quarantines.  Legacy
-        (pre-envelope) archives load when they parse; anything about
-        them that fails also quarantines rather than raising.
+        ``campaign.recovered_shards`` counts the quarantines.  An
+        archive without an envelope or without this campaign's stamp
+        is untrusted too.
         """
         loaded: Dict[int, CharacterizationDataset] = {}
         for index in indices:
@@ -252,8 +252,7 @@ class CampaignCheckpoint:
             try:
                 artifact = read_artifact(path, kind="shard")
                 stamp = artifact.meta.get("campaign")
-                if (stamp is not None and self._fingerprint is not None
-                        and stamp != self._fingerprint):
+                if stamp != self._fingerprint:
                     raise ArtifactCorruptError(
                         f"shard archive {path} belongs to campaign "
                         f"{stamp!r}, not {self._fingerprint!r}")

@@ -25,7 +25,7 @@ from repro.bender.host import HostInterface
 from repro.core.patterns import ROWSTRIPE0, DataPattern
 from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.errors import ExperimentError
 
 
@@ -79,7 +79,7 @@ def observe_adjacency(host: HostInterface, channel: int, pseudo_channel: int,
                                 victims=tuple(victims))
 
 
-def _candidate_mappers(geometry: HBM2Geometry,
+def _candidate_mappers(geometry: Geometry,
                        max_swizzle_bits: int = 8) -> List[RowAddressMapper]:
     """The mapping family to search: identity + single-control XOR swizzles."""
     candidates = [RowAddressMapper.identity(geometry)]

@@ -18,15 +18,13 @@ Layering, bottom to top::
     profiles                                            (device families)
 
 Naming note: the family-level bundle (geometry + timing + TRR policy +
-calibration) is :class:`repro.dram.profiles.DeviceProfile`; the name
-``DeviceProfile`` exported *here* remains the calibration ground truth
-(:class:`~repro.dram.calibration.CalibrationProfile`) for backward
-compatibility with pre-refactor callers.
+calibration) is :class:`repro.dram.profiles.DeviceProfile`; the
+calibration ground truth inside it is
+:class:`~repro.dram.calibration.CalibrationProfile`.
 """
 
 from repro.dram.address import DramAddress, RowAddressMapper
-from repro.dram.calibration import (CalibrationProfile, DeviceProfile,
-                                    default_profile)
+from repro.dram.calibration import CalibrationProfile, default_profile
 from repro.dram.commands import (
     Activate,
     Command,
@@ -36,8 +34,8 @@ from repro.dram.commands import (
     Refresh,
     Write,
 )
-from repro.dram.device import Device, HBM2Device
-from repro.dram.geometry import Geometry, HBM2Geometry
+from repro.dram.device import Device
+from repro.dram.geometry import Geometry
 from repro.dram.modereg import ModeRegisters
 from repro.dram.profiles import (get_profile, list_profiles,
                                  register_profile, resolve_profile)
@@ -50,11 +48,8 @@ __all__ = [
     "CalibrationProfile",
     "Command",
     "Device",
-    "DeviceProfile",
     "DramAddress",
     "Geometry",
-    "HBM2Device",
-    "HBM2Geometry",
     "ModeRegisters",
     "Precharge",
     "PrechargeAll",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.errors import ConfigurationError
 
 
@@ -51,7 +51,7 @@ class DramAddress:
         """Hashable identity of the containing bank."""
         return (self.channel, self.pseudo_channel, self.bank)
 
-    def validate(self, geometry: HBM2Geometry) -> None:
+    def validate(self, geometry: Geometry) -> None:
         """Raise :class:`~repro.errors.AddressError` if out of range."""
         geometry.check_channel(self.channel)
         geometry.check_pseudo_channel(self.pseudo_channel)
@@ -81,7 +81,7 @@ class RowAddressMapper:
     The identity mapping (``swizzle_mask = 0``) is available for tests.
     """
 
-    def __init__(self, geometry: HBM2Geometry, *, control_bit: int = 0x8,
+    def __init__(self, geometry: Geometry, *, control_bit: int = 0x8,
                  swizzle_mask: int = 0x6) -> None:
         if control_bit < 0 or swizzle_mask < 0:
             raise ConfigurationError("control_bit/swizzle_mask must be >= 0")
@@ -100,7 +100,7 @@ class RowAddressMapper:
         self._swizzle_mask = swizzle_mask
 
     @classmethod
-    def identity(cls, geometry: HBM2Geometry) -> "RowAddressMapper":
+    def identity(cls, geometry: Geometry) -> "RowAddressMapper":
         """A mapper where logical == physical (for tests and baselines)."""
         return cls(geometry, control_bit=0, swizzle_mask=0)
 

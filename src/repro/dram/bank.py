@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dram.calibration import DeviceProfile
+from repro.dram.calibration import CalibrationProfile
 from repro.dram.cellmodel import (
     ECC_PARITY_BITS,
     ECC_WORD_BITS,
@@ -27,7 +27,7 @@ from repro.dram.cellmodel import (
 )
 from repro.dram.disturb import DisturbanceTracker
 from repro.dram.ecc import decode_words, encode_words
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.dram.subarrays import SubarrayLayout
 from repro.dram.timing import TimingParameters
 from repro.errors import CommandError
@@ -65,8 +65,8 @@ class DeviceEnvironment:
 class Bank:
     """One DRAM bank of the simulated HBM2 stack."""
 
-    def __init__(self, key: BankKey, geometry: HBM2Geometry,
-                 profile: DeviceProfile, layout: SubarrayLayout,
+    def __init__(self, key: BankKey, geometry: Geometry,
+                 profile: CalibrationProfile, layout: SubarrayLayout,
                  truth: GroundTruthProvider, timing: TimingParameters,
                  environment: DeviceEnvironment) -> None:
         self._key = key

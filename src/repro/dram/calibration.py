@@ -313,12 +313,6 @@ class CalibrationProfile:
         return replace(self, **kwargs)
 
 
-#: Back-compat alias from before the device-family refactor, when the
-#: calibration bundle was the only "device profile" in the codebase.
-#: The family-level bundle now lives in :mod:`repro.dram.profiles`.
-DeviceProfile = CalibrationProfile
-
-
 def default_profile() -> CalibrationProfile:
     """The profile calibrated against the paper's reported numbers."""
     return CalibrationProfile()

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dram.calibration import DeviceProfile
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.calibration import CalibrationProfile
+from repro.dram.geometry import Geometry
 from repro.dram.subarrays import SubarrayLayout
 from repro.rng import generator_for, normal_hash
 
@@ -66,7 +66,7 @@ class GroundTruthProvider:
     keeps memory flat during full-bank sweeps.
     """
 
-    def __init__(self, geometry: HBM2Geometry, profile: DeviceProfile,
+    def __init__(self, geometry: Geometry, profile: CalibrationProfile,
                  layout: SubarrayLayout, seed: int,
                  cache_rows: int = 768) -> None:
         self._geometry = geometry

@@ -21,7 +21,7 @@ restored on every iteration); see :meth:`Device.bulk_activations`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -665,7 +665,7 @@ class Device:
     # Bulk activation fast path (interpreter loops)
     # ------------------------------------------------------------------
     def bulk_activations(self,
-                         body: Sequence[Tuple[int, int, int, int]],
+                         body: Iterable[Tuple[int, int, int, int]],
                          iterations: int,
                          total_cycles: int) -> None:
         """Apply ``iterations`` repetitions of an ACT/PRE loop body.
@@ -675,9 +675,9 @@ class Device:
                 bank, logical row) tuples; each is activated (and
                 precharged) once per iteration.
             iterations: number of repetitions to apply.
-            total_cycles: command-bus cycles the repetitions take (the
-                interpreter measures one steady-state iteration and
-                multiplies).
+            total_cycles: command-bus cycles the repetitions take
+                (:func:`repro.bender.interpreter.run_loop` measures one
+                steady-state iteration and multiplies).
 
         Semantics: identical to the unrolled loop for every row *not*
         activated inside the body.  Rows activated in the body have their
@@ -751,8 +751,3 @@ class Device:
         self.now = end_cycle
         self._count("ACT", iterations * len(physical_body))
         self._count("PRE", iterations * len(physical_body))
-
-
-#: Back-compat alias from before the device-family refactor, when the
-#: model was HBM2-only.  New code should say :class:`Device`.
-HBM2Device = Device

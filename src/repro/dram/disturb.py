@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.dram.calibration import DeviceProfile
+from repro.dram.calibration import CalibrationProfile
 from repro.dram.subarrays import SubarrayLayout
 
 #: Index of the bucket fed by aggressors at lower physical addresses.
@@ -51,7 +51,7 @@ class DisturbanceTracker:
     """Accumulated neighbour-activation disturbance for one bank."""
 
     def __init__(self, rows: int, layout: SubarrayLayout,
-                 profile: DeviceProfile) -> None:
+                 profile: CalibrationProfile) -> None:
         self._layout = layout
         self._profile = profile
         self._rows = rows

@@ -123,8 +123,3 @@ class Geometry:
         if not 0 <= column < self.columns:
             raise AddressError(
                 f"column {column} out of range [0, {self.columns})")
-
-
-#: Back-compat alias from before the device-family refactor, when the
-#: model was HBM2-only.  New code should say :class:`Geometry`.
-HBM2Geometry = Geometry

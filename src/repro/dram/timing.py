@@ -346,7 +346,7 @@ class TimingChecker:
     # any identical future same-bank stream identically, cycle offset for
     # cycle offset.  The device's analytic batch paths memoize a recorded
     # schedule under its entry signature and replay it without consulting
-    # the checker (see :meth:`HBM2Device.apply_row_writes`).
+    # the checker (see :meth:`Device.apply_row_writes`).
 
     def replay_signature(self, key: Tuple[int, int, int],
                          now: int) -> Tuple:

@@ -226,11 +226,10 @@ def read_artifact(path: Union[str, Path], *,
     """Load and verify one durable artifact.
 
     Raises :class:`~repro.errors.ArtifactCorruptError` for anything
-    that cannot be trusted: unreadable file, torn/unparseable JSON,
-    checksum mismatch, or an envelope of the wrong ``kind``.  A JSON
-    object *without* an envelope is accepted as a legacy artifact
-    (payload = the whole object, nothing to verify) so pre-envelope
-    archives still load.
+    that cannot be trusted: unreadable file, torn/unparseable JSON, a
+    missing or malformed envelope (one flipped bit in the envelope key
+    leaves valid JSON without one), checksum mismatch, or an envelope
+    of the wrong ``kind``.
     """
     path = Path(path)
     try:
@@ -248,11 +247,9 @@ def read_artifact(path: Union[str, Path], *,
             f"artifact {path} is not a JSON object "
             f"(got {type(record).__name__})")
     envelope = record.get(ENVELOPE_KEY)
-    if envelope is None:
-        return Artifact(payload=record, kind=None, version=None, meta={})
     if not isinstance(envelope, dict):
         raise ArtifactCorruptError(
-            f"artifact {path} carries a malformed envelope")
+            f"artifact {path} carries no valid {ENVELOPE_KEY} envelope")
     payload = record.get("payload")
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     expected = envelope.get("checksum")

@@ -1,44 +1,41 @@
-"""Execution backends: compile-once / execute-many program handles.
+"""The execution backend: compile-once / execute-many program handles.
 
 The engine narrows every way of running a Bender program down to one
 two-call protocol::
 
-    handle = backend.compile(program)        # canonicalize + lower
-    result = backend.execute(handle, rows)   # patch rows + run
+    handle = backend.compile(program)        # canonicalize + summarize
+    result = backend.execute(handle, rows)   # apply the bound effects
 
-:class:`LocalBackend` is the reference implementation: it executes on
-the station's own in-process :class:`~repro.bender.interpreter.
-Interpreter`, through whatever transport the host has installed (so
-fault-injecting and resilient links keep working unchanged).  The
-subprocess fan-out lives in :class:`repro.engine.pool.PoolBackend`,
-which schedules whole :class:`~repro.engine.plan.WorkItem`\\ s onto
-worker processes that each run a ``LocalBackend`` of their own.
+:class:`FastPathBackend` is the station's one production backend.
+``compile`` canonicalizes the program into a row-free template, lowers
+its row-write payloads (a WRROW's ``np.unpackbits`` expansion and its
+ECC parity words are pure functions of the payload bytes, memoized on
+the interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
+enable_payload_cache`), and runs the effect-summary analysis
+(:func:`repro.verify.summarize_program`) on the template.  ``execute``
+applies a summarized program's effect ops directly against the device —
+the same ACT counts, timing stamps, TRR observations, disturbance doses
+and command counts the interpreter would produce, without walking the
+command stream.  Programs whose effects cannot be proven
+(:class:`~repro.verify.Unsummarizable`) and stations the fast path must
+step aside for (an installed transport, tracing) run the instantiated
+program on the host's interpreter instead.
 
-``compile`` also *lowers* the program's row-write payloads: a WRROW's
-``np.unpackbits`` expansion and its ECC parity words are pure functions
-of the payload bytes, so they are computed once per distinct payload
-and memoized on the interpreter (see
-:meth:`~repro.bender.interpreter.Interpreter.enable_payload_cache`),
-turning the per-row data fill from an encode into an array copy.
-
-:class:`FastPathBackend` extends the local backend with the *analytic
-fast path*: ``compile`` additionally runs the effect-summary analysis
-(:func:`repro.verify.summarize_program`) on the canonical template, and
-``execute`` applies a summarized program's effect ops directly against
-the device — the same ACT counts, timing stamps, TRR observations,
-disturbance doses and command counts the interpreter would produce,
-without walking the command stream.  Programs whose effects cannot be
-proven (:class:`~repro.verify.Unsummarizable`) fall back to interpreted
-execution, counted in ``engine.fastpath.fallbacks``.
+The oracle is the station without any engine services
+(``REPRO_FASTPATH=0``): every program is then built, verified and
+interpreted per call.  The subprocess fan-out lives in
+:class:`repro.engine.pool.PoolBackend`, which schedules whole
+:class:`~repro.engine.plan.WorkItem`\\ s onto worker processes that
+each run a session of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bender import isa
-from repro.bender.interpreter import ExecutionResult
+from repro.bender.interpreter import ExecutionResult, run_loop
 from repro.bender.program import Program
 from repro.engine.cache import (
     RowBinding,
@@ -71,11 +68,10 @@ class CompiledProgram:
     ``source_binding`` is the row binding of the program it was
     compiled from (the instance that was verified at cache insert).
     ``summary`` / ``unsummarizable`` are the effect analysis of the
-    template (both None on backends that do not summarize): because
-    the template's ACT rows *are* slot ordinals, a summary's row
-    operands index any concrete binding — the same renaming rule
-    row substitution uses — so one analysis serves every execution of
-    the shape.
+    template (exactly one is set): because the template's ACT rows
+    *are* slot ordinals, a summary's row operands index any concrete
+    binding — the same renaming rule row substitution uses — so one
+    analysis serves every execution of the shape.
     """
 
     template: Program
@@ -88,27 +84,6 @@ class CompiledProgram:
     @property
     def slots(self) -> int:
         return len(self.slot_banks)
-
-
-class ExecutionBackend(Protocol):
-    """What any engine backend must provide.
-
-    The seam for future remote or accelerated executors: anything that
-    can compile a program into a patchable handle and execute bindings
-    against it can serve the cache and the drivers.
-    """
-
-    def compile(self, program: Program) -> CompiledProgram:
-        ...
-
-    def execute(self, handle: CompiledProgram,
-                binding: RowBinding = ()) -> ExecutionResult:
-        ...
-
-    def execute_batch(self, handle: CompiledProgram,
-                      bindings: Sequence[RowBinding]
-                      ) -> List[ExecutionResult]:
-        ...
 
 
 def _wrrow_payloads(program: Program) -> Tuple[bytes, ...]:
@@ -125,8 +100,30 @@ def _wrrow_payloads(program: Program) -> Tuple[bytes, ...]:
     return tuple(payloads)
 
 
-class LocalBackend:
-    """Reference in-process backend for one station."""
+class FastPathBackend:
+    """The station's backend: the analytic (effect-summary) fast path.
+
+    ``execute`` dispatches on the handle's effect analysis:
+
+    * summary present and the station is fast-path capable — apply the
+      effect ops directly (``engine.fastpath.hits``);
+    * no summary (``Unsummarizable`` shape) — interpreted execution
+      (``engine.fastpath.fallbacks``);
+    * station not capable right now — a transport is installed (fault
+      injection must see every program) or tracing is on — interpreted
+      execution (``engine.fastpath.bypasses``), since interpreted
+      behaviour is the one being observed.
+
+    Equivalence contract: for every summarized program, the applied
+    effect is cycle- and state-identical to interpreted execution.
+    Ops reuse the device's own command methods (ACT/PRE/REF/RDROW at
+    the same clock stamps), hammer loops run through the interpreter's
+    own loop policy (:func:`~repro.bender.interpreter.run_loop`), and
+    full-row writes go through
+    :meth:`~repro.dram.device.Device.apply_row_write`.  The CI oracle
+    job holds the gate: reference-sweep fingerprints must be
+    byte-identical with ``REPRO_FASTPATH=1`` and ``0``.
+    """
 
     #: Bound on memoized instantiations (cleared wholesale when full; a
     #: sweep's working set is far smaller, the bound is a backstop).
@@ -134,10 +131,11 @@ class LocalBackend:
 
     def __init__(self, host) -> None:
         self._host = host
+        host.interpreter.enable_payload_cache()
         # Programs are immutable, so an instantiation — a template with
         # one concrete row binding patched in — can be reused verbatim
-        # whenever the same rows are measured again (every repetition
-        # after the first), skipping the substitution walk.
+        # whenever the same rows are interpreted again, skipping the
+        # substitution walk.
         self._instantiations: dict = {}
 
     @property
@@ -157,22 +155,37 @@ class LocalBackend:
                 f"|{device.trr_config!r}")
 
     def compile(self, program: Program) -> CompiledProgram:
-        """Canonicalize ``program`` into a patchable, lowered handle."""
+        """Canonicalize, lower and summarize ``program`` into a handle."""
         template, binding, slot_banks = canonicalize(program)
-        handle = CompiledProgram(template=template, slot_banks=slot_banks,
-                                 source_binding=binding,
-                                 digest=shape_digest(
-                                     template, self.timing,
-                                     self.device_identity()))
-        payload_cache = self._host.interpreter.payload_cache
-        if payload_cache is not None:
-            for payload in _wrrow_payloads(template):
-                self._host.interpreter.lower_payload(payload)
-        return handle
+        for payload in _wrrow_payloads(template):
+            self._host.interpreter.lower_payload(payload)
+        context = VerifyContext.for_host(self._host,
+                                         allow_retention_decay=True)
+        outcome = summarize_program(template, context)
+        summarized = isinstance(outcome, EffectSummary)
+        return CompiledProgram(
+            template=template, slot_banks=slot_banks,
+            source_binding=binding,
+            digest=shape_digest(template, self.timing,
+                                self.device_identity()),
+            summary=outcome if summarized else None,
+            unsummarizable=None if summarized else outcome)
 
     def execute(self, handle: CompiledProgram,
                 binding: RowBinding = ()) -> ExecutionResult:
-        """Patch ``binding`` into the handle and run it on the station."""
+        """Run ``handle`` with ``binding`` patched into its row slots."""
+        if handle.summary is None:
+            get_metrics().counter("engine.fastpath.fallbacks").inc()
+            return self._interpret(handle, binding)
+        if not self._fast_path_capable():
+            get_metrics().counter("engine.fastpath.bypasses").inc()
+            return self._interpret(handle, binding)
+        get_metrics().counter("engine.fastpath.hits").inc()
+        return self._apply(handle, tuple(binding))
+
+    def _interpret(self, handle: CompiledProgram,
+                   binding: RowBinding) -> ExecutionResult:
+        """Instantiate the handle and run it on the station's host."""
         binding = tuple(binding)
         key = (handle.digest, binding)
         program = self._instantiations.get(key)
@@ -184,69 +197,9 @@ class LocalBackend:
             self._instantiations[key] = program
         return self._host.run(program)
 
-    def execute_batch(self, handle: CompiledProgram,
-                      bindings: Sequence[RowBinding]
-                      ) -> List[ExecutionResult]:
-        """One :meth:`execute` per binding, in order."""
-        return [self.execute(handle, binding) for binding in bindings]
-
-
-class FastPathBackend(LocalBackend):
-    """Local backend with the analytic (effect-summary) fast path.
-
-    ``execute`` dispatches on the handle's effect analysis:
-
-    * summary present and the station is fast-path capable — apply the
-      effect ops directly (``engine.fastpath.hits``);
-    * no summary (``Unsummarizable`` shape) — interpreted execution
-      (``engine.fastpath.fallbacks``);
-    * station not capable right now — a transport is installed (fault
-      injection must see every program), tracing is on, or bulk loops
-      are disabled — interpreted execution (``engine.fastpath.
-      bypasses``), since interpreted behaviour is the one being
-      observed.
-
-    Equivalence contract: for every summarized program, the applied
-    effect is cycle- and state-identical to interpreted execution.
-    Ops reuse the device's own command methods (ACT/PRE/REF/RDROW at
-    the same clock stamps), hammer loops mirror the interpreter's
-    warm-up + bulk + cool-down split exactly, and full-row writes go
-    through :meth:`~repro.dram.device.Device.apply_row_write`.
-    The CI fastpath-equivalence job holds the gate: Fig. 3 dataset
-    fingerprints must be byte-identical with ``REPRO_FASTPATH=0/1``.
-    """
-
-    def compile(self, program: Program) -> CompiledProgram:
-        handle = super().compile(program)
-        context = VerifyContext.for_host(self._host,
-                                         allow_retention_decay=True)
-        outcome = summarize_program(handle.template, context)
-        if isinstance(outcome, EffectSummary):
-            return CompiledProgram(
-                template=handle.template, slot_banks=handle.slot_banks,
-                source_binding=handle.source_binding, digest=handle.digest,
-                summary=outcome)
-        return CompiledProgram(
-            template=handle.template, slot_banks=handle.slot_banks,
-            source_binding=handle.source_binding, digest=handle.digest,
-            unsummarizable=outcome)
-
-    def execute(self, handle: CompiledProgram,
-                binding: RowBinding = ()) -> ExecutionResult:
-        if handle.summary is None:
-            get_metrics().counter("engine.fastpath.fallbacks").inc()
-            return super().execute(handle, binding)
-        if not self._fast_path_capable():
-            get_metrics().counter("engine.fastpath.bypasses").inc()
-            return super().execute(handle, binding)
-        get_metrics().counter("engine.fastpath.hits").inc()
-        return self._apply(handle, tuple(binding))
-
     def _fast_path_capable(self) -> bool:
-        interpreter = self._host.interpreter
         return (self._host.transport is None and
-                interpreter.fast_loops_enabled and
-                not interpreter.trace_enabled)
+                not self._host.interpreter.trace_enabled)
 
     # -- effect application -------------------------------------------
     def _apply(self, handle: CompiledProgram,
@@ -326,35 +279,14 @@ class FastPathBackend(LocalBackend):
 
     def _apply_hammer(self, op: HammerOp, rows: RowBinding,
                       device) -> None:
-        """Mirror of the interpreter's loop policy, op-encoded.
-
-        Same split as :meth:`~repro.bender.interpreter.Interpreter.
-        _run_loop`: below the threshold every iteration runs through
-        the device's command methods; at or above it, two warm-up
-        iterations measure the steady-state period, ``iterations - 3``
-        are bulk-applied, and a final slow iteration leaves the exact
-        trailing timing state of the unrolled loop.
-        """
-        steps = op.steps
+        """One hammer op through the interpreter's loop policy."""
         resolved = tuple(
             ("act", step[1], step[2], step[3], rows[step[4]])
             if step[0] == "act" else tuple(step)
-            for step in steps)
+            for step in op.steps)
 
-        def run_once() -> None:
+        def run_iteration() -> None:
             device.apply_hammer_steps(resolved)
 
-        iterations = op.iterations
-        if iterations < self._host.interpreter.fast_loop_threshold:
-            for _ in range(iterations):
-                run_once()
-            return
-        run_once()
-        before_second = device.now
-        run_once()
-        period = device.now - before_second
-        remaining = iterations - 3
-        body_acts = [(step[1], step[2], step[3], rows[step[4]])
-                     for step in steps if step[0] == "act"]
-        device.bulk_activations(body_acts, remaining, remaining * period)
-        run_once()
+        run_loop(device, op.iterations, run_iteration,
+                 (step[1:] for step in resolved if step[0] == "act"))

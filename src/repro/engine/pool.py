@@ -1,7 +1,7 @@
 """The subprocess execution backend: work items on warm worker pools.
 
-This is the engine's second :class:`~repro.engine.backend` — where
-:class:`~repro.engine.backend.LocalBackend` runs programs in-process,
+This is the engine's second backend — where
+:class:`~repro.engine.backend.FastPathBackend` runs programs in-process,
 :class:`PoolBackend` schedules whole plan items onto a
 :class:`concurrent.futures.ProcessPoolExecutor`.
 

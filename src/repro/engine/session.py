@@ -20,16 +20,13 @@ place:
   point to snap back to.
 
 Activating a session installs the engine's execution services on the
-board's host: an execution backend and — gated by
-``$REPRO_PROGRAM_CACHE`` (default on) — a
-:class:`~repro.engine.cache.ProgramCache` plus the interpreter's
-row-payload lowering cache.  The backend is the analytic
-:class:`~repro.engine.backend.FastPathBackend` when both the program
-cache and ``$REPRO_FASTPATH`` (default on) are enabled; with the cache
-off there is no summary source, so the session quietly installs the
-plain :class:`~repro.engine.backend.LocalBackend` instead — disabling
-the cache disables the fast path, it never errors.  Experiment drivers
-reach these through ``host.cached_run`` and the host's row helpers;
+board's host: the production path, a
+:class:`~repro.engine.backend.FastPathBackend` behind a
+:class:`~repro.engine.cache.ProgramCache`.  ``$REPRO_FASTPATH=0``
+selects the oracle instead: the session installs nothing, so every
+program is built, verified and interpreted per call, exactly as on a
+bare :class:`~repro.bender.board.BenderBoard`.  Experiment drivers
+reach either through ``host.cached_run`` and the host's row helpers;
 none of them builds a board or an interpreter itself.
 """
 
@@ -38,9 +35,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bender.board import BenderBoard, BoardSpec
-from repro.engine.backend import FastPathBackend, LocalBackend
+from repro.engine.backend import FastPathBackend
 from repro.engine.cache import ProgramCache
-from repro.envutil import fastpath_enabled, program_cache_enabled
+from repro.envutil import fastpath_enabled
 from repro.errors import EngineError
 from repro.faults.plan import FaultPlan, FaultSpec, resolve_fault_spec
 from repro.faults.thermal import ThermalGuard
@@ -52,20 +49,13 @@ class EngineSession:
 
     def __init__(self, *, spec: Optional[BoardSpec] = None,
                  board: Optional[BenderBoard] = None,
-                 experiment=None, cache: Optional[bool] = None,
-                 fastpath: Optional[bool] = None,
+                 experiment=None,
                  profile: Optional[str] = None) -> None:
         """
         Args:
             spec: recipe to build the board from (lazily, on first use).
             board: an existing station to adopt instead.
             experiment: interference controls and test parameters.
-            cache: force the program cache on/off; None consults
-                ``$REPRO_PROGRAM_CACHE`` (default on).
-            fastpath: force the analytic fast path on/off; None
-                consults ``$REPRO_FASTPATH`` (default on).  Effective
-                only with the cache enabled — summaries live on cached
-                program shapes.
             profile: device-family profile name to build the station
                 with (:mod:`repro.dram.profiles`); applied onto
                 ``spec`` (which must not already name a *different*
@@ -88,10 +78,7 @@ class EngineSession:
         self._spec = spec
         self._board = board
         self.experiment = experiment or ExperimentConfig()
-        self._cache_enabled = (program_cache_enabled() if cache is None
-                               else bool(cache))
-        self._fastpath_enabled = (fastpath_enabled() if fastpath is None
-                                  else bool(fastpath))
+        self._fastpath = fastpath_enabled()
         self._controls_applied = False
 
     @property
@@ -100,32 +87,15 @@ class EngineSession:
         if self._board is None:
             self._board = self._spec.build()
         board = self._board
-        if board.host.engine_backend is None:
-            self._install_engine(board)
+        if self._fastpath and board.host.engine_backend is None:
+            backend = FastPathBackend(board.host)
+            board.host.engine_backend = backend
+            board.host.program_cache = ProgramCache(backend)
         return board
 
     @property
     def host(self):
         return self.board.host
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._cache_enabled
-
-    @property
-    def fastpath_enabled(self) -> bool:
-        """Whether the analytic fast path is active (needs the cache)."""
-        return self._fastpath_enabled and self._cache_enabled
-
-    def _install_engine(self, board: BenderBoard) -> None:
-        if self.fastpath_enabled:
-            backend = FastPathBackend(board.host)
-        else:
-            backend = LocalBackend(board.host)
-        board.host.engine_backend = backend
-        if self._cache_enabled:
-            board.host.interpreter.enable_payload_cache()
-            board.host.program_cache = ProgramCache(backend)
 
     # ------------------------------------------------------------------
     def prepare(self, apply_interference_controls: bool = True

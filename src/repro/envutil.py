@@ -4,7 +4,7 @@ Every knob the repo reads from the environment goes through this module,
 so parsing and validation behave identically whether a variable is
 consumed by the sweep layer (``REPRO_ROWS_PER_REGION``), the parallel
 executor (``REPRO_JOBS``), the fault-injection hook (``REPRO_FAULTS``)
-or the execution engine (``REPRO_PROGRAM_CACHE``).  Raises
+or the execution engine (``REPRO_FASTPATH``).  Raises
 :class:`~repro.errors.ExperimentError` on malformed values — an env
 typo should fail loudly, not silently fall back to a default.
 """
@@ -16,13 +16,9 @@ from typing import Optional
 
 from repro.errors import ExperimentError
 
-#: Gate for the engine's verified-program cache (default: enabled).
-PROGRAM_CACHE_VAR = "REPRO_PROGRAM_CACHE"
-
-#: Gate for the engine's analytic (effect-summary) fast path
-#: (default: enabled).  The fast path consumes summaries stored with
-#: cached program shapes, so disabling the program cache disables it
-#: too — there is no summary source without the cache.
+#: The one execution gate (default: enabled).  On, engine sessions run
+#: programs on the production path (program cache + analytic fast
+#: path); off, on the oracle (built, verified and interpreted per call).
 FASTPATH_VAR = "REPRO_FASTPATH"
 
 _TRUTHY = frozenset(("1", "true", "yes", "on"))
@@ -75,16 +71,8 @@ def env_jobs(default: int = 1) -> int:
     return env_int("REPRO_JOBS", default, minimum=1)
 
 
-def program_cache_enabled() -> bool:
-    """Whether ``$REPRO_PROGRAM_CACHE`` enables the engine's program
-    cache (unset = enabled; the CI cache-correctness job sets 0/1 and
-    diffs dataset fingerprints)."""
-    return env_flag(PROGRAM_CACHE_VAR, True)
-
-
 def fastpath_enabled() -> bool:
-    """Whether ``$REPRO_FASTPATH`` enables the engine's analytic fast
-    path (unset = enabled; the CI fastpath-equivalence job sets 0/1 and
-    diffs dataset fingerprints).  Only effective when the program cache
-    is also enabled."""
+    """Whether ``$REPRO_FASTPATH`` selects the production path (unset =
+    enabled; the CI oracle job sets 0/1 and diffs dataset
+    fingerprints)."""
     return env_flag(FASTPATH_VAR, True)

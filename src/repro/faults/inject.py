@@ -32,7 +32,7 @@ from dataclasses import replace
 
 from repro.bender.interpreter import ExecutionResult
 from repro.bender.transport import PcieTransport
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 from repro.errors import ShardFault, TransportFault
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import get_metrics
@@ -43,7 +43,7 @@ __all__ = ["FaultyTransport", "injure_worker", "poison_dataset"]
 class FaultyTransport(PcieTransport):
     """A PCIe link that misbehaves on the plan's schedule."""
 
-    def __init__(self, device: HBM2Device, plan: FaultPlan,
+    def __init__(self, device: Device, plan: FaultPlan,
                  bandwidth_bytes_per_s: float = 3.0e9,
                  interpreter=None) -> None:
         super().__init__(device, bandwidth_bytes_per_s=bandwidth_bytes_per_s,
@@ -194,7 +194,7 @@ def poison_dataset(plan: FaultPlan, dataset, channel: int,
     return True
 
 
-def build_link(device: HBM2Device, spec: FaultSpec,
+def build_link(device: Device, spec: FaultSpec,
                bandwidth_bytes_per_s: float = 3.0e9):
     """A resilient faulty link for ``device`` under ``spec``.
 

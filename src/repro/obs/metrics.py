@@ -299,7 +299,7 @@ class MetricsRegistry:
         """Record the delta of two device command-count snapshots.
 
         The device model already accounts every issued command by
-        mnemonic (:attr:`repro.dram.device.HBM2Device.command_counts`);
+        mnemonic (:attr:`repro.dram.device.Device.command_counts`);
         pulling deltas here keeps the per-command hot path untouched.
         """
         for mnemonic, total in after.items():

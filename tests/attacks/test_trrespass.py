@@ -9,7 +9,7 @@ from repro.errors import ExperimentError
 
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
 from repro.bender.board import BenderBoard
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 
 VICTIM = DramAddress(0, 0, 0, 100)
 
@@ -21,7 +21,7 @@ def make_board(trr_config=None, seed=8):
     # the attack physics in the same regime as the paper-scale device.
     profile = vulnerable_profile(threshold_floor=4_000.0,
                                  weak_median=3.0e4)
-    device = HBM2Device(geometry=SMALL_GEOMETRY, profile=profile,
+    device = Device(geometry=SMALL_GEOMETRY, profile=profile,
                         seed=seed, trr_config=trr_config)
     device.set_temperature(85.0)
     board = BenderBoard(device)

@@ -1,13 +1,14 @@
-"""Tests for repro.bender.interpreter — including fast/slow equivalence."""
+"""Tests for repro.bender.interpreter — including bulk/unrolled equivalence."""
 
 import numpy as np
 import pytest
 
-from repro.bender.interpreter import Interpreter
+from repro.bender.interpreter import BULK_LOOP_THRESHOLD, Interpreter
 from repro.bender.program import ProgramBuilder
 from repro.errors import ProgramError
+from repro.obs import MetricsRegistry, use_metrics
 
-from tests.conftest import make_vulnerable_device
+from tests.conftest import make_vulnerable_device, unrolled
 
 
 def fill(device, byte):
@@ -58,8 +59,24 @@ class TestLoopExecution:
         with builder.loop(3):
             builder.act(0, 0, 0, 10)
             builder.pre(0, 0, 0)
-        Interpreter(device, fast_loop_threshold=100).run(builder.build())
+        Interpreter(device).run(builder.build())
         assert device.command_counts["ACT"] == 3
+
+    @pytest.mark.parametrize("count, route", [
+        (BULK_LOOP_THRESHOLD - 1, "slow"), (BULK_LOOP_THRESHOLD, "fast")])
+    def test_bulk_threshold(self, count, route):
+        device = make_vulnerable_device(seed=1)
+        builder = ProgramBuilder()
+        with builder.loop(count):
+            builder.act(0, 0, 0, 10)
+            builder.pre(0, 0, 0)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            Interpreter(device).run(builder.build())
+        assert registry.snapshot()["counters"] == {
+            "bender.programs": 1,
+            f"bender.loop_iterations.{route}": count}
+        assert device.command_counts["ACT"] == count
 
     def test_loop_with_reads_uses_slow_path(self):
         device = make_vulnerable_device(seed=1)
@@ -82,7 +99,9 @@ class TestLoopExecution:
 
 
 class TestFastSlowEquivalence:
-    def run_hammer(self, enable_fast, iterations=600, seed=2):
+    """Bulk-applied loops against the unrolled oracle."""
+
+    def run_hammer(self, unroll, iterations=600, seed=2):
         device = make_vulnerable_device(seed=seed)
         device.set_ecc_enabled(False)
         victim_logical = device.mapper.physical_to_logical(20)
@@ -99,31 +118,32 @@ class TestFastSlowEquivalence:
         builder.act(0, 0, 0, victim_logical)
         builder.rd_row(0, 0, 0)
         builder.pre(0, 0, 0)
-        interpreter = Interpreter(device, enable_fast_loops=enable_fast)
-        result = interpreter.run(builder.build())
+        program = builder.build()
+        result = Interpreter(device).run(
+            unrolled(program) if unroll else program)
         return result, device
 
     def test_identical_readback(self):
-        fast_result, __ = self.run_hammer(enable_fast=True)
-        slow_result, __ = self.run_hammer(enable_fast=False)
+        fast_result, __ = self.run_hammer(unroll=False)
+        slow_result, __ = self.run_hammer(unroll=True)
         assert np.array_equal(fast_result.row_reads[0],
                               slow_result.row_reads[0])
 
     def test_identical_duration(self):
         """The bulk path must account the same number of cycles the
         unrolled loop would take."""
-        fast_result, __ = self.run_hammer(enable_fast=True)
-        slow_result, __ = self.run_hammer(enable_fast=False)
+        fast_result, __ = self.run_hammer(unroll=False)
+        slow_result, __ = self.run_hammer(unroll=True)
         assert fast_result.duration_cycles == slow_result.duration_cycles
 
     def test_identical_command_counts(self):
-        __, fast_device = self.run_hammer(enable_fast=True)
-        __, slow_device = self.run_hammer(enable_fast=False)
+        __, fast_device = self.run_hammer(unroll=False)
+        __, slow_device = self.run_hammer(unroll=True)
         assert fast_device.command_counts == slow_device.command_counts
 
     def test_flips_occur_at_scale(self):
         """Sanity: the equivalence test exercises real flips."""
-        result, device = self.run_hammer(enable_fast=True,
+        result, device = self.run_hammer(unroll=False,
                                          iterations=60_000)
         assert result.row_reads[0].sum() > 0
 

@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bender import isa
 from repro.bender.board import BenderBoard, make_paper_setup
-from repro.dram.calibration import DeviceProfile, default_profile
-from repro.dram.device import HBM2Device
-from repro.dram.geometry import HBM2Geometry
+from repro.bender.program import Program
+from repro.dram.calibration import CalibrationProfile, default_profile
+from repro.dram.device import Device
+from repro.dram.geometry import Geometry
 
 
-SMALL_GEOMETRY = HBM2Geometry(channels=2, pseudo_channels=1, banks=2,
+SMALL_GEOMETRY = Geometry(channels=2, pseudo_channels=1, banks=2,
                               rows=256, columns=4, column_bytes=8,
                               channels_per_die=2)
 
 
-def make_small_profile(**overrides) -> DeviceProfile:
+def make_small_profile(**overrides) -> CalibrationProfile:
     """The default profile, valid for the 2-channel small geometry.
 
     Profiles index per-channel tables by channel number, so the full
@@ -34,7 +36,7 @@ def make_small_profile(**overrides) -> DeviceProfile:
     return default_profile().with_overrides(**overrides)
 
 
-def vulnerable_profile(**overrides) -> DeviceProfile:
+def vulnerable_profile(**overrides) -> CalibrationProfile:
     """A deliberately fragile profile for small-geometry hammer tests.
 
     Small rows (256 bits) hold few weak cells under the calibrated
@@ -51,20 +53,38 @@ def vulnerable_profile(**overrides) -> DeviceProfile:
     return base.with_overrides(**overrides) if overrides else base
 
 
-def make_small_device(seed: int = 0, **kwargs) -> HBM2Device:
+def make_small_device(seed: int = 0, **kwargs) -> Device:
     kwargs.setdefault("geometry", SMALL_GEOMETRY)
     kwargs.setdefault("profile", make_small_profile())
-    return HBM2Device(seed=seed, **kwargs)
+    return Device(seed=seed, **kwargs)
 
 
-def make_vulnerable_device(seed: int = 0, **kwargs) -> HBM2Device:
+def make_vulnerable_device(seed: int = 0, **kwargs) -> Device:
     kwargs.setdefault("geometry", SMALL_GEOMETRY)
     kwargs.setdefault("profile", vulnerable_profile())
-    return HBM2Device(seed=seed, **kwargs)
+    return Device(seed=seed, **kwargs)
+
+
+def unrolled(program: Program) -> Program:
+    """``program`` with every ``Loop`` expanded in place.
+
+    The unrolled oracle: the interpreter runs each iteration one
+    command at a time, so no loop policy can hide a difference.
+    """
+    def expand(instructions):
+        out = []
+        for instruction in instructions:
+            if isinstance(instruction, isa.Loop):
+                out.extend(expand(instruction.body) * instruction.count)
+            else:
+                out.append(instruction)
+        return out
+
+    return Program(tuple(expand(program.instructions)))
 
 
 @pytest.fixture
-def vulnerable_device() -> HBM2Device:
+def vulnerable_device() -> Device:
     return make_vulnerable_device(seed=5)
 
 
@@ -77,12 +97,12 @@ def vulnerable_board(vulnerable_device) -> BenderBoard:
 
 
 @pytest.fixture
-def small_geometry() -> HBM2Geometry:
+def small_geometry() -> Geometry:
     return SMALL_GEOMETRY
 
 
 @pytest.fixture
-def small_device() -> HBM2Device:
+def small_device() -> Device:
     return make_small_device(seed=7)
 
 

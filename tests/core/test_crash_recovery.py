@@ -226,6 +226,28 @@ class TestCorruptArchiveSelfHealing:
         assert _archive_bytes(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
+    def test_flipped_manifest_envelope_key_quarantined_and_rewritten(
+            self, tmp_path, baseline_bytes):
+        """One flipped bit in the manifest's envelope key leaves valid
+        JSON without an envelope: corruption to quarantine, not a
+        manifest of a different experiment to refuse."""
+        campaign = self._completed_campaign(tmp_path)
+        manifest = campaign / "campaign.json"
+        flipped = durable.ENVELOPE_KEY.replace("fact", "facu")
+        assert bin(int.from_bytes(flipped.encode(), "big")
+                   ^ int.from_bytes(durable.ENVELOPE_KEY.encode(), "big")
+                   ).count("1") == 1
+        manifest.write_text(manifest.read_text().replace(
+            durable.ENVELOPE_KEY, flipped))
+
+        dataset, counters = self._resume(campaign)
+        assert counters["campaign.recovered_manifests"] == 1
+        assert counters["campaign.checkpoint_loads"] == SHARDS
+        assert (campaign / "campaign.json.corrupt").exists()
+        read_artifact(manifest, kind="campaign-manifest")
+        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+            baseline_bytes
+
     def test_corrupt_manifest_quarantined_and_rewritten(
             self, tmp_path, baseline_bytes):
         campaign = self._completed_campaign(tmp_path)
@@ -323,20 +345,31 @@ class TestEnvelopeFormat:
         assert artifact.meta["campaign"] == \
             manifest.payload["fingerprint"]
 
-    def test_legacy_plain_json_shard_still_loads(self, tmp_path):
-        """Pre-envelope archives (bare dataset JSON) resume cleanly."""
+    def test_legacy_plain_json_shard_quarantined(self, tmp_path,
+                                                 baseline_bytes):
+        """Archives without an envelope (bare dataset JSON) or without
+        the campaign stamp carry no provenance: quarantined, then
+        recomputed."""
         campaign = tmp_path / "campaign"
         ParallelSweepRunner(small_spec(), lean_config(jobs=1),
                             campaign_dir=campaign).run()
-        victim = campaign / "shard_00003.json"
-        artifact = read_artifact(victim, kind="shard")
-        victim.write_text(json.dumps(artifact.payload, indent=1) + "\n")
+        plain = campaign / "shard_00003.json"
+        artifact = read_artifact(plain, kind="shard")
+        plain.write_text(json.dumps(artifact.payload, indent=1) + "\n")
+        unstamped = campaign / "shard_00004.json"
+        write_artifact(unstamped,
+                       read_artifact(unstamped, kind="shard").payload,
+                       kind="shard")
 
         metrics = MetricsRegistry()
         runner = ParallelSweepRunner(small_spec(), lean_config(jobs=1),
                                      campaign_dir=campaign)
         with use_metrics(metrics):
-            runner.run()
+            dataset = runner.run()
         counters = metrics.snapshot()["counters"]
-        assert counters["campaign.checkpoint_loads"] == SHARDS
-        assert counters.get("campaign.recovered_shards", 0) == 0
+        assert counters["campaign.checkpoint_loads"] == SHARDS - 2
+        assert counters["campaign.recovered_shards"] == 2
+        assert (campaign / "shard_00003.json.corrupt").exists()
+        assert (campaign / "shard_00004.json.corrupt").exists()
+        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+            baseline_bytes

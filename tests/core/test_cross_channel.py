@@ -8,14 +8,14 @@ from repro.errors import ExperimentError
 
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
 from repro.bender.board import BenderBoard
-from repro.dram.device import HBM2Device
+from repro.dram.device import Device
 
 VICTIM = DramAddress(0, 0, 0, 100)
 
 
 def make_board(coupling=0.0, seed=8):
     profile = vulnerable_profile(cross_channel_coupling=coupling)
-    device = HBM2Device(geometry=SMALL_GEOMETRY, profile=profile, seed=seed)
+    device = Device(geometry=SMALL_GEOMETRY, profile=profile, seed=seed)
     device.set_temperature(85.0)
     board = BenderBoard(device)
     board.host.set_ecc_enabled(False)
@@ -46,11 +46,11 @@ class TestCouplingModel:
         # The small geometry has one die pair (channels 0,1 on die 0):
         # channels_per_die=2 means no vertical neighbour exists, so use
         # a 4-channel geometry instead.
-        from repro.dram.geometry import HBM2Geometry
-        geometry = HBM2Geometry(channels=4, pseudo_channels=1, banks=2,
+        from repro.dram.geometry import Geometry
+        geometry = Geometry(channels=4, pseudo_channels=1, banks=2,
                                 rows=256, columns=4, column_bytes=8,
                                 channels_per_die=2)
-        device = HBM2Device(geometry=geometry,
+        device = Device(geometry=geometry,
                             profile=vulnerable_profile(
                                 cross_channel_coupling=0.1),
                             seed=8)
@@ -62,10 +62,10 @@ class TestCouplingModel:
             pytest.approx(0.1)
 
     def test_no_coupling_no_routing(self):
-        from repro.dram.geometry import HBM2Geometry
-        geometry = HBM2Geometry(channels=4, pseudo_channels=1, banks=2,
+        from repro.dram.geometry import Geometry
+        geometry = Geometry(channels=4, pseudo_channels=1, banks=2,
                                 rows=256, columns=4, column_bytes=8)
-        device = HBM2Device(geometry=geometry,
+        device = Device(geometry=geometry,
                             profile=vulnerable_profile(), seed=8)
         device.activate(0, 0, 0, 100)
         device.precharge(0, 0, 0)
@@ -80,12 +80,12 @@ class TestCouplingModel:
 class TestDifferentialExperiment:
     @pytest.fixture
     def four_channel_board(self):
-        from repro.dram.geometry import HBM2Geometry
+        from repro.dram.geometry import Geometry
 
         def build(coupling):
-            geometry = HBM2Geometry(channels=4, pseudo_channels=1, banks=2,
+            geometry = Geometry(channels=4, pseudo_channels=1, banks=2,
                                     rows=256, columns=4, column_bytes=8)
-            device = HBM2Device(geometry=geometry,
+            device = Device(geometry=geometry,
                                 profile=vulnerable_profile(
                                     cross_channel_coupling=coupling),
                                 seed=8)

@@ -26,7 +26,7 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.core.utrr import UTrrExperiment, infer_period
 from repro.dram.address import DramAddress
-from repro.engine.session import EngineSession
+from repro.envutil import FASTPATH_VAR
 from repro.errors import ExperimentError
 
 PROFILES = ("hbm2", "ddr4", "ddr5")
@@ -48,12 +48,14 @@ def smoke_config(profile, jobs=1):
 
 
 def run_smoke_sweep(profile, fastpath=True):
-    board = make_paper_setup(seed=SMOKE_SEED, device_profile=profile)
-    if not fastpath:
-        # Install the plain interpreted backend before the sweep's own
-        # session would install the fast path.
-        EngineSession(board=board, cache=True, fastpath=False).board
-    return SpatialSweep(board, smoke_config(profile)).run()
+    """One smoke sweep on the production path, or on the oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        if fastpath:
+            patch.delenv(FASTPATH_VAR, raising=False)
+        else:
+            patch.setenv(FASTPATH_VAR, "0")
+        board = make_paper_setup(seed=SMOKE_SEED, device_profile=profile)
+        return SpatialSweep(board, smoke_config(profile)).run()
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.dram.address import DramAddress, RowAddressMapper
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.errors import AddressError, ConfigurationError
 
 
 @pytest.fixture
 def geometry():
-    return HBM2Geometry()
+    return Geometry()
 
 
 class TestDramAddress:

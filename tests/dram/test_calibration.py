@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dram.calibration import (
-    DeviceProfile,
+    CalibrationProfile,
     default_profile,
     uniform_profile,
 )
@@ -94,35 +94,35 @@ class TestTemperatureScaling:
 class TestValidation:
     def test_weak_median_must_be_below_strong(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(weak_median=1e8, strong_median=1e6)
+            CalibrationProfile(weak_median=1e8, strong_median=1e6)
 
     def test_weak_fraction_must_match_channels(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(weak_fraction=(0.05, 0.05))
+            CalibrationProfile(weak_fraction=(0.05, 0.05))
 
     def test_weak_fraction_must_be_probability(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(weak_fraction=(1.5,) * 8)
+            CalibrationProfile(weak_fraction=(1.5,) * 8)
 
     def test_negative_floor_rejected(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(threshold_floor=-1)
+            CalibrationProfile(threshold_floor=-1)
 
     def test_droop_must_stay_below_one(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(subarray_edge_droop=1.0)
+            CalibrationProfile(subarray_edge_droop=1.0)
 
     def test_blast_weights_ordered(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(blast_weight_1=0.1, blast_weight_2=0.5)
+            CalibrationProfile(blast_weight_1=0.1, blast_weight_2=0.5)
 
     def test_same_bit_coupling_is_a_fraction(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(same_bit_coupling=1.5)
+            CalibrationProfile(same_bit_coupling=1.5)
 
     def test_last_subarray_scale_cannot_help(self):
         with pytest.raises(CalibrationError):
-            DeviceProfile(last_subarray_scale=0.5)
+            CalibrationProfile(last_subarray_scale=0.5)
 
 
 class TestOverridesAndUniform:

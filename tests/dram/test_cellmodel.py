@@ -9,13 +9,13 @@ from repro.dram.cellmodel import (
     ECC_WORD_BITS,
     GroundTruthProvider,
 )
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.dram.subarrays import SubarrayLayout
 
 
 @pytest.fixture
 def provider():
-    geometry = HBM2Geometry()
+    geometry = Geometry()
     return GroundTruthProvider(geometry, default_profile(),
                                SubarrayLayout.paper_default(geometry.rows),
                                seed=42)
@@ -31,7 +31,7 @@ class TestDeterminism:
         assert np.array_equal(first.retention_s, second.retention_s)
 
     def test_survives_cache_eviction(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         provider = GroundTruthProvider(
             geometry, default_profile(),
             SubarrayLayout.paper_default(geometry.rows), seed=42,
@@ -47,7 +47,7 @@ class TestDeterminism:
                                   provider.row(0, 0, 0, 101).thresholds)
 
     def test_different_seeds_differ(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         layout = SubarrayLayout.paper_default(geometry.rows)
         provider_a = GroundTruthProvider(geometry, default_profile(),
                                          layout, seed=1)
@@ -59,7 +59,7 @@ class TestDeterminism:
 
 class TestShapes:
     def test_cells_cover_data_plus_parity(self, provider):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         words = geometry.row_bits // ECC_WORD_BITS
         expected = geometry.row_bits + words * ECC_PARITY_BITS
         assert provider.cells_per_row == expected

@@ -90,7 +90,7 @@ class TestDocumentedTrrBehaviour:
         from repro.bender.board import BenderBoard
         from repro.bender.program import ProgramBuilder
         from repro.dram.address import DramAddress
-        from repro.dram.device import HBM2Device
+        from repro.dram.device import Device
         from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
 
         flips = {}
@@ -99,7 +99,7 @@ class TestDocumentedTrrBehaviour:
             # protective than on the 16K-row bank; lower thresholds to
             # keep the attack physics in the paper-scale regime (as in
             # the TRR-bypass tests).
-            device = HBM2Device(
+            device = Device(
                 geometry=SMALL_GEOMETRY,
                 profile=vulnerable_profile(threshold_floor=4_000.0,
                                            weak_median=3.0e4),

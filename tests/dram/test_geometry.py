@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.errors import AddressError, ConfigurationError
 
 
 class TestDefaults:
     def test_paper_chip_dimensions(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         assert geometry.channels == 8
         assert geometry.pseudo_channels == 2
         assert geometry.banks == 16
@@ -16,23 +16,23 @@ class TestDefaults:
         assert geometry.columns == 32
 
     def test_stack_capacity_is_4gib(self):
-        assert HBM2Geometry().stack_bytes == 4 * 1024 ** 3
+        assert Geometry().stack_bytes == 4 * 1024 ** 3
 
     def test_row_is_1kib(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         assert geometry.row_bytes == 1024
         assert geometry.row_bits == 8192
 
     def test_total_banks_is_256(self):
-        assert HBM2Geometry().total_banks == 256
+        assert Geometry().total_banks == 256
 
     def test_eight_channels_make_four_dies(self):
-        assert HBM2Geometry().dies == 4
+        assert Geometry().dies == 4
 
 
 class TestDieMapping:
     def test_channels_pair_onto_dies(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         assert geometry.die_of_channel(0) == 0
         assert geometry.die_of_channel(1) == 0
         assert geometry.die_of_channel(6) == 3
@@ -40,25 +40,25 @@ class TestDieMapping:
 
     def test_die_of_bad_channel_raises(self):
         with pytest.raises(AddressError):
-            HBM2Geometry().die_of_channel(8)
+            Geometry().die_of_channel(8)
 
 
 class TestValidation:
     def test_zero_rows_rejected(self):
         with pytest.raises(ConfigurationError):
-            HBM2Geometry(rows=0)
+            Geometry(rows=0)
 
     def test_negative_banks_rejected(self):
         with pytest.raises(ConfigurationError):
-            HBM2Geometry(banks=-1)
+            Geometry(banks=-1)
 
     def test_non_integer_columns_rejected(self):
         with pytest.raises(ConfigurationError):
-            HBM2Geometry(columns=1.5)
+            Geometry(columns=1.5)
 
     def test_channels_must_divide_into_dies(self):
         with pytest.raises(ConfigurationError):
-            HBM2Geometry(channels=7, channels_per_die=2)
+            Geometry(channels=7, channels_per_die=2)
 
     @pytest.mark.parametrize("method,value", [
         ("check_channel", 8),
@@ -68,7 +68,7 @@ class TestValidation:
         ("check_column", 32),
     ])
     def test_range_checks_reject_one_past_end(self, method, value):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         with pytest.raises(AddressError):
             getattr(geometry, method)(value)
 
@@ -77,12 +77,12 @@ class TestValidation:
         "check_row", "check_column",
     ])
     def test_range_checks_reject_negative(self, method):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         with pytest.raises(AddressError):
             getattr(geometry, method)(-1)
 
     def test_range_checks_accept_zero_and_max(self):
-        geometry = HBM2Geometry()
+        geometry = Geometry()
         geometry.check_channel(0)
         geometry.check_channel(7)
         geometry.check_row(0)
@@ -91,7 +91,7 @@ class TestValidation:
 
 class TestCustomGeometry:
     def test_small_geometry_sizes(self):
-        geometry = HBM2Geometry(channels=2, pseudo_channels=1, banks=2,
+        geometry = Geometry(channels=2, pseudo_channels=1, banks=2,
                                 rows=256, columns=4, column_bytes=8)
         assert geometry.row_bytes == 32
         assert geometry.row_bits == 256

@@ -31,7 +31,7 @@ from repro.dram.profiles import (
 )
 from repro.dram.timing import TimingParameters
 from repro.dram.trr import TrrConfig
-from repro.engine import LocalBackend, canonicalize, shape_digest
+from repro.engine import FastPathBackend, canonicalize, shape_digest
 from repro.errors import ConfigurationError
 
 
@@ -138,7 +138,7 @@ class TestCacheDigestNonAliasing:
 
         digests = []
         for board in (plain, trr_variant):
-            backend = LocalBackend(board.host)
+            backend = FastPathBackend(board.host)
             digests.append(shape_digest(template, backend.timing,
                                         backend.device_identity()))
         assert digests[0] != digests[1]
@@ -149,8 +149,8 @@ class TestCacheDigestNonAliasing:
         victim = DramAddress(channel=0, pseudo_channel=0, bank=0, row=100)
         template, _, _ = canonicalize(
             build_hammer_program(victim, [99, 101], 64))
-        first = LocalBackend(board.host)
-        second = LocalBackend(rebuilt.host)
+        first = FastPathBackend(board.host)
+        second = FastPathBackend(rebuilt.host)
         assert (shape_digest(template, first.timing,
                              first.device_identity())
                 == shape_digest(template, second.timing,

@@ -7,7 +7,7 @@ from repro.bender.program import ProgramBuilder
 from repro.core.hammer import build_hammer_program
 from repro.dram.address import DramAddress
 from repro.engine import (
-    LocalBackend,
+    FastPathBackend,
     ProgramCache,
     canonicalize,
     shape_digest,
@@ -125,7 +125,7 @@ class TestShapeDigest:
 
 class TestProgramCache:
     def test_miss_then_hits_build_and_verify_once(self, small_host):
-        cache = ProgramCache(LocalBackend(small_host))
+        cache = ProgramCache(FastPathBackend(small_host))
         calls = {"build": 0, "verify": 0}
 
         def run(rows):
@@ -148,7 +148,7 @@ class TestProgramCache:
         assert len(cache) == 1
 
     def test_counters_exported_through_metrics_registry(self, small_host):
-        cache = ProgramCache(LocalBackend(small_host))
+        cache = ProgramCache(FastPathBackend(small_host))
         registry = MetricsRegistry()
         with use_metrics(registry):
             cache.execute(("hammer", 0, 0, 1, 4), (40, 42),
@@ -160,14 +160,14 @@ class TestProgramCache:
         assert counters["engine.cache.hits"] == 1
 
     def test_binding_mismatch_is_an_engine_error(self, small_host):
-        cache = ProgramCache(LocalBackend(small_host))
+        cache = ProgramCache(FastPathBackend(small_host))
         with pytest.raises(EngineError, match="declared row binding"):
             cache.execute(("hammer", 0, 0, 1, 4), (40,),
                           lambda: hammer_program((40, 42)))
 
     def test_distinct_keys_same_shape_share_one_entry(self, small_host):
         """Content addressing: the digest dedupes across caller keys."""
-        cache = ProgramCache(LocalBackend(small_host))
+        cache = ProgramCache(FastPathBackend(small_host))
         cache.execute(("site_a", 4), (40, 42),
                       lambda: hammer_program((40, 42)))
         cache.execute(("site_b", 4), (90, 92),
@@ -176,7 +176,7 @@ class TestProgramCache:
         assert len(cache) == 1  # one compiled entry behind both keys
 
     def test_max_entries_bounds_the_key_store(self, small_host):
-        cache = ProgramCache(LocalBackend(small_host), max_entries=1)
+        cache = ProgramCache(FastPathBackend(small_host), max_entries=1)
         cache.execute(("a",), (40, 42), lambda: hammer_program((40, 42)))
         cache.execute(("b",), (40, 42),
                       lambda: hammer_program((40, 42), count=5))
@@ -196,7 +196,7 @@ class TestProgramCache:
         from repro.bender.board import BenderBoard
 
         host = vulnerable_board.host
-        cache = ProgramCache(LocalBackend(host))
+        cache = ProgramCache(FastPathBackend(host))
         reference_board = BenderBoard(make_vulnerable_device(seed=5))
         reference_board.device.set_temperature(85.0)
         reference_board.host.set_ecc_enabled(False)

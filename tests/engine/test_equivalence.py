@@ -1,10 +1,11 @@
 """Engine equivalence: every execution route yields the same bytes.
 
 The acceptance contract of the engine refactor: a sweep executed (a)
-serially through :class:`LocalBackend`, (b) across worker processes
-through ``PoolBackend``, (c) resumed from a half-written campaign, and
-(d) with the program cache disabled, produces byte-identical datasets
-and the same measurement trace/metrics.
+serially on the production path, (b) across worker processes through
+``PoolBackend``, (c) resumed from a half-written campaign, and (d) on
+the oracle (``REPRO_FASTPATH=0``: no program cache, every program
+interpreted), produces byte-identical datasets and the same
+measurement trace/metrics.
 """
 
 from dataclasses import replace
@@ -14,7 +15,7 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import ParallelSweepRunner
 from repro.core.patterns import ROWSTRIPE0, ROWSTRIPE1
 from repro.core.sweeps import SpatialSweep, SweepConfig
-from repro.envutil import PROGRAM_CACHE_VAR
+from repro.envutil import FASTPATH_VAR
 from repro.faults.plan import FaultSpec
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
@@ -64,11 +65,11 @@ INVARIANT_COUNTERS = ("dram.commands.ACT", "hammer.pairs",
 
 class TestCacheTransparency:
     def test_cache_off_is_byte_identical_and_slower_path(self, monkeypatch):
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "1")
+        monkeypatch.setenv(FASTPATH_VAR, "1")
         cached_metrics = MetricsRegistry()
         with use_metrics(cached_metrics):
             cached = serial_run()
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "0")
+        monkeypatch.setenv(FASTPATH_VAR, "0")
         uncached_metrics = MetricsRegistry()
         with use_metrics(uncached_metrics):
             uncached = serial_run()
@@ -87,11 +88,11 @@ class TestCacheTransparency:
         assert "engine.cache.misses" not in uncached_counters
 
     def test_cache_off_trace_is_identical(self, monkeypatch):
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "1")
+        monkeypatch.setenv(FASTPATH_VAR, "1")
         cached_tracer = Tracer()
         with use_tracer(cached_tracer):
             serial_run()
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "0")
+        monkeypatch.setenv(FASTPATH_VAR, "0")
         uncached_tracer = Tracer()
         with use_tracer(uncached_tracer):
             serial_run()
@@ -101,7 +102,7 @@ class TestCacheTransparency:
 
 class TestRouteEquivalence:
     def test_local_pool_and_resumed_fingerprints_match(self, tmp_path):
-        """Serial LocalBackend == PoolBackend at --jobs 4 == a campaign
+        """Serial run == PoolBackend at --jobs 4 == a campaign
         killed halfway and resumed: one fingerprint, same bytes."""
         spec = small_spec()
         config = small_config()
@@ -155,13 +156,21 @@ class TestRouteEquivalence:
             assert pool_counters[name] == serial_counters[name], name
 
     def test_pool_workers_honour_the_cache_gate(self, tmp_path, monkeypatch):
-        """REPRO_PROGRAM_CACHE=0 propagates into pool workers and the
+        """REPRO_FASTPATH=0 propagates into pool workers and the
         merged dataset still matches the cached one byte for byte."""
         spec = small_spec()
         config = small_config(jobs=2)
 
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "0")
-        uncached = ParallelSweepRunner(spec, config).run()
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "1")
-        cached = ParallelSweepRunner(spec, config).run()
+        monkeypatch.setenv(FASTPATH_VAR, "0")
+        uncached_metrics = MetricsRegistry()
+        with use_metrics(uncached_metrics):
+            uncached = ParallelSweepRunner(spec, config).run()
+        monkeypatch.setenv(FASTPATH_VAR, "1")
+        cached_metrics = MetricsRegistry()
+        with use_metrics(cached_metrics):
+            cached = ParallelSweepRunner(spec, config).run()
         assert cached.fingerprint() == uncached.fingerprint()
+        # The workers' merged counters show which path each run took.
+        assert cached_metrics.snapshot()["counters"]["engine.cache.misses"]
+        assert not any(name.startswith(("engine.cache.", "engine.fastpath."))
+                       for name in uncached_metrics.snapshot()["counters"])

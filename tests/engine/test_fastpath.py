@@ -1,13 +1,15 @@
 """Tests for the analytic effect-summary fast path (FastPathBackend).
 
 The contract under test: for every summarized program, applying the
-effect summary is *state-identical* to interpreted execution — same
-flips, same clock, same command counts — and every program the shipped
-drivers emit is summarized (fallbacks are the exception path, counted
-and tested, never the campaign path).
+effect summary is *state-identical* to the oracle (a station without
+engine services, interpreting every program) — same flips, same clock,
+same command counts — and every program the shipped drivers emit is
+summarized (fallbacks are the exception path, counted and tested,
+never the campaign path).
 """
 
 import numpy as np
+import pytest
 
 from repro.bender.board import BenderBoard
 from repro.bender.program import Program, ProgramBuilder
@@ -15,9 +17,10 @@ from repro.bender.transport import PcieTransport
 from repro.core.hammer import DoubleSidedHammer
 from repro.core.patterns import CHECKERED0, ROWSTRIPE0
 from repro.dram.address import DramAddress
-from repro.engine.backend import FastPathBackend, LocalBackend
+from repro.engine.backend import FastPathBackend
+from repro.engine.cache import ProgramCache
 from repro.engine.session import EngineSession
-from repro.envutil import FASTPATH_VAR, PROGRAM_CACHE_VAR
+from repro.envutil import FASTPATH_VAR
 from repro.obs import MetricsRegistry, use_metrics
 from tests.conftest import make_vulnerable_device
 
@@ -26,12 +29,19 @@ PATTERNS = (ROWSTRIPE0, CHECKERED0)
 HAMMERS = 100_000
 
 
+@pytest.fixture(autouse=True)
+def production_path(monkeypatch):
+    """Sessions install the production path even under the oracle job."""
+    monkeypatch.delenv(FASTPATH_VAR, raising=False)
+
+
 def make_station(fastpath: bool, seed: int = 5) -> BenderBoard:
+    """The production station, or (``fastpath=False``) the oracle: the
+    same bare board with no engine services installed."""
     board = BenderBoard(make_vulnerable_device(seed=seed))
     board.device.set_temperature(85.0)
     board.host.set_ecc_enabled(False)
-    session = EngineSession(board=board, cache=True, fastpath=fastpath)
-    return session.board
+    return EngineSession(board=board).board if fastpath else board
 
 
 def mini_campaign(board: BenderBoard):
@@ -151,43 +161,28 @@ class TestDispatchTriage:
 
 
 class TestEnvironmentGating:
-    def test_cache_disabled_quietly_disables_fastpath(self, monkeypatch):
-        # Regression: REPRO_PROGRAM_CACHE=0 must also disable the fast
-        # path (summaries live on cached shapes) — quietly, not as an
-        # error, and without even a bypass counter: the session never
-        # builds a FastPathBackend at all.
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "0")
-        monkeypatch.setenv(FASTPATH_VAR, "1")
+    def test_default_is_fastpath(self):
+        session = EngineSession(
+            board=BenderBoard(make_vulnerable_device(seed=5)))
+        host = session.board.host
+        assert isinstance(host.engine_backend, FastPathBackend)
+        assert isinstance(host.program_cache, ProgramCache)
+
+    def test_fastpath_env_off_installs_no_engine(self, monkeypatch):
+        # The oracle: no backend, no program cache, no payload cache —
+        # every program is built, verified and interpreted per call.
+        monkeypatch.setenv(FASTPATH_VAR, "0")
         board = BenderBoard(make_vulnerable_device(seed=5))
-        session = EngineSession(board=board)
-        assert not session.fastpath_enabled
-        backend = session.board.host.engine_backend
-        assert isinstance(backend, LocalBackend)
-        assert not isinstance(backend, FastPathBackend)
+        host = EngineSession(board=board).board.host
+        assert host.engine_backend is None
+        assert host.program_cache is None
+        assert host.interpreter.payload_cache is None
         registry = MetricsRegistry()
         with use_metrics(registry):
-            hammer = DoubleSidedHammer(board.host, board.device.mapper)
+            hammer = DoubleSidedHammer(host, board.device.mapper)
             outcome = hammer.run(DramAddress(0, 0, 0, 20), ROWSTRIPE0,
                                  1000)
         assert outcome.hammer_count == 1000
         counters = registry.snapshot()["counters"]
-        assert all(not name.startswith("engine.fastpath.")
-                   for name in counters)
-
-    def test_fastpath_env_off_uses_local_backend(self, monkeypatch):
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "1")
-        monkeypatch.setenv(FASTPATH_VAR, "0")
-        session = EngineSession(
-            board=BenderBoard(make_vulnerable_device(seed=5)))
-        assert not session.fastpath_enabled
-        assert not isinstance(session.board.host.engine_backend,
-                              FastPathBackend)
-
-    def test_default_is_fastpath(self, monkeypatch):
-        monkeypatch.delenv(PROGRAM_CACHE_VAR, raising=False)
-        monkeypatch.delenv(FASTPATH_VAR, raising=False)
-        session = EngineSession(
-            board=BenderBoard(make_vulnerable_device(seed=5)))
-        assert session.fastpath_enabled
-        assert isinstance(session.board.host.engine_backend,
-                          FastPathBackend)
+        assert counters["bender.programs"] > 0
+        assert all(not name.startswith("engine.") for name in counters)

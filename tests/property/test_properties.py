@@ -13,11 +13,11 @@ from repro.core.rowdata import count_flips, flip_positions, flip_report
 from repro.dram.address import RowAddressMapper
 from repro.dram.cellmodel import ECC_PARITY_BITS, ECC_WORD_BITS
 from repro.dram.ecc import decode_words, encode_words
-from repro.dram.geometry import HBM2Geometry
+from repro.dram.geometry import Geometry
 from repro.dram.subarrays import SubarrayLayout
 from repro.rng import derive_seed, uniform_hash01
 
-GEOMETRY = HBM2Geometry()
+GEOMETRY = Geometry()
 
 # Valid (control_bit, swizzle_mask) pairs for the default geometry.
 mapper_params = st.tuples(

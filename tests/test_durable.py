@@ -91,12 +91,13 @@ class TestArtifactEnvelope:
         with pytest.raises(ArtifactCorruptError, match="unreadable"):
             read_artifact(tmp_path / "nope.json")
 
-    def test_legacy_plain_object_accepted(self, tmp_path):
+    def test_legacy_plain_object_rejected(self, tmp_path):
+        """Valid JSON without an envelope has nothing to verify: it may
+        be an envelope whose key lost a bit, so it is corrupt."""
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps({"metadata": {}, "ber_records": []}))
-        artifact = read_artifact(path, kind="shard")
-        assert artifact.kind is None
-        assert artifact.payload == {"metadata": {}, "ber_records": []}
+        with pytest.raises(ArtifactCorruptError, match="no valid"):
+            read_artifact(path, kind="shard")
 
     def test_non_object_is_corrupt(self, tmp_path):
         path = tmp_path / "weird.json"

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.envutil import (
-    PROGRAM_CACHE_VAR,
-    env_flag,
-    env_int,
-    env_jobs,
-    env_str,
-    program_cache_enabled,
-)
+from repro.envutil import env_flag, env_int, env_jobs, env_str
 from repro.errors import ExperimentError
 
 
@@ -97,13 +90,3 @@ class TestWrappers:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert env_jobs() == 1
         assert env_jobs(4) == 4
-
-    def test_program_cache_defaults_on(self, monkeypatch):
-        monkeypatch.delenv(PROGRAM_CACHE_VAR, raising=False)
-        assert program_cache_enabled() is True
-
-    def test_program_cache_gate(self, monkeypatch):
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "0")
-        assert program_cache_enabled() is False
-        monkeypatch.setenv(PROGRAM_CACHE_VAR, "1")
-        assert program_cache_enabled() is True

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Calibration helper: measure a candidate DeviceProfile against the
+"""Calibration helper: measure a candidate CalibrationProfile against the
 paper's target numbers.
 
 The default profile in `repro.dram.calibration` was tuned with this
@@ -51,7 +51,7 @@ def score_profile(profile, seed: int, rows: int, hc_rows: int) -> str:
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(
-        description="score DeviceProfile candidates against the paper")
+        description="score CalibrationProfile candidates against the paper")
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument("--rows", type=int, default=8,
                         help="BER rows per region (default: 8)")

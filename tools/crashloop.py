@@ -53,7 +53,7 @@ from repro.core.results import (  # noqa: E402
 )
 from repro.core.sweeps import SweepConfig  # noqa: E402
 from repro.dram.calibration import default_profile  # noqa: E402
-from repro.dram.geometry import HBM2Geometry  # noqa: E402
+from repro.dram.geometry import Geometry  # noqa: E402
 from repro.durable import KILL_VAR, read_artifact  # noqa: E402
 from repro.faults.plan import FaultSpec  # noqa: E402
 from repro.obs import MetricsRegistry, use_metrics  # noqa: E402
@@ -68,7 +68,7 @@ def drill_spec() -> BoardSpec:
     """The test suite's small vulnerable station (see tests/conftest.py):
     a 2-channel geometry with a fragile profile so the drill campaigns
     measure real flips in well under a second per shard."""
-    geometry = HBM2Geometry(channels=2, pseudo_channels=1, banks=2,
+    geometry = Geometry(channels=2, pseudo_channels=1, banks=2,
                             rows=256, columns=4, column_bytes=8,
                             channels_per_die=2)
     profile = default_profile().with_overrides(
