@@ -8,8 +8,6 @@ dominated by channel-to-channel variation (banks of channels 6/7 sit
 clearly above the rest).
 """
 
-import time
-
 import numpy as np
 
 from repro.analysis.figures import fig6_bank_scatter, render_scatter_table
@@ -17,16 +15,10 @@ from repro.core.parallel import run_sweep
 from repro.core.patterns import ROWSTRIPE0, ROWSTRIPE1
 from repro.core.sweeps import SweepConfig
 
-from benchmarks.conftest import (
-    emit,
-    env_int,
-    metrics_summary,
-    write_bench_json,
-)
+from benchmarks.conftest import emit, env_int
 
 
-def test_fig6_bank_scatter(benchmark, board, board_spec, results_dir,
-                           campaign_metrics):
+def test_fig6_bank_scatter(benchmark, board, board_spec, results_dir):
     """The 256-bank campaign: the sweep that gains the most from
     ``REPRO_JOBS`` — its 8 x 2 x banks x 3 shard grid keeps every worker
     busy."""
@@ -40,15 +32,10 @@ def test_fig6_bank_scatter(benchmark, board, board_spec, results_dir,
         include_hcfirst=False,
     )
 
-    timing = {}
-
-    def campaign():
-        started = time.perf_counter()
-        result = run_sweep(config, spec=board_spec, board=board)
-        timing["wall_s"] = time.perf_counter() - started
-        return result
-
-    dataset = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    dataset = benchmark.pedantic(
+        run_sweep, args=(config,),
+        kwargs={"spec": board_spec, "board": board},
+        rounds=1, iterations=1)
     dataset.to_json(results_dir / "fig6_dataset.json")
 
     points = fig6_bank_scatter(dataset)
@@ -75,18 +62,5 @@ def test_fig6_bank_scatter(benchmark, board, board_spec, results_dir,
         f"conclusion holds (channel >> bank variation): {across > within}",
     ]
     emit(results_dir, "fig6_banks", "\n".join(lines))
-
-    write_bench_json(results_dir, "fig6_banks", {
-        "campaign": {
-            "channels": len(config.channels),
-            "pseudo_channels": len(config.pseudo_channels),
-            "banks": len(config.banks),
-            "rows_per_region": config.rows_per_region,
-            "patterns": len(config.patterns),
-            "jobs": config.jobs,
-        },
-        "elapsed_s": round(timing["wall_s"], 3),
-        "metrics": metrics_summary(campaign_metrics, timing["wall_s"]),
-    })
 
     assert across > within

@@ -5,24 +5,18 @@ The paper reports chip-to-chip variation over six physical HBM2 devices
 runs ``REPRO_FLEET_DEVICES`` (default 100) distinct specimens — each a
 re-seeded board with its own cell ground truth — through ``repro``'s
 fleet runner and archives the population HC_first/BER distributions
-plus device throughput in ``BENCH_fleet_population.json``.
+in ``fleet_population.json``.
 
-Device throughput is the fleet's figure of merit: every device pays
-board construction once in some worker's LRU session cache, so the
-per-device cost is dominated by the (deliberately small) sweep itself.
+Fleet throughput is measured by the benchmark suite's ``fleet_pooled``
+workload (``benchmarks/suite/``), not here.
 """
 
-import time
+import json
 
 from repro.bender.board import BoardSpec
 from repro.core.fleet import FleetConfig, FleetRunner
 
-from benchmarks.conftest import (
-    effective_parallelism,
-    emit,
-    env_int,
-    write_bench_json,
-)
+from benchmarks.conftest import emit, env_int
 
 DEVICES = env_int("REPRO_FLEET_DEVICES", 100)
 JOBS = env_int("REPRO_FLEET_JOBS", 2, minimum=1)
@@ -32,9 +26,7 @@ def test_fleet_population(results_dir):
     config = FleetConfig(devices=DEVICES, base_seed=0, jobs=JOBS,
                          spec=BoardSpec(seed=0))
     runner = FleetRunner(config)
-    started = time.perf_counter()
     result = runner.run()
-    elapsed = time.perf_counter() - started
 
     assert not runner.errors
     population = result.population
@@ -45,26 +37,16 @@ def test_fleet_population(results_dir):
     hc_minima = {summary["hc_first_min"] for summary in result.devices}
     assert len(hc_minima) > 1
 
-    effective = effective_parallelism()
-    payload = {
+    (results_dir / "fleet_population.json").write_text(json.dumps({
         "devices": DEVICES,
         "jobs": JOBS,
-        "effective_cpus": effective,
-        "warnings": ([f"jobs={JOBS} oversubscribed: only {effective} "
-                      f"effective CPU(s) available"]
-                     if JOBS > effective else []),
-        "elapsed_s": round(elapsed, 3),
-        "devices_per_s": round(DEVICES / elapsed, 3),
         "population": population,
-    }
-    write_bench_json(results_dir, "fleet_population", payload)
+    }, indent=1) + "\n")
 
     hc = population["hc_first_min"]
     ber = population["ber_mean"]
     lines = [
-        f"devices: {DEVICES} (jobs={JOBS}, effective cpus: {effective})",
-        f"throughput: {payload['devices_per_s']:.1f} devices/s "
-        f"({elapsed:.2f}s total)",
+        f"devices: {DEVICES} (jobs={JOBS})",
         f"HC_first (per-device min): min={hc['min']:.0f} "
         f"p50={hc['p50']:.0f} max={hc['max']:.0f}",
         f"BER (per-device mean): min={ber['min']:.6f} "

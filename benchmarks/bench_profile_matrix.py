@@ -4,35 +4,26 @@ Runs the same miniature characterization campaign (BER + HC_first,
 first/middle/last regions, Table 1 patterns) on every registered device
 family — ``hbm2`` (last-activation TRR, the paper's chip), ``ddr4``
 (counter-table TRR) and ``ddr5`` (probabilistic TRR) — on separately
-built stations under private metrics registries, and archives one
-record per family: wall clock, rows/s, fast-path hit/fallback counters,
-BER summary and the uncensored HC_first median, plus the dataset
-fingerprint (deterministic per family, so the bench-regression job
-doubles as a cross-family byte-identity check).
+built stations under private metrics registries, and tabulates per
+family the BER summary, the uncensored HC_first median and the dataset
+fingerprint (deterministic per family).
 
 Expected shape: the three families produce distinct fingerprints and
 distinct vulnerability levels (the DDR5 calibration is the most
 RowHammer-vulnerable, per the paper's scaling narrative), while every
-family keeps fast-path fallbacks at zero.
+family stays on the analytic fast path.
 """
 
-import time
 from statistics import median
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import run_sweep
 from repro.core.sweeps import SweepConfig
 from repro.dram.profiles import get_profile, list_profiles
+from repro.envutil import fastpath_enabled
 from repro.obs import MetricsRegistry, use_metrics
 
-from benchmarks.conftest import (
-    CHIP_SEED,
-    emit,
-    env_int,
-    make_paper_setup,
-    metrics_summary,
-    write_bench_json,
-)
+from benchmarks.conftest import CHIP_SEED, emit, env_int, make_paper_setup
 
 
 def _family_config(name: str) -> SweepConfig:
@@ -46,43 +37,27 @@ def _family_config(name: str) -> SweepConfig:
 
 
 def _run_family(name: str) -> dict:
-    """One family's campaign on a freshly built station, timed
-    steady-state after a warm-up round (program cache and schedule
-    memos hot), telemetry counting the timed round only."""
+    """One family's campaign on a freshly built station, under a
+    private metrics registry."""
     config = _family_config(name)
     board = make_paper_setup(seed=CHIP_SEED, device_profile=name)
-    with use_metrics(MetricsRegistry()):
-        run_sweep(config, board=board)  # warm-up round
     registry = MetricsRegistry()
     with use_metrics(registry):
-        started = time.perf_counter()
         dataset = run_sweep(config, board=board)
-        wall_s = time.perf_counter() - started
 
     uncensored = [record.hc_first
                   for record in dataset.hcfirst(include_censored=False)]
     ber_records = dataset.ber_records
     flipped = sum(1 for record in ber_records if record.flips)
-    profile = get_profile(name)
     return {
-        "family": profile.family,
-        "sampler": profile.trr.sampler,
-        "campaign": {
-            "channels": len(config.channels),
-            "rows_per_region": config.rows_per_region,
-            "hcfirst_rows_per_region": config.hcfirst_rows_per_region,
-            "patterns": len(config.patterns),
-        },
-        "elapsed_s": round(wall_s, 3),
+        "sampler": get_profile(name).trr.sampler,
         "fingerprint": dataset.fingerprint(),
         "ber_records": len(ber_records),
         "ber_rows_flipped_fraction": round(
             flipped / len(ber_records), 4) if ber_records else 0.0,
-        "hcfirst_records": len(dataset.hcfirst_records),
-        "hcfirst_uncensored": len(uncensored),
         "hcfirst_median": (int(median(uncensored))
                            if uncensored else None),
-        "metrics": metrics_summary(registry, wall_s),
+        "counters": registry.snapshot()["counters"],
     }
 
 
@@ -98,27 +73,23 @@ def test_profile_matrix(benchmark, results_dir):
 
     benchmark.pedantic(matrix, rounds=1, iterations=1)
 
-    lines = [f"{'family':8} {'sampler':14} {'rows/s':>9} "
+    lines = [f"{'family':8} {'sampler':14} "
              f"{'HC_first med':>13} {'flipped':>8}  fingerprint"]
     for name in families:
         record = results[name]
         lines.append(
             f"{name:8} {record['sampler']:14} "
-            f"{record['metrics'].get('rows_per_s', 0.0):>9} "
             f"{str(record['hcfirst_median']):>13} "
             f"{record['ber_rows_flipped_fraction']:>8} "
             f" {record['fingerprint']}")
     emit(results_dir, "profile_matrix", "\n".join(lines))
 
-    write_bench_json(results_dir, "profile_matrix", {
-        "chip_seed": CHIP_SEED,
-        "profiles": results,
-    })
-
     fingerprints = {record["fingerprint"] for record in results.values()}
     assert len(fingerprints) == len(families)
     for record in results.values():
-        fastpath = record["metrics"].get("fastpath", {})
-        assert fastpath.get("hits", 0) > 0
-        assert fastpath.get("fallbacks", 0) == 0
         assert record["ber_records"] > 0
+        if fastpath_enabled():
+            counters = record["counters"]
+            assert counters.get("engine.fastpath.hits", 0) > 0
+            assert counters.get("engine.fastpath.fallbacks", 0) == 0
+            assert counters.get("engine.fastpath.bypasses", 0) == 0

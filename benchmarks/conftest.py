@@ -12,16 +12,12 @@ is rows_per_region=3072, repetitions=5.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Dict, Optional
 
 import pytest
 
 from repro.bender.board import BoardSpec, make_paper_setup
 from repro.envutil import env_int
-from repro.obs import MetricsRegistry, use_metrics
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,71 +44,9 @@ def board_spec() -> BoardSpec:
     return BoardSpec(seed=CHIP_SEED)
 
 
-def effective_parallelism() -> int:
-    """CPUs actually available to this process, not just installed.
-
-    ``os.cpu_count()`` reports the machine; a container or a
-    ``taskset``-restricted process may be pinned to far fewer cores.
-    Scaling benchmarks must interpret speedups against *this* number —
-    a jobs=4 run on one available core measures sharding overhead, not
-    parallelism.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def emit(results_dir: Path, name: str, text: str) -> None:
     """Print a regenerated artifact and archive it."""
     print()
     print(f"=== {name} ===")
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n")
-
-
-@pytest.fixture()
-def campaign_metrics():
-    """A live metrics registry installed for the duration of one
-    benchmark, so its campaign runs under command-stream accounting
-    (summarize with :func:`metrics_summary`, archive with
-    :func:`write_bench_json`)."""
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        yield registry
-
-
-def metrics_summary(registry: MetricsRegistry,
-                    wall_s: Optional[float] = None) -> Dict[str, object]:
-    """Condense a registry into the BENCH_*.json telemetry block:
-    commands issued by type, hammer/bitflip totals, and throughput."""
-    counters = registry.snapshot()["counters"]
-    commands = {name.rsplit(".", 1)[-1]: int(value)
-                for name, value in counters.items()
-                if name.startswith("dram.commands.")}
-    rows = int(counters.get("sweep.ber_records", 0) +
-               counters.get("sweep.hcfirst_records", 0))
-    summary: Dict[str, object] = {
-        "dram_commands": commands,
-        "dram_commands_total": sum(commands.values()),
-        "hammer_pairs": int(counters.get("hammer.pairs", 0)),
-        "bitflips_observed": int(counters.get("bitflips.observed", 0)),
-        "rows_measured": rows,
-    }
-    fastpath = {name.rsplit(".", 1)[-1]: int(value)
-                for name, value in counters.items()
-                if name.startswith("engine.fastpath.")}
-    if fastpath:
-        summary["fastpath"] = fastpath
-    if wall_s:
-        summary["rows_per_s"] = round(rows / wall_s, 3)
-        summary["commands_per_s"] = round(
-            sum(commands.values()) / wall_s, 3)
-    return summary
-
-
-def write_bench_json(results_dir: Path, name: str, payload: Dict) -> None:
-    """Archive one benchmark's machine-readable record (with its
-    telemetry block) as ``BENCH_<name>.json``."""
-    (results_dir / f"BENCH_{name}.json").write_text(
-        json.dumps(payload, indent=1) + "\n")

@@ -26,8 +26,9 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.core.utrr import UTrrExperiment, infer_period
 from repro.dram.address import DramAddress
-from repro.envutil import FASTPATH_VAR
+from repro.envutil import FASTPATH_VAR, fastpath_enabled
 from repro.errors import ExperimentError
+from repro.obs import MetricsRegistry, use_metrics
 
 PROFILES = ("hbm2", "ddr4", "ddr5")
 
@@ -66,12 +67,29 @@ def fast_datasets():
 
 class TestHbm2ByteIdentity:
     def test_reference_sweep_fingerprint_is_pinned(self):
-        """The seed repository's reference digest, bit for bit."""
-        sweep = SpatialSweep(
-            make_paper_setup(seed=2023),
-            SweepConfig(channels=(0, 7), rows_per_region=2,
-                        hcfirst_rows_per_region=1))
-        assert sweep.run().fingerprint() == HBM2_REFERENCE_FINGERPRINT
+        """The seed repository's reference digest, bit for bit, and the
+        campaign's command stream, exact on both execution paths."""
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            board = make_paper_setup(seed=2023)
+            sweep = SpatialSweep(
+                board, SweepConfig(channels=(0, 7), rows_per_region=2,
+                                   hcfirst_rows_per_region=1))
+            assert sweep.run().fingerprint() == HBM2_REFERENCE_FINGERPRINT
+        commands = {"ACT": 102_024_332, "PRE": 102_024_332, "RD": 19_136,
+                    "WR": 281_408}
+        assert board.device.command_counts == commands
+        counters = registry.snapshot()["counters"]
+        assert {mnemonic: counters[f"dram.commands.{mnemonic}"]
+                for mnemonic in commands} == commands
+        assert counters["hammer.pairs"] == 51_007_470
+        assert counters["bitflips.observed"] == 4_255
+        assert counters["sweep.ber_records"] == 48
+        assert counters["sweep.hcfirst_records"] == 24
+        if fastpath_enabled():
+            assert counters["engine.fastpath.hits"] == 1_794
+            assert counters.get("engine.fastpath.fallbacks", 0) == 0
+            assert counters.get("engine.fastpath.bypasses", 0) == 0
 
     def test_named_hbm2_profile_matches_the_default_station(
             self, fast_datasets):

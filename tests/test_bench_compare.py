@@ -1,24 +1,17 @@
-"""Tests for tools/bench_compare.py — benchmark regression gating."""
+"""Tests for tools/bench_compare.py — the benchmark-suite gate."""
 
+import copy
 import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 import bench_compare  # noqa: E402
 
-
-RECORD = {
-    "campaign": {"channels": 8, "rows_per_region": 10, "jobs": 1},
-    "elapsed_s": 6.25,
-    "metrics": {
-        "dram_commands": {"ACT": 1000, "PRE": 1000},
-        "dram_commands_total": 2000,
-        "bitflips_observed": 54690,
-        "rows_measured": 960,
-        "rows_per_s": 153.5,
-    },
-}
+#: The committed suite record: every case perturbs a copy of it.
+RECORD = json.loads((ROOT / "benchmarks" / "results"
+                     / "BENCH_suite.json").read_text())
 
 
 def _write(path, record):
@@ -26,10 +19,22 @@ def _write(path, record):
     return path
 
 
-def _run(tmp_path, baseline, current, *extra):
+def _run(tmp_path, baseline, current):
     base = _write(tmp_path / "base.json", baseline)
     cur = _write(tmp_path / "cur.json", current)
-    return bench_compare.main([str(base), str(cur), *extra])
+    return bench_compare.main([str(base), str(cur)])
+
+
+def _changed(edit):
+    record = copy.deepcopy(RECORD)
+    edit(record["workloads"]["fig3_ber"])
+    return record
+
+
+def _scale_throughput(factor):
+    def edit(workload):
+        workload["end_to_end"]["warm_records_per_s"]["value"] *= factor
+    return edit
 
 
 class TestVerdicts:
@@ -37,76 +42,92 @@ class TestVerdicts:
         assert _run(tmp_path, RECORD, RECORD) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_twenty_percent_throughput_regression_warns(self, tmp_path,
-                                                        capsys):
-        slower = json.loads(json.dumps(RECORD))
-        slower["metrics"]["rows_per_s"] *= 0.8
-        assert _run(tmp_path, RECORD, slower) == 1
-        out = capsys.readouterr().out
-        assert "WARN" in out
-        assert "rows_per_s" in out
-
-    def test_timing_drift_within_tolerance_is_clean(self, tmp_path):
-        slower = json.loads(json.dumps(RECORD))
-        slower["elapsed_s"] *= 1.05
-        assert _run(tmp_path, RECORD, slower) == 0
-
     def test_count_drift_hard_fails(self, tmp_path, capsys):
-        drifted = json.loads(json.dumps(RECORD))
-        drifted["metrics"]["bitflips_observed"] += 1
-        assert _run(tmp_path, RECORD, drifted) == 2
-        assert "FAIL" in capsys.readouterr().out
+        key = "warm.dram.device.activate.calls"
 
-    def test_count_drift_beats_timing_warning(self, tmp_path):
-        worse = json.loads(json.dumps(RECORD))
-        worse["metrics"]["rows_per_s"] *= 0.5
-        worse["metrics"]["dram_commands"]["ACT"] += 5
-        assert _run(tmp_path, RECORD, worse) == 2
+        def edit(workload):
+            workload["per_layer"][key]["value"] += 1
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
+        out = capsys.readouterr().out
+        assert f"FAIL  fig3_ber: {key}" in out
+
+    def test_hit_rate_drift_hard_fails(self, tmp_path, capsys):
+        def edit(workload):
+            workload["per_layer"]["cold.engine.cache.hit_rate"]["value"] /= 2
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
+        assert "cold.engine.cache.hit_rate" in capsys.readouterr().out
+
+    def test_fingerprint_change_hard_fails(self, tmp_path, capsys):
+        def edit(workload):
+            workload["fingerprint"] = "0" * 32
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
+        assert "fig3_ber: fingerprint" in capsys.readouterr().out
+
+    def test_incorrect_workload_hard_fails(self, tmp_path, capsys):
+        def edit(workload):
+            workload["correct"] = False
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
+        assert "fig3_ber: correct is False" in capsys.readouterr().out
+
+    def test_missing_workload_hard_fails(self, tmp_path, capsys):
+        pruned = copy.deepcopy(RECORD)
+        del pruned["workloads"]["trr_refresh"]
+        assert _run(tmp_path, RECORD, pruned) == 2
+        assert "trr_refresh: missing" in capsys.readouterr().out
 
     def test_missing_baseline_key_hard_fails(self, tmp_path):
-        pruned = json.loads(json.dumps(RECORD))
-        del pruned["metrics"]["rows_measured"]
-        assert _run(tmp_path, RECORD, pruned) == 2
+        def edit(workload):
+            del workload["per_layer"]["cold.dram.cellmodel.row.calls"]
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
+
+    def test_twenty_percent_throughput_regression_warns(self, tmp_path,
+                                                        capsys):
+        _, bound = bench_compare.load_bounds()["warm_records_per_s"]
+        slower = _changed(_scale_throughput(1 - bound - 0.05))
+        assert _run(tmp_path, RECORD, slower) == 1
+        out = capsys.readouterr().out
+        assert "WARN  fig3_ber: warm_records_per_s" in out
+        assert "FAIL" not in out
+
+    def test_timing_drift_within_tolerance_is_clean(self, tmp_path):
+        _, bound = bench_compare.load_bounds()["warm_records_per_s"]
+        slower = _changed(_scale_throughput(1 - bound + 0.05))
+        assert _run(tmp_path, RECORD, slower) == 0
+
+    def test_improvement_is_clean(self, tmp_path):
+        def edit(workload):
+            for name in ("cold_records_per_s", "warm_records_per_s"):
+                workload["end_to_end"][name]["value"] *= 2
+            for name in ("setup_s", "peak_rss_mb"):
+                workload["end_to_end"][name]["value"] /= 2
+        assert _run(tmp_path, RECORD, _changed(edit)) == 0
+
+    def test_count_drift_beats_timing_warning(self, tmp_path):
+        def edit(workload):
+            _scale_throughput(0.5)(workload)
+            workload["per_layer"]["cold.engine.backend.compile.calls"][
+                "value"] += 5
+        assert _run(tmp_path, RECORD, _changed(edit)) == 2
 
     def test_extra_current_keys_are_ignored(self, tmp_path):
-        extended = json.loads(json.dumps(RECORD))
-        extended["metrics"]["new_field"] = 123
-        assert _run(tmp_path, RECORD, extended) == 0
+        def edit(workload):
+            workload["per_layer"]["cold.new.entry.calls"] = {
+                "value": 1, "unit": "count"}
+        assert _run(tmp_path, RECORD, _changed(edit)) == 0
 
-    def test_count_tolerance_loosens_the_gate(self, tmp_path):
-        drifted = json.loads(json.dumps(RECORD))
-        drifted["metrics"]["bitflips_observed"] = \
-            int(RECORD["metrics"]["bitflips_observed"] * 1.005)
-        assert _run(tmp_path, RECORD, drifted) == 2
-        assert _run(tmp_path, RECORD, drifted,
-                    "--count-tolerance", "0.01") == 0
-
-
-class TestDirectoryMode:
-    def test_compares_every_baseline_record(self, tmp_path, capsys):
-        base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
-        base_dir.mkdir(), cur_dir.mkdir()
-        _write(base_dir / "BENCH_a.json", RECORD)
-        _write(base_dir / "BENCH_b.json", RECORD)
-        _write(cur_dir / "BENCH_a.json", RECORD)
-        drifted = json.loads(json.dumps(RECORD))
-        drifted["campaign"]["channels"] = 4
-        _write(cur_dir / "BENCH_b.json", drifted)
-        assert bench_compare.main([str(base_dir), str(cur_dir)]) == 2
+    def test_compares_every_baseline_workload(self, tmp_path, capsys):
+        assert _run(tmp_path, RECORD, RECORD) == 0
         out = capsys.readouterr().out
-        assert "BENCH_b.json" in out
+        assert f"{len(RECORD['workloads'])} workload(s) compared" in out
+        assert len(RECORD["workloads"]) == 4
 
-    def test_missing_current_record_hard_fails(self, tmp_path):
-        base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
-        base_dir.mkdir(), cur_dir.mkdir()
-        _write(base_dir / "BENCH_a.json", RECORD)
-        assert bench_compare.main([str(base_dir), str(cur_dir)]) == 2
 
-    def test_empty_baseline_directory_is_an_error(self, tmp_path, capsys):
-        base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
-        base_dir.mkdir(), cur_dir.mkdir()
-        assert bench_compare.main([str(base_dir), str(cur_dir)]) == 2
-        assert "error: no BENCH_*.json" in capsys.readouterr().err
+class TestBounds:
+    def test_bounds_come_from_benchmark_json(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert bench_compare.load_bounds() == {
+            metric["name"]: (metric["better"], metric["bound"])
+            for metric in spec["end_to_end"]}
 
 
 class TestUnusableInputs:
@@ -117,14 +138,22 @@ class TestUnusableInputs:
         base.write_text(json.dumps(RECORD)[:40])  # torn mid-write
         cur = _write(tmp_path / "cur.json", RECORD)
         assert bench_compare.main([str(base), str(cur)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unreadable benchmark record")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unreadable record")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_baseline_file_exits_2(self, tmp_path, capsys):
         cur = _write(tmp_path / "cur.json", RECORD)
         code = bench_compare.main(
             [str(tmp_path / "nope.json"), str(cur)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_current_record_hard_fails(self, tmp_path, capsys):
+        base = _write(tmp_path / "base.json", RECORD)
+        code = bench_compare.main([str(base), str(tmp_path / "nope.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -137,36 +166,16 @@ class TestUnusableInputs:
 
     def test_file_directory_mismatch_exits_2(self, tmp_path, capsys):
         base = _write(tmp_path / "base.json", RECORD)
-        cur_dir = tmp_path / "cur"
-        cur_dir.mkdir()
-        assert bench_compare.main([str(base), str(cur_dir)]) == 2
-        assert "both be files or both be directories" in \
+        assert bench_compare.main([str(base), str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable")
+
+    def test_empty_baseline_is_an_error(self, tmp_path, capsys):
+        assert _run(tmp_path, {"workloads": {}}, RECORD) == 2
+        assert "error: the baseline has no workloads" in \
             capsys.readouterr().err
 
-
-class TestKeyClassification:
-    def test_timing_keys_by_suffix(self):
-        assert bench_compare.is_timing_key("elapsed_s")
-        assert bench_compare.is_timing_key("metrics.rows_per_s")
-        assert bench_compare.is_timing_key("metrics.commands_per_s")
-        assert bench_compare.is_timing_key("speedup_x")
-        assert bench_compare.is_timing_key("speedup_vs_recorded_x")
-        assert not bench_compare.is_timing_key("metrics.rows_measured")
-        assert not bench_compare.is_timing_key(
-            "metrics.dram_commands.ACT")
-
-    def test_speedup_ratio_drift_warns_not_fails(self, tmp_path, capsys):
-        # Speedup ratios are wall-clock quotients: machine-relative,
-        # so a drop warns (like elapsed_s) instead of hard-failing.
-        baseline = dict(RECORD, speedup_x=10.5)
-        dropped = dict(RECORD, speedup_x=6.0)
-        assert _run(tmp_path, baseline, dropped) == 1
-        out = capsys.readouterr().out
-        assert "speedup_x" in out
-        assert "slower" in out
-        assert "FAIL" not in out
-
-    def test_flatten_produces_dotted_paths(self):
-        flat = dict(bench_compare.flatten(RECORD))
-        assert flat["metrics.dram_commands.ACT"] == 1000
-        assert flat["campaign.jobs"] == 1
+    def test_non_suite_record_exits_2(self, tmp_path, capsys):
+        assert _run(tmp_path, {"seed": 2023}, RECORD) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a benchmark-suite record")
+        assert err.count("\n") == 1

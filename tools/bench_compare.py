@@ -1,38 +1,26 @@
 #!/usr/bin/env python3
-"""Compare benchmark BENCH_*.json records against committed baselines.
-
-The CI bench-regression job (and anyone touching the execution engine)
-needs one answer: did this change alter *what the campaign measured*
-(a correctness regression — hard failure), or only *how fast it ran*
-(environment-dependent — warn and move on)?  The key's shape decides
-which bucket it lands in:
-
-* **timing keys** (leaf name ending in ``_s``: ``elapsed_s``,
-  ``rows_per_s``, ``commands_per_s``, ... — or in ``_x``, the
-  machine-relative ratios derived from them: ``speedup_x``, ...) are
-  compared against ``--tolerance`` (relative, default 0.10) and only
-  ever *warn* — CI machines differ, simulated work does not;
-* **everything else** (command counts, bitflip totals, rows measured,
-  campaign shape) must match within ``--count-tolerance`` (default 0:
-  exact) or the comparison *hard-fails* — the simulator is
-  deterministic, so any drift is a behavior change.
-
-Only baseline keys are checked: a new field added to the benchmark
-record does not fail old baselines.  A baseline key missing from the
-current record hard-fails (a silently dropped metric is drift too).
+"""Compare a benchmark-suite record against the committed baseline.
 
 Usage::
 
-    python tools/bench_compare.py BASELINE CURRENT [--tolerance 0.1]
+    python tools/bench_compare.py BASELINE CURRENT
 
-``BASELINE``/``CURRENT`` are BENCH_*.json files, or directories — then
-every ``BENCH_*.json`` in ``BASELINE`` is compared against its namesake
-in ``CURRENT``.
+Both files are ``python -m benchmarks.suite --out`` records; the
+committed baseline is ``benchmarks/results/BENCH_suite.json``.  The
+question is whether a change altered *what the campaigns computed*
+(hard failure) or only *how fast they ran* (a warning, since CI hosts
+differ).  For every workload of the baseline:
 
-Exit codes: 0 clean, 1 timing warnings only, 2 hard failures — which
-include unusable inputs (unreadable or truncated JSON, mismatched
-file/directory pairing, an empty baseline directory): those print a
-one-line ``error:`` diagnostic on stderr, never a traceback.
+* **hard failure** — the workload is missing from CURRENT, its
+  ``correct`` is not true, its ``fingerprint`` differs, or any
+  per-layer ``*.calls`` count or ``*.hit_rate`` differs.  The suite
+  README states these repeat exactly on every run of one commit.
+* **warning** — an end-to-end metric is worse than the baseline by
+  more than the ``bound`` that ``BENCHMARK.json`` gives it.
+
+Exit codes: 0 clean, 1 timing warnings only, 2 hard failures.  An
+unusable input (unreadable or truncated JSON, not a suite record)
+prints one ``error:`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -41,169 +29,109 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
-#: Leaf-name suffixes of environment-dependent quantities: wall clocks
-#: and rates (``_s``) and the ratios computed from them (``_x``).
-TIMING_SUFFIXES = ("_s", "_x")
+#: Declares the end-to-end metrics, which way is better, and the share
+#: by which each may get worse before it counts as a regression.
+BENCHMARK_SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
-
-def flatten(record: object, prefix: str = "") -> Iterator[Tuple[str, object]]:
-    """Depth-first (key-sorted) dotted-path leaves of a JSON record."""
-    if isinstance(record, dict):
-        for key in sorted(record):
-            yield from flatten(record[key],
-                               f"{prefix}.{key}" if prefix else str(key))
-    elif isinstance(record, list):
-        for index, value in enumerate(record):
-            yield from flatten(value, f"{prefix}[{index}]")
-    else:
-        yield prefix, record
-
-
-def is_timing_key(key: str) -> bool:
-    leaf = key.rsplit(".", 1)[-1]
-    return leaf.endswith(TIMING_SUFFIXES)
-
-
-class Comparison:
-    """Accumulated findings of one or more file comparisons."""
-
-    def __init__(self) -> None:
-        self.failures: List[str] = []
-        self.warnings: List[str] = []
-        self.checked = 0
-
-    @property
-    def exit_code(self) -> int:
-        if self.failures:
-            return 2
-        return 1 if self.warnings else 0
-
-    # ------------------------------------------------------------------
-    def compare_records(self, name: str, baseline: Dict, current: Dict,
-                        tolerance: float, count_tolerance: float) -> None:
-        current_values = dict(flatten(current))
-        for key, base_value in flatten(baseline):
-            self.checked += 1
-            label = f"{name}: {key}"
-            if key not in current_values:
-                self.failures.append(f"{label}: missing from current "
-                                     f"record (baseline: {base_value!r})")
-                continue
-            value = current_values[key]
-            if isinstance(base_value, bool) or not \
-                    isinstance(base_value, (int, float)):
-                if value != base_value:
-                    self.failures.append(
-                        f"{label}: {base_value!r} -> {value!r}")
-                continue
-            if not isinstance(value, (int, float)) or \
-                    isinstance(value, bool):
-                self.failures.append(
-                    f"{label}: expected a number, got {value!r}")
-                continue
-            drift = (abs(value - base_value) / abs(base_value)
-                     if base_value else abs(value - base_value))
-            if is_timing_key(key):
-                if drift > tolerance:
-                    direction = "slower" if (
-                        key.endswith(("_per_s", "_x"))) == \
-                        (value < base_value) else "changed"
-                    self.warnings.append(
-                        f"{label}: {base_value} -> {value} "
-                        f"({drift:+.1%} drift, {direction}; "
-                        f"timing keys warn only)")
-            elif drift > count_tolerance:
-                self.failures.append(
-                    f"{label}: {base_value} -> {value} "
-                    f"({drift:+.1%} drift in a deterministic quantity)")
-
-    def render(self) -> str:
-        lines = []
-        for finding in self.failures:
-            lines.append(f"FAIL  {finding}")
-        for finding in self.warnings:
-            lines.append(f"WARN  {finding}")
-        verdict = ("hard failure" if self.failures
-                   else "warnings only" if self.warnings else "clean")
-        lines.append(f"{self.checked} baseline value(s) checked: "
-                     f"{len(self.failures)} failure(s), "
-                     f"{len(self.warnings)} warning(s) [{verdict}]")
-        return "\n".join(lines)
+#: Per-layer ledger entries that are deterministic counts or ratios of
+#: counts, as opposed to self times.
+EXACT_SUFFIXES = (".calls", ".hit_rate")
 
 
 class _CompareError(Exception):
-    """An unusable input (unreadable/truncated record, bad pairing).
-
-    Surfaces as a one-line ``error:`` diagnostic and the documented
-    hard-failure exit code 2 — not a traceback, and not the old
-    string-``SystemExit`` (which exits 1 and is indistinguishable from
-    a timing warning in CI).
-    """
+    """An unusable input: reported as one ``error:`` line, exit 2."""
 
 
 def _load(path: Path) -> Dict:
     try:
         record = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as error:
-        raise _CompareError(f"unreadable benchmark record "
-                            f"{path}: {error}") from error
+        raise _CompareError(f"unreadable record {path}: {error}") from error
     if not isinstance(record, dict):
-        raise _CompareError(f"benchmark record {path} is not a JSON "
-                            f"object (got {type(record).__name__})")
+        raise _CompareError(f"{path} is not a JSON object "
+                            f"(got {type(record).__name__})")
     return record
 
 
-def _pairs(baseline: Path, current: Path) -> List[Tuple[str, Path, Path]]:
-    if baseline.is_dir() != current.is_dir():
-        raise _CompareError("BASELINE and CURRENT must both be files "
-                            "or both be directories")
-    if not baseline.is_dir():
-        return [(baseline.name, baseline, current)]
-    names = sorted(path.name for path in baseline.glob("BENCH_*.json"))
-    if not names:
-        raise _CompareError(f"no BENCH_*.json under {baseline}")
-    return [(name, baseline / name, current / name) for name in names]
+def load_bounds() -> Dict[str, Tuple[str, float]]:
+    """``{metric: (better, bound)}`` for every end-to-end metric."""
+    return {metric["name"]: (metric["better"], metric["bound"])
+            for metric in _load(BENCHMARK_SPEC)["end_to_end"]}
+
+
+def compare(baseline: Dict, current: Dict,
+            bounds: Dict[str, Tuple[str, float]]
+            ) -> Tuple[List[str], List[str]]:
+    """(failures, warnings) of ``current`` against ``baseline``."""
+    failures: List[str] = []
+    warnings: List[str] = []
+    if not baseline["workloads"]:
+        raise _CompareError("the baseline has no workloads")
+    for name, base in baseline["workloads"].items():
+        record = current["workloads"].get(name)
+        if record is None:
+            failures.append(f"{name}: missing from the current record")
+            continue
+        if record["correct"] is not True:
+            failures.append(f"{name}: correct is {record['correct']!r}: "
+                            f"{record.get('problems')}")
+            continue
+        if record["fingerprint"] != base["fingerprint"]:
+            failures.append(f"{name}: fingerprint {base['fingerprint']} "
+                            f"-> {record['fingerprint']}")
+        layer = record["per_layer"]
+        for key, stats in base["per_layer"].items():
+            if not key.endswith(EXACT_SUFFIXES):
+                continue
+            value = layer.get(key, {}).get("value")
+            if value != stats["value"]:
+                failures.append(f"{name}: {key}: {stats['value']!r} -> "
+                                f"{value!r}")
+        for metric, (better, bound) in bounds.items():
+            old = base["end_to_end"][metric]["value"]
+            new = record["end_to_end"][metric]["value"]
+            worse = (new - old) / old
+            if better == "higher":
+                worse = -worse
+            if worse > bound:
+                warnings.append(f"{name}: {metric}: {old:.4g} -> "
+                                f"{new:.4g} ({worse:.1%} worse, bound "
+                                f"{bound:.0%})")
+    return failures, warnings
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Diff BENCH_*.json records against baselines "
-                    "(timing warns, determinism drift fails).")
+        description="Compare a benchmark-suite record against a "
+                    "baseline (count drift fails, timing warns).")
     parser.add_argument("baseline", type=Path,
-                        help="baseline BENCH_*.json file or directory")
+                        help="committed suite record "
+                             "(benchmarks/results/BENCH_suite.json)")
     parser.add_argument("current", type=Path,
-                        help="current BENCH_*.json file or directory")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        metavar="REL",
-                        help="relative drift allowed on timing keys "
-                             "before warning (default: 0.10)")
-    parser.add_argument("--count-tolerance", type=float, default=0.0,
-                        metavar="REL",
-                        help="relative drift allowed on deterministic "
-                             "keys before hard-failing (default: 0 = "
-                             "exact)")
+                        help="python -m benchmarks.suite --out record")
     args = parser.parse_args(argv)
-
-    comparison = Comparison()
     try:
-        for name, base_path, current_path in _pairs(args.baseline,
-                                                    args.current):
-            if not current_path.exists():
-                comparison.failures.append(
-                    f"{name}: current record {current_path} does not "
-                    f"exist")
-                continue
-            comparison.compare_records(name, _load(base_path),
-                                       _load(current_path),
-                                       args.tolerance,
-                                       args.count_tolerance)
+        baseline, current = _load(args.baseline), _load(args.current)
+        try:
+            failures, warnings = compare(baseline, current, load_bounds())
+        except (KeyError, TypeError, AttributeError) as error:
+            raise _CompareError(f"not a benchmark-suite record: "
+                                f"{type(error).__name__}: {error}") from error
     except _CompareError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(comparison.render())
-    return comparison.exit_code
+    for finding in failures:
+        print(f"FAIL  {finding}")
+    for finding in warnings:
+        print(f"WARN  {finding}")
+    verdict = ("hard failure" if failures
+               else "warnings only" if warnings else "clean")
+    print(f"{len(baseline['workloads'])} workload(s) compared: "
+          f"{len(failures)} failure(s), {len(warnings)} warning(s) "
+          f"[{verdict}]")
+    return 2 if failures else 1 if warnings else 0
 
 
 if __name__ == "__main__":
