@@ -99,28 +99,32 @@ class TrrBypassAttack:
                                     timing.rc_cycles) // hammer_cycles)
         bursts, remainder = divmod(hammer_count, hammers_per_burst)
 
-        builder = ProgramBuilder()
         start_cycle = device.now
 
-        def emit_burst(count: int) -> None:
-            with builder.loop(count):
-                for row in aggressors:
+        def build():
+            builder = ProgramBuilder()
+
+            def emit_burst(count: int) -> None:
+                with builder.loop(count):
+                    for row in aggressors:
+                        builder.act(victim.channel, victim.pseudo_channel,
+                                    victim.bank, row)
+                        builder.pre(victim.channel, victim.pseudo_channel,
+                                    victim.bank)
+
+            with builder.loop(bursts):
+                emit_burst(hammers_per_burst)
+                if use_decoy:
                     builder.act(victim.channel, victim.pseudo_channel,
-                                victim.bank, row)
+                                victim.bank, decoy_logical)
                     builder.pre(victim.channel, victim.pseudo_channel,
                                 victim.bank)
+                builder.ref(victim.channel, victim.pseudo_channel)
+            if remainder:
+                emit_burst(remainder)
+            return builder.build()
 
-        with builder.loop(bursts):
-            emit_burst(hammers_per_burst)
-            if use_decoy:
-                builder.act(victim.channel, victim.pseudo_channel,
-                            victim.bank, decoy_logical)
-                builder.pre(victim.channel, victim.pseudo_channel,
-                            victim.bank)
-            builder.ref(victim.channel, victim.pseudo_channel)
-        if remainder:
-            emit_burst(remainder)
-        program = builder.build()
+        verify = None
         if self._verify:
             expected = {(victim.channel, victim.pseudo_channel,
                          victim.bank, row): hammer_count
@@ -128,13 +132,21 @@ class TrrBypassAttack:
             if use_decoy:
                 expected[(victim.channel, victim.pseudo_channel,
                           victim.bank, decoy_logical)] = bursts
-            # Deliberately NOT assume_trr_escaped: the attack runs with
-            # TRR live and either loses to it (naive) or decoys it.
-            assert_verified(
-                program,
-                VerifyContext.for_host(host, expected_hammers=expected),
-                what=f"TRR bypass program for {victim}")
-        execution = host.run(program)
+
+            def verify(program) -> None:
+                # Deliberately NOT assume_trr_escaped: the attack runs
+                # with TRR live and either loses to it (naive) or
+                # decoys it.
+                assert_verified(
+                    program,
+                    VerifyContext.for_host(host, expected_hammers=expected),
+                    what=f"TRR bypass program for {victim}")
+        rows = tuple(aggressors) + ((decoy_logical,) if use_decoy else ())
+        host.cached_run(
+            ("trr_bypass", victim.channel, victim.pseudo_channel,
+             victim.bank, len(aggressors), bursts, hammers_per_burst,
+             remainder, use_decoy),
+            rows, build, verify=verify)
 
         read_bits = host.read_row(victim)
         expected = byte_fill_bits(self._pattern.victim_byte,

@@ -15,7 +15,7 @@ flips — which keeps untouched rows free.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +125,15 @@ class Bank:
     @property
     def is_open(self) -> bool:
         return self._open_physical is not None
+
+    @property
+    def open_since(self) -> int:
+        """Cycle of the bank's latest ACT."""
+        return self._open_since
+
+    def last_restore_cycle(self, physical_row: int) -> int:
+        """Cycle at which a row's charge was last restored."""
+        return int(self._last_restore[physical_row])
 
     def row_is_written(self, physical_row: int) -> bool:
         return physical_row in self._bits
@@ -345,6 +354,40 @@ class Bank:
                 self._materialize(physical_row, cycle)
         self._last_restore[start:end] = cycle
         self.disturbance.reset_range(start, end)
+
+    def refresh_runs(self, ranges: Sequence[Tuple[int, int]],
+                     cycles: Iterable[int]) -> None:
+        """A run of periodic refreshes whose ranges hold no live row.
+
+        Each REF restamps its range's retention clock.  With no stored
+        data and no ledger entry in any range (the caller proves that
+        via :meth:`live_rows`), :meth:`refresh_rows` would materialize
+        and reset nothing, so the stamps are the whole effect.
+        """
+        last_restore = self._last_restore
+        for (start, end), cycle in zip(ranges, cycles):
+            last_restore[start:end] = cycle
+
+    def live_rows(self) -> Iterable[int]:
+        """Rows a refresh would act on: stored data or a ledger entry."""
+        return self._bits.keys() | self.disturbance.rows()
+
+    def quiet_restore(self, dose: float, cycles: int) -> bool:
+        """Whether restoring a row that holds at most ``dose`` of
+        disturbance, ``cycles`` after its last restore, provably
+        materializes nothing: both stay below this bank's flip guards
+        (the dose by a factor of two, which absorbs any reordering of
+        the float sum it bounds)."""
+        retention_scale = self._profile.retention_temperature_scale(
+            self._environment.temperature_c)
+        return (2.0 * dose <= self._disturb_guard and
+                self._timing.seconds(cycles) <
+                self._retention_guard_s * retention_scale)
+
+    def note_open_since(self, cycle: int) -> None:
+        """Stamp the cycle of the bank's latest ACT (closed-form bursts,
+        which end with every row closed again)."""
+        self._open_since = cycle
 
     def release_all_rows(self) -> None:
         """Drop stored data for every row of this bank.

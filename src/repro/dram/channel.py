@@ -9,7 +9,7 @@ stack has 256 banks but a typical experiment touches a handful.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dram.bank import Bank, BankKey, DeviceEnvironment
 from repro.dram.calibration import CalibrationProfile
@@ -34,11 +34,47 @@ class PseudoChannelState:
 
     def next_refresh_range(self, rows: int) -> Tuple[int, int]:
         """Physical row range the next REF refreshes (wraps around)."""
+        return self.advance_refresh(1, rows)[0]
+
+    def refs_until_refresh_of(self, physical_rows, rows: int,
+                              pointer: Optional[int] = None
+                              ) -> Optional[int]:
+        """How many REFs from ``pointer`` (default: the current one) the
+        first whose range holds any of ``physical_rows`` is (1 = the
+        next REF); None for no rows.
+
+        Pure pointer arithmetic: from the pointer the ranges tile
+        ``[pointer, rows)`` in steps of ``rows_per_ref`` (the last one
+        cut at the bank's end), then wrap to row 0 and tile again.
+        """
+        if pointer is None:
+            pointer = self.refresh_pointer
+        step = self.rows_per_ref
+        to_wrap = -(-(rows - pointer) // step)
+        first = None
+        for row in physical_rows:
+            if row >= pointer:
+                refs = (row - pointer) // step + 1
+            else:
+                refs = to_wrap + row // step + 1
+            if first is None or refs < first:
+                first = refs
+        return first
+
+    def advance_refresh(self, refs: int, rows: int
+                        ) -> List[Tuple[int, int]]:
+        """Sequence ``refs`` REFs; the row range each refreshes, in
+        order (the pointer wraps to row 0 at the bank's end)."""
+        ranges = []
         start = self.refresh_pointer
-        end = min(start + self.rows_per_ref, rows)
-        self.refresh_pointer = end % rows
-        self.ref_count += 1
-        return start, end
+        step = self.rows_per_ref
+        for _ in range(refs):
+            end = min(start + step, rows)
+            ranges.append((start, end))
+            start = end % rows
+        self.refresh_pointer = start
+        self.ref_count += refs
+        return ranges
 
 
 class Channel:
@@ -85,3 +121,7 @@ class Channel:
         for key, bank in self._banks.items():
             if key[1] == pseudo_channel:
                 yield bank
+
+    def banks(self) -> List[Bank]:
+        """Every already-created bank of the channel."""
+        return list(self._banks.values())

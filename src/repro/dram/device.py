@@ -17,11 +17,16 @@ interpreter's loop fast path.  Its semantics are defined to match an
 unrolled sequence of ACT/PRE iterations exactly for loops whose activated
 rows do not flip themselves (the normal case: an activated row's charge is
 restored on every iteration); see :meth:`Device.bulk_activations`.
+One level up, :meth:`Device.apply_bursts` applies runs of identical
+REF-bounded bursts between events (TRR fires, REFs that reach a live
+row) in closed form, from a burst :meth:`Device.measure_burst` measured.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -751,3 +756,284 @@ class Device:
         self.now = end_cycle
         self._count("ACT", iterations * len(physical_body))
         self._count("PRE", iterations * len(physical_body))
+
+    # ------------------------------------------------------------------
+    # REF-bounded bursts in closed form (the engine's BurstOp path)
+    # ------------------------------------------------------------------
+    def _burst_signature(self, body: "BurstBody") -> tuple:
+        checker = self._timing_checker
+        now = self.now
+        return (tuple(checker.replay_signature(key, now)
+                      for key in body.banks),
+                tuple(checker.pc_signature(pc, now)
+                      for pc in body.ref_pcs))
+
+    def _pc_state(self, pc: Tuple[int, int]):
+        return self._channels[pc[0]].pseudo_channels[pc[1]]
+
+    def measure_burst(self, body: "BurstBody",
+                      step: Callable[[], Sequence[Tuple[int, int]]]
+                      ) -> Optional["SteadyBurst"]:
+        """Step one burst and measure it for :meth:`apply_bursts`.
+
+        ``step`` runs one burst through the per-iteration path and
+        returns, for each of its REFs in body order, the clock when it
+        was issued and the cycle it issued at.  While it runs, every
+        bank's disturbance ledger journals its adds and resets.  The
+        measurement is kept only when the burst was *clean* — no TRR
+        fire, no REF range holding a live row, no bank created — since
+        then every reset it journaled is an ACT's restore, and the
+        journal is exactly what any later burst with the same entry
+        signature does to the ledgers.  Otherwise None.
+        """
+        signature = self._burst_signature(body)
+        entry = self.now
+        counts = dict(self.command_counts)
+        fires = False
+        pointers = {}
+        live: Dict[Tuple[int, int], set] = {}
+        for pc, refs in body.refs_per_pc():
+            state = self._pc_state(pc)
+            until_fire = state.trr.refs_until_fire()
+            fires |= until_fire is not None and until_fire <= refs
+            pointers[pc] = state.refresh_pointer
+            live[pc] = set()
+            for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
+                live[pc] |= bank_obj.live_rows()
+        banks = [bank_obj for chan in self._channels
+                 for bank_obj in chan.banks()]
+        journal: List[tuple] = []
+        for bank_obj in banks:
+            bank_obj.disturbance.journal = journal
+        try:
+            ref_stamps = step()
+        finally:
+            for bank_obj in banks:
+                bank_obj.disturbance.journal = None
+        if fires or len(banks) != sum(len(chan.banks())
+                                      for chan in self._channels):
+            return None
+
+        owners = {bank_obj.disturbance: bank_obj for bank_obj in banks}
+        ops: Dict[object, List[tuple]] = {}
+        for tracker, row, side, amount in journal:
+            ops.setdefault(tracker, []).append((row, side, amount))
+        rows = self.geometry.rows
+        touched: Dict[Tuple[int, int], frozenset] = {}
+        for tracker, tracker_ops in ops.items():
+            pc = owners[tracker].key[:2]
+            touched[pc] = touched.get(pc, frozenset()) | {
+                row for row, _, _ in tracker_ops}
+        for pc, refs in body.refs_per_pc():
+            state = self._pc_state(pc)
+            hit = state.refs_until_refresh_of(
+                live[pc] | touched.get(pc, frozenset()), rows,
+                pointer=pointers[pc])
+            if hit is not None and hit <= refs:
+                return None
+
+        period = self.now - entry
+        plans = []
+        restores = []
+        quiet = True
+        for tracker, tracker_ops in ops.items():
+            bank_obj = owners[tracker]
+            plan = tracker.burst_plan(tracker_ops)
+            plans.append((tracker, plan))
+            for (row, _), dose in zip(plan.resets, plan.doses):
+                restores.append((bank_obj, row,
+                                 bank_obj.last_restore_cycle(row) - entry))
+                quiet &= bank_obj.quiet_restore(dose, period)
+        refs = []
+        for pc, _ in body.refs_per_pc():
+            refs.append((pc, tuple(cycle - entry for ref_pc, (_, cycle) in
+                                   zip(body.refs, ref_stamps)
+                                   if ref_pc == pc)))
+        counts = tuple((name, value - counts.get(name, 0))
+                       for name, value in self.command_counts.items()
+                       if value != counts.get(name, 0))
+        acts = []
+        for pc, runs in body.acts_per_pc():
+            if len(runs) == 1:
+                events, multiplier = runs[0]
+            else:
+                events, multiplier = tuple(
+                    event for run, iterations in runs
+                    for event in run * iterations), 1
+            acts.append((pc, tuple((key, self.mapper.logical_to_physical(
+                row)) for key, row in events), multiplier))
+        return SteadyBurst(
+            body=body, signature=signature, period=period, counts=counts,
+            ref_issue=(ref_stamps[0][0] - entry if body.final_ref
+                       else None),
+            refs=tuple(refs), acts=tuple(acts), plans=tuple(plans),
+            restores=tuple(restores),
+            opens=tuple((self.bank(*key), self.bank(*key).open_since - entry)
+                        for key in body.banks),
+            touched=touched, quiet=quiet)
+
+    def bursts_until_event(self, body: "BurstBody",
+                           steady: Optional["SteadyBurst"],
+                           limit: int) -> Tuple[int, str]:
+        """How many of the next ``limit`` bursts :meth:`apply_bursts`
+        may apply, and, when fewer, why the next one must be stepped.
+
+        The causes: ``documented-trr`` (the documented TRR mode refreshes
+        the flagged rows on every REF), ``warmup`` (no measurement yet,
+        or the entry signature differs from the measured one),
+        ``guard`` (some row the burst activates is not provably below
+        its bank's flip guards when re-activated), ``trr-fire`` (a REF
+        of the next burst fires the TRR engine) and ``refresh-hit`` (a
+        REF of the next burst refreshes a live row).  Fire timing is
+        the REF counter's alone, so no sampler is consulted.
+        """
+        for pc in body.ref_pcs:
+            if self._channels[pc[0]].mode_registers.documented_trr_mode:
+                return 0, "documented-trr"
+        if steady is None or \
+                self._burst_signature(body) != steady.signature:
+            return 0, "warmup"
+        if not steady.quiet:
+            return 0, "guard"
+        bursts, cause = limit, ""
+        rows = self.geometry.rows
+        for pc, offsets in steady.refs:
+            state = self._pc_state(pc)
+            per_burst = len(offsets)
+            until_fire = state.trr.refs_until_fire()
+            if until_fire is not None and \
+                    (until_fire - 1) // per_burst < bursts:
+                bursts, cause = (until_fire - 1) // per_burst, "trr-fire"
+            live = set(steady.touched.get(pc, ()))
+            for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
+                live |= bank_obj.live_rows()
+            until_hit = state.refs_until_refresh_of(live, rows)
+            if until_hit is not None and \
+                    (until_hit - 1) // per_burst < bursts:
+                bursts, cause = (until_hit - 1) // per_burst, "refresh-hit"
+        return bursts, cause
+
+    def apply_bursts(self, steady: "SteadyBurst", bursts: int,
+                     up_to_ref: bool = False) -> None:
+        """Apply ``bursts`` repetitions of a measured steady burst.
+
+        With ``up_to_ref`` (for a body whose one REF is its last op),
+        also apply the next burst up to that REF, leaving the clock
+        where the REF is to issue: the caller then issues it through
+        :meth:`refresh`, event and all.
+
+        The caller has :meth:`bursts_until_event` vouch for the run.
+        State-identical to stepping the bursts: the entry signature
+        matches the measured one, so every burst schedules at the same
+        offsets and the clock, the timing checker and the restore and
+        ACT stamps move by whole periods; the REF pointers, REF and TRR
+        counters and command counts advance arithmetically; no REF
+        range holds a live row, so each REF only restamps its range;
+        no TRR fires, and non-firing REFs do not touch the sampler, so
+        it takes the run's ACTs in one exact ``observe_run``; and no
+        re-activation materializes anything, so every ledger gets the
+        measured burst's adds repeated in command order.
+        """
+        applied = bursts + up_to_ref
+        if applied <= 0:
+            return
+        entry = self.now
+        period = steady.period
+        last = entry + (applied - 1) * period
+        rows = self.geometry.rows
+        for pc, offsets in steady.refs:
+            state = self._pc_state(pc)
+            ranges = state.advance_refresh(bursts * len(offsets), rows)
+            cycles = [entry + burst * period + offset
+                      for burst in range(bursts) for offset in offsets]
+            for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
+                bank_obj.refresh_runs(ranges, cycles)
+            state.trr.advance_refs(bursts * len(offsets))
+        for pc, events, multiplier in steady.acts:
+            self._pc_state(pc).trr.observe_run(events,
+                                               multiplier * applied)
+        for bank_obj, row, offset in steady.restores:
+            bank_obj.mark_restored(row, last + offset)
+        for tracker, plan in steady.plans:
+            tracker.repeat_burst(plan, applied)
+        for bank_obj, offset in steady.opens:
+            bank_obj.note_open_since(last + offset)
+        # The unissued REF leaves its pseudo channel's REF horizon where
+        # the last full burst put it.
+        self._timing_checker.shift_state(
+            steady.body.banks, applied * period, pcs=steady.body.ref_pcs,
+            refresh_delta=bursts * period)
+        self.now = (last + steady.ref_issue if up_to_ref
+                    else entry + bursts * period)
+        for name, count in steady.counts:
+            # The REF left to the caller is counted when it issues.
+            total = count * applied - (1 if up_to_ref and name == "REF"
+                                       else 0)
+            if total:
+                self._count(name, total)
+
+
+@dataclass(frozen=True)
+class BurstBody:
+    """One REF-bounded burst iteration, rows bound.
+
+    ``hammers`` holds each hammer op of the body as (iterations, ACT
+    targets as (bank key, logical row) in step order); ``banks`` every
+    bank a hammer step touches; ``refs`` the pseudo channel of each
+    REF, in body order.
+    """
+
+    hammers: Tuple[Tuple[int, Tuple[Tuple[BankKey, int], ...]], ...]
+    banks: Tuple[BankKey, ...]
+    refs: Tuple[Tuple[int, int], ...]
+    #: The body's only REF is its last op.
+    final_ref: bool
+
+    @property
+    def ref_pcs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(dict.fromkeys(self.refs))
+
+    def refs_per_pc(self) -> List[Tuple[Tuple[int, int], int]]:
+        return [(pc, self.refs.count(pc)) for pc in self.ref_pcs]
+
+    def acts_per_pc(self):
+        """Per pseudo channel, its ACT runs as (targets, iterations)."""
+        runs: Dict[Tuple[int, int], list] = {}
+        for iterations, acts in self.hammers:
+            per_pc: Dict[Tuple[int, int], list] = {}
+            for key, row in acts:
+                per_pc.setdefault(key[:2], []).append((key, row))
+            for pc, targets in per_pc.items():
+                runs.setdefault(pc, []).append((tuple(targets), iterations))
+        return list(runs.items())
+
+
+@dataclass(frozen=True)
+class SteadyBurst:
+    """A burst measured by :meth:`Device.measure_burst`."""
+
+    body: BurstBody
+    #: Entry signature the measured burst scheduled from.
+    signature: tuple
+    period: int
+    #: Command-count increments of one burst.
+    counts: Tuple[Tuple[str, int], ...]
+    #: Clock offset at which a ``final_ref`` body's REF issues.
+    ref_issue: Optional[int]
+    #: Per refreshed pseudo channel, its REF cycles' offsets.
+    refs: Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]
+    #: Per pseudo channel, (ACT events, iterations per burst) for the
+    #: TRR sampler's ``observe_run``.
+    acts: tuple
+    #: (ledger, its :class:`~repro.dram.disturb.BurstPlan`) per
+    #: disturbance ledger the burst touches.
+    plans: tuple
+    #: (bank, row, offset) of each row the burst restores, offset of
+    #: its last restore.
+    restores: tuple
+    #: (bank, offset) of each hammered bank's last ACT.
+    opens: tuple
+    #: Per pseudo channel, the rows the burst's ledger ops touch.
+    touched: Dict[Tuple[int, int], frozenset]
+    #: Every re-activation provably materializes nothing.
+    quiet: bool

@@ -30,7 +30,7 @@ adds in command order either way, so the switch is value-exact.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,23 @@ SIDE_ABOVE = 1
 SIDE_DIRECT = 2
 
 
+class BurstPlan(NamedTuple):
+    """One burst's ops on one ledger, ready to repeat (see
+    :meth:`DisturbanceTracker.burst_plan`)."""
+
+    #: (row, entry the burst leaves or None) per row the burst resets.
+    resets: Tuple[Tuple[int, Optional[Tuple[float, float, float]]], ...]
+    #: Per reset row, the sum of the burst's addends to it: an upper
+    #: bound on what the row holds when a steady burst re-senses it.
+    doses: Tuple[float, ...]
+    #: (row, side) of every accumulator the burst only adds to.
+    targets: Tuple[Tuple[int, int], ...]
+    #: Per target, the burst's addends in command order, padded with
+    #: trailing zeros to one width (adding 0.0 to a non-negative double
+    #: changes nothing).
+    addends: np.ndarray
+
+
 class DisturbanceTracker:
     """Accumulated neighbour-activation disturbance for one bank."""
 
@@ -60,6 +77,11 @@ class DisturbanceTracker:
         # function of the static geometry (weights + subarray layout),
         # so they are computed once per row and scaled per call.
         self._blast: Dict[int, Tuple[Tuple[int, int, float], ...]] = {}
+        #: When a list, every add and reset is also appended to it as
+        #: ``(tracker, row, side, amount)`` (side None: a reset) — how
+        #: the device records one burst's ledger ops to repeat them in
+        #: closed form (see :meth:`burst_plan`).
+        self.journal: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     def _blast_triples(self, physical_row: int
@@ -110,6 +132,10 @@ class DisturbanceTracker:
         Does *not* reset the aggressor's own counters — charge restoration
         is the bank's job (it must also reset the refresh timestamp).
         """
+        if self.journal is not None:
+            for victim, side, weight in self._blast_triples(physical_row):
+                self.add(victim, side, weight * count)
+            return
         counts = self._counts
         for victim, side, weight in self._blast_triples(physical_row):
             entry = counts.get(victim)
@@ -120,6 +146,8 @@ class DisturbanceTracker:
     def add(self, physical_row: int, side: int, amount: float) -> None:
         """Directly add disturbance to one row side (bulk fast path)."""
         self._entry(physical_row)[side] += amount
+        if self.journal is not None:
+            self.journal.append((self, physical_row, side, amount))
 
     def get_sides(self, physical_row: int) -> Tuple[float, float]:
         """(from below, from above) accumulated disturbance of one row."""
@@ -135,7 +163,7 @@ class DisturbanceTracker:
 
     def add_direct(self, physical_row: int, amount: float) -> None:
         """Add cross-channel disturbance to one row."""
-        self._entry(physical_row)[SIDE_DIRECT] += amount
+        self.add(physical_row, SIDE_DIRECT, amount)
 
     def get_total(self, physical_row: int) -> float:
         """Total accumulated disturbance of one row (guard checks)."""
@@ -147,12 +175,88 @@ class DisturbanceTracker:
     def reset(self, physical_row: int) -> None:
         """Charge restored: the row's accumulated disturbance vanishes."""
         self._counts.pop(physical_row, None)
+        if self.journal is not None:
+            self.journal.append((self, physical_row, None, 0.0))
 
     def reset_range(self, start: int, end: int) -> None:
         """Reset a contiguous physical-row range (periodic refresh)."""
         stale = [row for row in self._counts if start <= row < end]
         for row in stale:
             del self._counts[row]
+
+    def rows(self) -> Iterable[int]:
+        """Rows holding a ledger entry."""
+        return self._counts.keys()
+
+    @staticmethod
+    def burst_plan(ops: Sequence[Tuple[int, Optional[int], float]]
+                   ) -> BurstPlan:
+        """The closed form of one burst's recorded ledger ops.
+
+        ``ops`` are one tracker's journal entries of one burst, as
+        ``(row, side, amount)`` in command order (side None: a reset).
+        A row the burst resets ends every repetition the same way: only
+        the adds after its last reset survive, so the plan carries that
+        tail applied to a fresh entry.  Every other row gets the burst's
+        addends once per repetition, per side in command order.
+        """
+        per_row: Dict[int, List[Tuple[Optional[int], float]]] = {}
+        for row, side, amount in ops:
+            per_row.setdefault(row, []).append((side, amount))
+        resets, doses, targets, addends = [], [], [], []
+        for row, row_ops in per_row.items():
+            last_reset = max((index for index, (side, _) in
+                              enumerate(row_ops) if side is None),
+                             default=None)
+            if last_reset is None:
+                for side in (SIDE_BELOW, SIDE_ABOVE, SIDE_DIRECT):
+                    amounts = [amount for op_side, amount in row_ops
+                               if op_side == side]
+                    if amounts:
+                        targets.append((row, side))
+                        addends.append(amounts)
+                continue
+            final = None
+            for side, amount in row_ops[last_reset + 1:]:
+                if final is None:
+                    final = [0.0, 0.0, 0.0]
+                final[side] += amount
+            resets.append((row, None if final is None else tuple(final)))
+            doses.append(sum(amount for side, amount in row_ops
+                             if side is not None))
+        width = max((len(amounts) for amounts in addends), default=0)
+        padded = np.zeros((len(addends), width))
+        for index, amounts in enumerate(addends):
+            padded[index, :len(amounts)] = amounts
+        return BurstPlan(tuple(resets), tuple(doses), tuple(targets),
+                         padded)
+
+    def repeat_burst(self, plan: BurstPlan, times: int) -> None:
+        """Apply ``times`` repetitions of a burst's :meth:`burst_plan`.
+
+        Value-exact against the stepped bursts: a reset row is left
+        with its tail entry, and every other accumulator gets the
+        burst's addends ``times`` over, one IEEE-754 double add at a
+        time in command order (``np.add.accumulate`` adds sequentially
+        along its axis, exactly as the stepped ``+=`` chain does).
+        """
+        counts = self._counts
+        for row, final in plan.resets:
+            if final is None:
+                counts.pop(row, None)
+            else:
+                counts[row] = list(final)
+        if not plan.targets:
+            return
+        entries = [self._entry(row) for row, _ in plan.targets]
+        width = plan.addends.shape[1]
+        chain = np.empty((len(entries), 1 + width * times))
+        chain[:, 0] = [entry[side] for entry, (_, side)
+                       in zip(entries, plan.targets)]
+        chain[:, 1:] = np.tile(plan.addends, times)
+        totals = np.add.accumulate(chain, axis=1)[:, -1].tolist()
+        for entry, (_, side), total in zip(entries, plan.targets, totals):
+            entry[side] = total
 
     def reset_many(self, physical_rows: Iterable[int]) -> None:
         for row in physical_rows:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, TimingViolationError
 from repro.units import cycles_for_time
@@ -352,14 +352,19 @@ class TimingChecker:
                          now: int) -> Tuple:
         """Clamped-relative scheduling state of ``key``'s bank at ``now``."""
         bank = self._bank(key)
-        pc = key[:2]
-        history = self._pc_act_history.get(pc) or ()
-        window = self._constraints.four_act_window
         return (
             max(bank.next_act - now, 0),
             max(bank.next_pre - now, 0),
             max(bank.next_rdwr - now, 0),
             bank.is_open,
+        ) + self.pc_signature(key[:2], now)
+
+    def pc_signature(self, pc: Tuple[int, int], now: int) -> Tuple:
+        """The pseudo-channel part of :meth:`replay_signature` (alone:
+        for a pseudo channel a stream only refreshes)."""
+        history = self._pc_act_history.get(pc) or ()
+        window = self._constraints.four_act_window
+        return (
             max(self._pc_next_act.get(pc, 0) - now, 0),
             max(self._pc_next_any.get(pc, 0) - now, 0),
             tuple(max(stamp + window - now, 0) for stamp in history),
@@ -405,7 +410,8 @@ class TimingChecker:
         self._pc_act_history[pc] = deque(
             (origin + stamp for stamp in history), maxlen=3)
 
-    def shift_state(self, keys, delta: int) -> None:
+    def shift_state(self, keys, delta: int, pcs=(),
+                    refresh_delta: Optional[int] = None) -> None:
         """Translate the timing state of ``keys`` banks ``delta`` cycles
         into the future.
 
@@ -413,12 +419,17 @@ class TimingChecker:
         horizon advances by exactly the loop period every iteration, so
         skipping N iterations shifts every pending constraint by N
         periods.  Pseudo-channel-level constraints of the affected banks
-        shift along.
+        shift along, and so do those of the extra ``pcs`` (pseudo
+        channels a skipped REF-bounded burst only refreshes).  The REF
+        horizons move by ``refresh_delta`` when given: a skipped stretch
+        that ends just before a REF has one REF fewer than periods.
         """
-        if delta < 0:
+        if refresh_delta is None:
+            refresh_delta = delta
+        if min(delta, refresh_delta) < 0:
             raise TimingViolationError(
                 f"cannot shift timing state backwards ({delta})")
-        pcs = set()
+        pcs = set(pcs)
         for key in keys:
             bank = self._bank(key)
             bank.next_act += delta
@@ -431,7 +442,7 @@ class TimingChecker:
             if pc in self._pc_next_act:
                 self._pc_next_act[pc] += delta
             if pc in self._pc_next_any:
-                self._pc_next_any[pc] += delta
+                self._pc_next_any[pc] += refresh_delta
             history = self._pc_act_history.get(pc)
             if history:
                 self._pc_act_history[pc] = deque(

@@ -51,9 +51,9 @@ hash).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CommandError, ConfigurationError
 from repro.obs import get_metrics
 
 BankKey = Tuple[int, int, int]
@@ -346,6 +346,29 @@ class TrrEngine:
         if not self._config.enabled:
             return
         self._sampler.observe_run(events, iterations)
+
+    def refs_until_fire(self) -> Optional[int]:
+        """How many REFs from now the firing one is (1 = the next REF);
+        None when the engine is disabled and never fires.
+
+        Firing is keyed on the REF counter alone, never on sampler
+        state, so the answer is the same for every sampler strategy.
+        """
+        if not self._config.enabled:
+            return None
+        return self._config.refresh_period - self._ref_counter
+
+    def advance_refs(self, refs: int) -> None:
+        """Count ``refs`` REFs that provably do not fire (fewer than
+        :meth:`refs_until_fire`): bulk form of non-firing
+        :meth:`on_refresh` calls, which touch only the counter."""
+        if not self._config.enabled:
+            return
+        if self._ref_counter + refs >= self._config.refresh_period:
+            raise CommandError(
+                f"{refs} REFs would fire TRR (counter "
+                f"{self._ref_counter} of {self._config.refresh_period})")
+        self._ref_counter += refs
 
     def on_refresh(self) -> List[Tuple[BankKey, int]]:
         """Process one REF command.

@@ -21,6 +21,34 @@ command stream.  Programs whose effects cannot be proven
 step aside for (an installed transport, tracing) run the instantiated
 program on the host's interpreter instead.
 
+Loops are split, not unrolled.  A hammer op runs through the
+interpreter's own loop policy (:func:`~repro.bender.interpreter.
+run_loop`).  A burst op — REF-bounded hammer bursts, TRRespass rounds —
+is split one level up:
+
+* **warm-up**: bursts are stepped singly through the per-iteration path
+  while :meth:`~repro.dram.device.Device.measure_burst` measures one
+  that holds no event;
+* **closed-form windows**: from the first burst entry whose timing
+  ``replay_signature`` equals the measured entry's, each run of bursts
+  up to the next event is applied at once by
+  :meth:`~repro.dram.device.Device.apply_bursts`;
+* **events**: a TRR fire or a REF whose range holds a live row runs
+  through :meth:`~repro.dram.device.Device.refresh`, the per-iteration
+  path.  When that REF is the body's only one and its last op, the ops
+  before it in its burst repeat the steady burst and join the closed
+  form; otherwise the whole burst is stepped.  Every burst is stepped
+  when a re-activated row is not provably below its flip guards,
+  documented-TRR mode is on, or the body holds more than hammer, idle
+  and REF ops;
+* **trailing**: nothing extra — a window may end at the last burst.
+
+Exactness: equal entry signatures mean the same schedule, so every
+disturbance addend repeats and is added in command order; non-firing
+REFs leave the TRR sampler alone, so one ``observe_run`` covers a
+window (the :class:`~repro.dram.trr.TrrSampler` contract); and fires
+are found from the REF counter alone, the same for every sampler.
+
 The oracle is the station without any engine services
 (``REPRO_FASTPATH=0``): every program is then built, verified and
 interpreted per call.  The subprocess fan-out lives in
@@ -31,12 +59,14 @@ each run a session of their own.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bender import isa
 from repro.bender.interpreter import ExecutionResult, run_loop
 from repro.bender.program import Program
+from repro.dram.device import BurstBody
 from repro.engine.cache import (
     RowBinding,
     SlotBanks,
@@ -118,11 +148,12 @@ class FastPathBackend:
     effect is cycle- and state-identical to interpreted execution.
     Ops reuse the device's own command methods (ACT/PRE/REF/RDROW at
     the same clock stamps), hammer loops run through the interpreter's
-    own loop policy (:func:`~repro.bender.interpreter.run_loop`), and
-    full-row writes go through
+    own loop policy (:func:`~repro.bender.interpreter.run_loop`),
+    burst ops step their events and apply the runs between them in
+    closed form (module docstring), and full-row writes go through
     :meth:`~repro.dram.device.Device.apply_row_write`.  The CI oracle
-    job holds the gate: reference-sweep fingerprints must be
-    byte-identical with ``REPRO_FASTPATH=1`` and ``0``.
+    job holds the gate: refresh-off and refresh-on sweep fingerprints
+    must be byte-identical with ``REPRO_FASTPATH=1`` and ``0``.
     """
 
     #: Bound on memoized instantiations (cleared wholesale when full; a
@@ -130,7 +161,12 @@ class FastPathBackend:
     MAX_INSTANTIATIONS = 4096
 
     def __init__(self, host) -> None:
-        self._host = host
+        # The host owns the engine services installed on it (its
+        # program cache holds this backend), so the way back is weak:
+        # a strong one would make every station a reference cycle that
+        # only the cyclic collector frees, piling up dead stations'
+        # device state between collections.  Callers keep the host.
+        self._host = weakref.proxy(host)
         host.interpreter.enable_payload_cache()
         # Programs are immutable, so an instantiation — a template with
         # one concrete row binding patched in — can be reused verbatim
@@ -272,10 +308,80 @@ class FastPathBackend:
             elif isinstance(op, IdleOp):
                 device.wait(op.cycles)
             elif isinstance(op, BurstOp):
-                for _ in range(op.iterations):
-                    self._apply_ops(op.ops, rows, device, result)
+                self._apply_burst(op, rows, device, result)
             else:
                 raise EngineError(f"unknown effect op: {op!r}")
+
+    def _apply_burst(self, op: BurstOp, rows: RowBinding, device,
+                     result: ExecutionResult) -> None:
+        """One burst op: closed-form windows between stepped events.
+
+        Bursts are stepped singly through the per-iteration path until
+        one, measured while stepped, is followed by an entry with the
+        same timing signature; from then on every run of bursts up to
+        the next event is applied in closed form
+        (:meth:`~repro.dram.device.Device.apply_bursts`) and the event
+        is stepped: its REF alone when it closes the body, else its
+        whole burst.  Counted per window
+        (``engine.fastpath.bursts.collapsed``), per event and per run of
+        bursts stepped for any other cause
+        (``engine.fastpath.bursts.stepped.<cause>``).
+        """
+        segments: List = []
+        for sub in op.ops:
+            if isinstance(sub, RefreshOp):
+                segments.append(sub)
+            elif segments and isinstance(segments[-1], list):
+                segments[-1].append(sub)
+            else:
+                segments.append([sub])
+
+        def step() -> List[Tuple[int, int]]:
+            refs: List[Tuple[int, int]] = []
+            for segment in segments:
+                if isinstance(segment, RefreshOp):
+                    for _ in range(segment.count):
+                        issued = device.now
+                        refs.append((issued, device.refresh(
+                            segment.channel, segment.pseudo_channel)))
+                else:
+                    self._apply_ops(segment, rows, device, result)
+            return refs
+
+        metrics = get_metrics()
+        body = _burst_body(op.ops, rows)
+        steady = None
+        last_cause = None
+        remaining = op.iterations
+        while remaining:
+            if body is None:
+                bursts, cause = 0, "irregular-body"
+            else:
+                bursts, cause = device.bursts_until_event(body, steady,
+                                                          remaining)
+            # An event on the REF that closes the body: the burst's ops
+            # before it join the closed form, the REF itself is issued.
+            at_ref = cause in EVENT_CAUSES and steady.ref_issue is not None
+            if bursts or at_ref:
+                device.apply_bursts(steady, bursts, up_to_ref=at_ref)
+                remaining -= bursts
+                if bursts:
+                    metrics.counter(
+                        "engine.fastpath.bursts.collapsed").inc()
+                    last_cause = None
+                if not remaining:
+                    break
+            if cause in EVENT_CAUSES or cause != last_cause:
+                metrics.counter(
+                    f"engine.fastpath.bursts.stepped.{cause}").inc()
+                last_cause = cause
+            if at_ref:
+                device.refresh(*body.refs[0])
+            elif cause == "warmup":
+                steady = device.measure_burst(body, step)
+            else:
+                step()
+            remaining -= 1
 
     def _apply_hammer(self, op: HammerOp, rows: RowBinding,
                       device) -> None:
@@ -290,3 +396,30 @@ class FastPathBackend:
 
         run_loop(device, op.iterations, run_iteration,
                  (step[1:] for step in resolved if step[0] == "act"))
+
+
+#: Burst causes that are events on one REF (see
+#: :meth:`~repro.dram.device.Device.bursts_until_event`).
+EVENT_CAUSES = ("trr-fire", "refresh-hit")
+
+
+def _burst_body(ops, rows: RowBinding) -> Optional[BurstBody]:
+    """The device's static view of one burst iteration, or None when
+    the body holds anything but hammer, idle and REF ops."""
+    hammers = []
+    banks: List = []
+    refs: List = []
+    for op in ops:
+        if isinstance(op, HammerOp):
+            acts = tuple((step[1:4], rows[step[4]]) for step in op.steps
+                         if step[0] == "act")
+            hammers.append((op.iterations, acts))
+            for key, _ in acts:
+                if op.iterations and key not in banks:
+                    banks.append(key)
+        elif isinstance(op, RefreshOp):
+            refs.extend([(op.channel, op.pseudo_channel)] * op.count)
+        elif not isinstance(op, IdleOp):
+            return None
+    final_ref = len(refs) == 1 and isinstance(ops[-1], RefreshOp)
+    return BurstBody(tuple(hammers), tuple(banks), tuple(refs), final_ref)

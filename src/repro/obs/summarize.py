@@ -181,6 +181,10 @@ def _render_devices(devices: List[Dict[str, object]]) -> str:
     return (f"fleet devices ({len(devices)})\n{table}\n{spread}")
 
 
+#: Counter prefix of the burst events the fast path stepped, by cause.
+BURSTS_STEPPED = "engine.fastpath.bursts.stepped."
+
+
 def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
                     wall: float) -> str:
     counters = metrics.get("counters", {})
@@ -239,6 +243,15 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
                      f"{fast_falls:,} fallbacks, "
                      f"{fast_bypasses:,} bypasses "
                      f"({fast_hits / total:.1%} of programs)")
+    stepped = {name[len(BURSTS_STEPPED):]: int(value)
+               for name, value in sorted(counters.items())
+               if name.startswith(BURSTS_STEPPED)}
+    collapsed = int(counters.get("engine.fastpath.bursts.collapsed", 0))
+    if collapsed or stepped:
+        causes = ", ".join(f"{cause} {count:,}"
+                           for cause, count in stepped.items())
+        lines.append(f"REF-bounded bursts: {collapsed:,} closed-form "
+                     f"windows; stepped: {causes or 'none'}")
     for name in sorted(metrics.get("histograms", {})):
         summary = metrics["histograms"][name]
         if not summary.get("count") or "p50" not in summary:

@@ -116,3 +116,42 @@ class TestContributions:
             other.add(victim, side, amount)
         for row in range(20):
             assert tracker.get_sides(row) == other.get_sides(row)
+
+
+class TestBurstPlans:
+    """A journaled burst, repeated in closed form, equals stepping it."""
+
+    @staticmethod
+    def burst(tracker, factors):
+        # Double-sided hammering of rows 4 and 6 with uneven RowPress
+        # factors, a bulk add on victim 5, an inter-die dose, and the
+        # aggressors' own restores.
+        for factor in factors:
+            tracker.reset(4)
+            tracker.record_activation(4, factor)
+            tracker.reset(6)
+            tracker.record_activation(6, factor * 1.0000001)
+        tracker.add(5, SIDE_BELOW, 37 * factors[-1])
+        tracker.add_direct(5, 1e-3 * factors[0])
+        tracker.reset(4)
+        tracker.record_activation(4, factors[-1])
+
+    @pytest.mark.parametrize("times", [2, 17, 5000])
+    def test_repeat_equals_stepped(self, times):
+        layout, profile = SubarrayLayout([10, 10]), default_profile()
+        factors = (1.0173, 1.0000013, 0.99999991)
+        stepped = DisturbanceTracker(20, layout, profile)
+        closed = DisturbanceTracker(20, layout, profile)
+        for tracker in (stepped, closed):
+            tracker.add(5, SIDE_ABOVE, 0.3)  # pre-existing dose
+        closed.journal = []
+        self.burst(closed, factors)
+        closed.journal, journal = None, closed.journal
+        plan = closed.burst_plan([entry[1:] for entry in journal])
+        closed.repeat_burst(plan, times - 1)
+        for _ in range(times):
+            self.burst(stepped, factors)
+        # Bit-exact: the closed form makes the stepped float adds.
+        assert closed._counts == stepped._counts
+        assert {row for row, _ in plan.resets} == {4, 6}
+        assert all(dose > 0 for dose in plan.doses)

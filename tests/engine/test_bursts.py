@@ -1,0 +1,251 @@
+"""REF-bounded bursts in closed form: exact, and stepped only at events.
+
+The production path applies a burst op's steady bursts in closed-form
+windows and steps only the bursts that hold an event (a TRR fire, a
+REF range holding a live row) plus the warm-up that measures the
+steady burst.  These tests run the shipped refresh-on drivers — a
+paper-count BER record (ablation A2) on the hbm2 paper setup, and the
+TRRespass bypass with and without decoys — on the production station
+and on the oracle (no engine services, every program interpreted).
+The results and the full device state must be identical, and the REFs
+the production path steps must be bounded by the events the oracle
+counts.  Everything asserted is a count, never a time.
+"""
+
+import pytest
+
+from repro.attacks.trrespass import TrrBypassAttack
+from repro.bender.board import BenderBoard, BoardSpec
+from repro.bender.host import HostInterface
+from repro.bender.program import Program, ProgramBuilder
+from repro.core.ber import BerExperiment
+from repro.core.experiment import ExperimentConfig, InterferenceControls
+from repro.core.patterns import ROWSTRIPE0
+from repro.dram.address import DramAddress
+from repro.dram.device import Device
+from repro.engine.backend import FastPathBackend
+from repro.engine.cache import ProgramCache, canonicalize
+from repro.engine.session import EngineSession
+from repro.envutil import FASTPATH_VAR
+from repro.obs import MetricsRegistry, use_metrics
+from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
+from tests.property.test_interpreter_equivalence import (
+    MAPPER,
+    RUNS,
+    assert_same_state,
+    double_sided,
+    make_device,
+    run_interpreted,
+)
+
+REFRESH_ON = ExperimentConfig(controls=InterferenceControls(
+    issue_periodic_refresh=True, time_budget_s=1.0))
+#: The burst ops' stepped causes the shipped drivers may meet.
+EVENT_CAUSES = {"warmup", "trr-fire", "refresh-hit"}
+
+
+@pytest.fixture(autouse=True)
+def production_path(monkeypatch):
+    """Sessions install the production path even under the oracle job."""
+    monkeypatch.delenv(FASTPATH_VAR, raising=False)
+
+
+def stations(build):
+    """(production, oracle) stations over two identical fresh boards."""
+    return EngineSession(board=build()).board, build()
+
+
+def count_refs(device):
+    """Wrap ``device.refresh`` to count REFs, and among them the ones
+    that fire TRR and the ones whose range holds a live row; and count
+    the bulk-applied hammer loops."""
+    counts = {"refs": 0, "fires": 0, "hits": 0, "loops": 0}
+    refresh = device.refresh
+    bulk_activations = device.bulk_activations
+
+    def counted_loop(*args):
+        counts["loops"] += 1
+        return bulk_activations(*args)
+
+    def counted(channel, pseudo_channel):
+        state = device.channel(channel).pseudo_channels[pseudo_channel]
+        start = state.refresh_pointer
+        end = min(start + state.rows_per_ref, device.geometry.rows)
+        live = set()
+        for bank in device.channel(channel).touched_banks(pseudo_channel):
+            live |= bank.live_rows()
+        counts["refs"] += 1
+        counts["fires"] += state.trr.refs_until_fire() == 1
+        counts["hits"] += any(start <= row < end for row in live)
+        return refresh(channel, pseudo_channel)
+
+    device.refresh = counted
+    device.bulk_activations = counted_loop
+    return counts
+
+
+def run_both(build, drive):
+    """Drive both stations; (outcome, oracle REF counts, production
+    REF counts, production burst counters)."""
+    production, oracle = stations(build)
+    production_refs = count_refs(production.device)
+    oracle_refs = count_refs(oracle.device)
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        fast = drive(production)
+    slow = drive(oracle)
+    assert fast == slow
+    assert_same_state(_Result(), production.device, _Result(),
+                      oracle.device, exact_accumulators=True)
+    counters = registry.snapshot()["counters"]
+    bursts = {name.rsplit(".", 1)[-1]: value
+              for name, value in counters.items()
+              if name.startswith("engine.fastpath.bursts.stepped.")}
+    bursts["collapsed"] = counters.get(
+        "engine.fastpath.bursts.collapsed", 0)
+    return fast, oracle_refs, production_refs, bursts
+
+
+class _Result:
+    """The empty readback stream: only device state is compared."""
+
+    duration_cycles = 0
+    row_reads = ()
+
+
+def assert_stepped_at_events(oracle_refs, production_refs, bursts):
+    # Same REF stream, and the same events in it.
+    assert production_refs["fires"] == oracle_refs["fires"]
+    assert set(bursts) - {"collapsed"} <= EVENT_CAUSES
+    # One warm-up for the one burst op: it steps at most two bursts
+    # before the first closed-form window (one measured, one retry
+    # when the first held an event).
+    assert bursts.get("warmup", 0) == 1
+    events = oracle_refs["fires"] + oracle_refs["hits"]
+    assert production_refs["refs"] <= events + 2
+    assert bursts.get("trr-fire", 0) + bursts.get("refresh-hit", 0) \
+        <= events
+    # Between two fires with no hit in between lies a closed-form window.
+    assert bursts["collapsed"] >= oracle_refs["fires"] - oracle_refs["hits"]
+
+
+class TestRefreshOnBer:
+    def test_paper_count_record_matches_oracle(self):
+        victim = DramAddress(0, 0, 0, 4000)
+
+        def drive(board):
+            return BerExperiment(board.host, board.device.mapper,
+                                 REFRESH_ON).run_row(victim, ROWSTRIPE0)
+
+        _, oracle_refs, production_refs, bursts = run_both(
+            lambda: BoardSpec(seed=2023).build(), drive)
+        assert REFRESH_ON.ber_hammer_count == 256 * 1024
+        assert oracle_refs["fires"] > 400
+        assert_stepped_at_events(oracle_refs, production_refs, bursts)
+        # The saving shows: on the paper's 16K-row bank the pointer
+        # meets the victim's neighbourhood once, so TRR fires (every
+        # 17th REF) are nearly all that is stepped.
+        assert production_refs["refs"] * 15 <= oracle_refs["refs"]
+        # Each event steps its REF alone (the REF closes the body): the
+        # only hammer loops run are the two warm-up bursts' and the
+        # program's trailing partial burst.
+        assert oracle_refs["loops"] > 7000
+        assert production_refs["loops"] <= 3
+
+
+def bypass_board() -> BenderBoard:
+    # The thresholds of tests/attacks/test_trrespass.py: the miniature
+    # bank's refresh pointer sweeps it 64x as often as the paper's.
+    profile = vulnerable_profile(threshold_floor=4_000.0, weak_median=3.0e4)
+    device = Device(geometry=SMALL_GEOMETRY, profile=profile, seed=8)
+    device.set_temperature(85.0)
+    board = BenderBoard(device)
+    board.host.set_ecc_enabled(False)
+    return board
+
+
+class TestTrrBypass:
+    @pytest.mark.parametrize("use_decoy", [False, True])
+    def test_attack_matches_oracle(self, use_decoy):
+        victim = DramAddress(0, 0, 0, 100)
+
+        def drive(board):
+            attack = TrrBypassAttack(board.host, board.device.mapper,
+                                     decoy_distance=64)
+            return attack.run(victim, hammer_count=120_000,
+                              use_decoy=use_decoy)
+
+        outcome, oracle_refs, production_refs, bursts = run_both(
+            bypass_board, drive)
+        # The decoy round crosses the flip guard between events; the
+        # naive one loses to TRR.
+        assert (outcome.flips > 0) == use_decoy
+        assert_stepped_at_events(oracle_refs, production_refs, bursts)
+
+
+def burst_counters(device, program):
+    """Run ``program`` twice on the production path, as the oracle
+    helpers do; (last result, burst counters)."""
+    host = HostInterface(device)
+    cache = ProgramCache(FastPathBackend(host))
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        for _ in range(RUNS):
+            result = cache.execute(("bursts",), canonicalize(program)[1],
+                                   lambda: program)
+    counters = registry.snapshot()["counters"]
+    assert counters["engine.fastpath.hits"] == RUNS
+    return result, {name[len("engine.fastpath.bursts."):]: value
+                    for name, value in counters.items()
+                    if name.startswith("engine.fastpath.bursts.")}
+
+
+def read_bursts(bursts: int) -> Program:
+    """REF-bounded bursts that also read their victim back."""
+    aggressors = [MAPPER.physical_to_logical(row) for row in (30, 32)]
+    victim = MAPPER.physical_to_logical(31)
+    builder = ProgramBuilder()
+    for row in (*aggressors, victim):
+        builder.act(0, 0, 0, row)
+        builder.wr_row(0, 0, 0, b"\x55" * SMALL_GEOMETRY.row_bytes)
+        builder.pre(0, 0, 0)
+    with builder.loop(bursts):
+        with builder.loop(40):
+            for row in aggressors:
+                builder.act(0, 0, 0, row)
+                builder.pre(0, 0, 0)
+        builder.act(0, 0, 0, victim)
+        builder.rd_row(0, 0, 0)
+        builder.pre(0, 0, 0)
+        builder.ref(0, 0)
+    return builder.build()
+
+
+class TestStepCauses:
+    """Bursts the closed form does not cover step singly, by cause."""
+
+    def test_irregular_body_steps_every_burst(self):
+        program = read_bursts(30)
+        production = make_device("hbm2", 1)
+        result, counters = burst_counters(production, program)
+        oracle = make_device("hbm2", 1)
+        assert_same_state(result, production, run_interpreted(oracle, program),
+                          oracle, exact_accumulators=True)
+        # One count per execution of the burst op.
+        assert counters == {"stepped.irregular-body": RUNS}
+
+    def test_documented_trr_steps_every_burst(self):
+        program = double_sided("burst", 60, 48, [0x55])
+        devices = []
+        for _ in range(2):
+            device = make_device("hbm2", 1)
+            registers = device.mode_registers(0)
+            registers.set_documented_trr_mode(True)
+            registers.set_documented_trr_target(
+                bank=0, row=MAPPER.physical_to_logical(30))
+            devices.append(device)
+        result, counters = burst_counters(devices[0], program)
+        assert_same_state(result, devices[0],
+                          run_interpreted(devices[1], program), devices[1],
+                          exact_accumulators=True)
+        assert counters == {"stepped.documented-trr": RUNS}

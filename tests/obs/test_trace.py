@@ -235,6 +235,19 @@ class TestSummarize:
         assert ("analytic fast path: 360 hits, 0 fallbacks, "
                 "40 bypasses (90.0% of programs)") in text
 
+    def test_render_metrics_reports_burst_causes(self):
+        from repro.obs.summarize import _render_metrics
+
+        text = _render_metrics(
+            {"counters": {"engine.fastpath.hits": 4,
+                          "engine.fastpath.bursts.collapsed": 1712,
+                          "engine.fastpath.bursts.stepped.warmup": 4,
+                          "engine.fastpath.bursts.stepped.trr-fire": 1708,
+                          "engine.fastpath.bursts.stepped.refresh-hit": 4}},
+            wall=1.0)
+        assert ("REF-bounded bursts: 1,712 closed-form windows; stepped: "
+                "refresh-hit 4, trr-fire 1,708, warmup 4") in text
+
     def test_render_metrics_silent_without_fastpath(self):
         from repro.obs.summarize import _render_metrics
 

@@ -12,8 +12,13 @@ devices, each program twice in a row on its device:
 The shape space is the many-sided, REF-interleaved hammering of
 *Uncovering In-DRAM RowHammer Protection Mechanisms*: 1–4-sided hammer
 bodies with RowPress WAITs, row fills and reads, REF counts,
-REF-interleaved bursts and idle, iteration counts on both sides of the
-bulk threshold, on every device family's timing and TRR sampler.
+REF-interleaved bursts (TRRespass decoy rounds among them) and idle,
+iteration counts on both sides of the bulk threshold, burst counts up
+to the dynamic-length bound, on every device family's timing and TRR
+sampler.  Long REF-bounded bursts are what the production path applies
+in closed-form windows between events (TRR fires, REFs whose range
+holds a live row), so the pinned examples walk the refresh pointer
+across filled rows and through several TRR fires.
 
 After the second run a test-side digest of the full device state is
 compared: clock and command counts, timing-checker bank and
@@ -54,6 +59,14 @@ ROW_BYTES = SMALL_GEOMETRY.row_bytes
 MAPPER = RowAddressMapper(SMALL_GEOMETRY)
 #: Bound on the unrolled program's length, to keep the oracle fast.
 MAX_DYNAMIC = 40_000
+#: The decoy row of TRRespass-shaped bursts: far outside every
+#: aggressor's blast radius (aggressors sit at physical rows 20–60).
+DECOY_ROW = MAPPER.physical_to_logical(200)
+#: Decoy activations per TRRespass-shaped burst.
+DECOY_ACTS = 2
+#: Element kinds that hammer a body.
+HAMMERING = ("hammer", "burst", "lead-ref-burst", "flat-burst",
+             "decoy-burst")
 
 
 def make_device(profile_name: str, seed: int) -> Device:
@@ -104,11 +117,17 @@ def emit_body(builder, body) -> None:
 @st.composite
 def elements(draw):
     kind = draw(st.sampled_from(
-        ("hammer", "hammer", "hammer", "burst", "flat-burst", "refs",
-         "idle", "read")))
-    if kind in ("hammer", "burst", "flat-burst"):
-        return (kind, draw(hammer_bodies()), draw(iteration_counts),
-                draw(st.integers(1, 20)))
+        ("hammer", "hammer", "hammer", "burst", "lead-ref-burst",
+         "flat-burst", "decoy-burst", "refs", "idle", "read")))
+    if kind in HAMMERING:
+        body = draw(hammer_bodies())
+        iterations = draw(iteration_counts)
+        # As many bursts as the dynamic-length bound allows, so the
+        # refresh pointer can reach the aggressors' rows.
+        most = MAX_DYNAMIC // dynamic_length((kind, body, iterations, 1))
+        element = (kind, body, iterations,
+                   draw(st.integers(1, max(1, most))))
+        return element + (DECOY_ROW,) if kind == "decoy-burst" else element
     if kind == "refs":
         return (kind, draw(st.sampled_from(BANKS[::2])),
                 draw(st.integers(1, 20)))
@@ -121,9 +140,11 @@ def dynamic_length(element) -> int:
     kind = element[0]
     if kind == "hammer":
         return element[2] * (3 * len(element[1][0]) + 1)
-    if kind in ("burst", "flat-burst"):
-        inner = element[2] if kind == "burst" else 1
-        return element[3] * (inner * (3 * len(element[1][0]) + 1) + 1)
+    if kind in ("burst", "lead-ref-burst", "flat-burst", "decoy-burst"):
+        inner = element[2] if kind != "flat-burst" else 1
+        decoys = 3 * DECOY_ACTS if kind == "decoy-burst" else 0
+        return element[3] * (inner * (3 * len(element[1][0]) + 1) + 1
+                             + decoys)
     if kind == "refs":
         return element[2]
     return 3
@@ -149,6 +170,25 @@ def build_program(fill_rows, fill_bytes, program_elements) -> Program:
             with builder.loop(bursts):
                 with builder.loop(iterations):
                     emit_body(builder, body)
+                builder.ref(channel, pc)
+        elif kind == "lead-ref-burst":
+            # The REF opens each burst: an event's whole burst steps.
+            _, body, iterations, bursts = element
+            channel, pc, _ = body[0][0][0]
+            with builder.loop(bursts):
+                builder.ref(channel, pc)
+                with builder.loop(iterations):
+                    emit_body(builder, body)
+        elif kind == "decoy-burst":
+            # A TRRespass round: aggressor loop, decoy loop, REF.
+            _, body, iterations, bursts, decoy = element
+            channel, pc, bank = body[0][0][0]
+            with builder.loop(bursts):
+                with builder.loop(iterations):
+                    emit_body(builder, body)
+                with builder.loop(DECOY_ACTS):
+                    builder.act(channel, pc, bank, decoy)
+                    builder.pre(channel, pc, bank)
                 builder.ref(channel, pc)
         elif kind == "flat-burst":
             # A REF inside the hammer loop body itself.
@@ -190,7 +230,7 @@ def programs(draw):
         (bank, MAPPER.physical_to_logical(
             MAPPER.logical_to_physical(row) + offset))
         for element in program_elements
-        if element[0] in ("hammer", "burst", "flat-burst")
+        if element[0] in HAMMERING
         for bank, row, _ in element[1][0]
         for offset in range(-2, 3)})
     fill_bytes = draw(st.lists(st.sampled_from([0x00, 0xFF, 0x55, 0x0F]),
@@ -216,8 +256,8 @@ def run_interpreted(device, program):
 
 
 def run_production(device, program):
-    backend = FastPathBackend(HostInterface(device))
-    cache = ProgramCache(backend)
+    host = HostInterface(device)
+    cache = ProgramCache(FastPathBackend(host))
     registry = MetricsRegistry()
     with use_metrics(registry):
         results = [cache.execute(("oracle",), canonicalize(program)[1],
@@ -328,22 +368,45 @@ def assert_same_state(result, device, reference_result, reference_device,
                     (name, row, values, expected)
 
 
-def double_sided(element_kind, iterations, bursts, fill_bytes) -> Program:
+def double_sided(element_kind, iterations, bursts, fill_bytes,
+                 decoy=DECOY_ROW) -> Program:
     """Physical rows 30 and 32 hammered around victim 31, their blast
-    radius filled with ``fill_bytes``."""
+    radius filled with ``fill_bytes`` (``decoy``: the decoy row of a
+    ``decoy-burst``)."""
     aggressors = [MAPPER.physical_to_logical(row) for row in (30, 32)]
     body = ((((0, 0, 0), aggressors[0], 0), ((0, 0, 0), aggressors[1], 5)),
             0)
     fills = tuple(((0, 0, 0), MAPPER.physical_to_logical(row))
                   for row in range(28, 35))
-    return build_program(fills, fill_bytes,
-                         [(element_kind, body, iterations, bursts)])
+    element = (element_kind, body, iterations, bursts)
+    if element_kind == "decoy-burst":
+        element += (decoy,)
+    return build_program(fills, fill_bytes, [element])
 
 
 #: 20 REF-bounded bursts: every family's TRR fires (periods 17, 9, 4).
 TRR_FIRING = double_sided("burst", 100, 20, [0x55])
 #: Enough hammers to flip cells of victim 31 on seed 1.
 FLIPPING = double_sided("hammer", 40_000, 0, [0xFF, 0x00])
+#: 48 REF-bounded bursts: the refresh pointer (one row per REF from
+#: row 0) crosses the filled rows 28–34 and every family's TRR fires
+#: at least twice, so closed-form windows end at both kinds of event.
+REF_CROSSING = double_sided("burst", 60, 48, [0x55, 0xFF])
+#: The same walk with each burst's REF ahead of its hammers.
+LEAD_REF_CROSSING = double_sided("lead-ref-burst", 60, 48, [0x55, 0xFF])
+#: The same walk with a REF inside the hammer loop body itself.
+FLAT_CROSSING = double_sided("flat-burst", 1, 48, [0x0F])
+#: TRRespass rounds (aggressor loop, decoy loop, REF) across the filled
+#: rows; the sampler holds the decoy at every fire.
+DECOY_CROSSING = double_sided("decoy-burst", 60, 48, [0x55, 0xFF])
+#: Long decoy rounds: victim 31's dose crosses the flip guard between
+#: the REFs that refresh it, so cells flip when the pointer comes round.
+DECOY_FLIPPING = double_sided("decoy-burst", 200, 150, [0xFF, 0x00])
+#: Rounds whose "decoy" is victim 31 itself: each burst re-activates a
+#: row its hammers dosed past half the flip guard, so no window is
+#: provably inert and every burst is stepped.
+GUARDED = double_sided("decoy-burst", 1500, 8, [0xFF, 0x00],
+                       decoy=MAPPER.physical_to_logical(31))
 
 
 @given(program=programs(), profile=st.sampled_from(PROFILES),
@@ -352,6 +415,16 @@ FLIPPING = double_sided("hammer", 40_000, 0, [0xFF, 0x00])
 @example(program=TRR_FIRING, profile="ddr4", seed=1)
 @example(program=TRR_FIRING, profile="ddr5", seed=1)
 @example(program=FLIPPING, profile="hbm2", seed=1)
+@example(program=REF_CROSSING, profile="hbm2", seed=1)
+@example(program=REF_CROSSING, profile="ddr4", seed=1)
+@example(program=REF_CROSSING, profile="ddr5", seed=1)
+@example(program=LEAD_REF_CROSSING, profile="hbm2", seed=2)
+@example(program=LEAD_REF_CROSSING, profile="ddr5", seed=2)
+@example(program=FLAT_CROSSING, profile="ddr4", seed=2)
+@example(program=DECOY_CROSSING, profile="hbm2", seed=3)
+@example(program=DECOY_CROSSING, profile="ddr5", seed=3)
+@example(program=DECOY_FLIPPING, profile="hbm2", seed=1)
+@example(program=GUARDED, profile="ddr4", seed=1)
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
