@@ -378,11 +378,23 @@ class Bank:
         materializes nothing: both stay below this bank's flip guards
         (the dose by a factor of two, which absorbs any reordering of
         the float sum it bounds)."""
-        retention_scale = self._profile.retention_temperature_scale(
+        hammer, retention = self._restore_may_flip(
+            2.0 * dose, self._timing.seconds(cycles),
+            self._retention_scale())
+        return not (hammer or retention)
+
+    def _retention_scale(self) -> float:
+        return self._profile.retention_temperature_scale(
             self._environment.temperature_c)
-        return (2.0 * dose <= self._disturb_guard and
-                self._timing.seconds(cycles) <
-                self._retention_guard_s * retention_scale)
+
+    def _restore_may_flip(self, dose: float, elapsed_s: float,
+                          retention_scale: float) -> Tuple[bool, bool]:
+        """The flip guards of a restore: whether a row holding ``dose``
+        of disturbance, ``elapsed_s`` after its last restore, may flip
+        by (hammer, retention).  Below both guards no cell can flip, so
+        :meth:`_materialize` skips the row."""
+        return (dose > self._disturb_guard,
+                elapsed_s >= self._retention_guard_s * retention_scale)
 
     def note_open_since(self, cycle: int) -> None:
         """Stamp the cycle of the bank's latest ACT (closed-form bursts,
@@ -485,10 +497,9 @@ class Bank:
         direct = self.disturbance.get_direct(physical_row)
         elapsed_s = self._timing.seconds(
             int(cycle - self._last_restore[physical_row]))
-        retention_scale = profile.retention_temperature_scale(
-            self._environment.temperature_c)
-        retention_possible = elapsed_s >= self._retention_guard_s * retention_scale
-        hammer_possible = (below + above + direct) > self._disturb_guard
+        retention_scale = self._retention_scale()
+        hammer_possible, retention_possible = self._restore_may_flip(
+            below + above + direct, elapsed_s, retention_scale)
         if not retention_possible and not hammer_possible:
             return
 

@@ -34,7 +34,11 @@ class PseudoChannelState:
 
     def next_refresh_range(self, rows: int) -> Tuple[int, int]:
         """Physical row range the next REF refreshes (wraps around)."""
-        return self.advance_refresh(1, rows)[0]
+        start = self.refresh_pointer
+        end = min(start + self.rows_per_ref, rows)
+        self.refresh_pointer = end % rows
+        self.ref_count += 1
+        return start, end
 
     def refs_until_refresh_of(self, physical_rows, rows: int,
                               pointer: Optional[int] = None
@@ -65,16 +69,7 @@ class PseudoChannelState:
                         ) -> List[Tuple[int, int]]:
         """Sequence ``refs`` REFs; the row range each refreshes, in
         order (the pointer wraps to row 0 at the bank's end)."""
-        ranges = []
-        start = self.refresh_pointer
-        step = self.rows_per_ref
-        for _ in range(refs):
-            end = min(start + step, rows)
-            ranges.append((start, end))
-            start = end % rows
-        self.refresh_pointer = start
-        self.ref_count += refs
-        return ranges
+        return [self.next_refresh_range(rows) for _ in range(refs)]
 
 
 class Channel:

@@ -166,13 +166,23 @@ class FastPathBackend:
         # a strong one would make every station a reference cycle that
         # only the cyclic collector frees, piling up dead stations'
         # device state between collections.  Callers keep the host.
-        self._host = weakref.proxy(host)
+        self._host_ref = weakref.ref(host)
         host.interpreter.enable_payload_cache()
         # Programs are immutable, so an instantiation — a template with
         # one concrete row binding patched in — can be reused verbatim
         # whenever the same rows are interpreted again, skipping the
         # substitution walk.
         self._instantiations: dict = {}
+
+    @property
+    def _host(self):
+        host = self._host_ref()
+        if host is None:
+            raise EngineError(
+                "the backend's HostInterface is gone: the backend holds "
+                "its host weakly, so keep a reference to the host for "
+                "as long as the backend (or a ProgramCache over it) runs")
+        return host
 
     @property
     def timing(self):
@@ -193,9 +203,10 @@ class FastPathBackend:
     def compile(self, program: Program) -> CompiledProgram:
         """Canonicalize, lower and summarize ``program`` into a handle."""
         template, binding, slot_banks = canonicalize(program)
+        host = self._host
         for payload in _wrrow_payloads(template):
-            self._host.interpreter.lower_payload(payload)
-        context = VerifyContext.for_host(self._host,
+            host.interpreter.lower_payload(payload)
+        context = VerifyContext.for_host(host,
                                          allow_retention_decay=True)
         outcome = summarize_program(template, context)
         summarized = isinstance(outcome, EffectSummary)
@@ -234,8 +245,9 @@ class FastPathBackend:
         return self._host.run(program)
 
     def _fast_path_capable(self) -> bool:
-        return (self._host.transport is None and
-                not self._host.interpreter.trace_enabled)
+        host = self._host
+        return (host.transport is None and
+                not host.interpreter.trace_enabled)
 
     # -- effect application -------------------------------------------
     def _apply(self, handle: CompiledProgram,

@@ -8,10 +8,14 @@ summarized (fallbacks are the exception path, counted and tested,
 never the campaign path).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.bender.board import BenderBoard
+from repro.bender.host import HostInterface
 from repro.bender.program import Program, ProgramBuilder
 from repro.bender.transport import PcieTransport
 from repro.core.hammer import DoubleSidedHammer
@@ -21,6 +25,7 @@ from repro.engine.backend import FastPathBackend
 from repro.engine.cache import ProgramCache
 from repro.engine.session import EngineSession
 from repro.envutil import FASTPATH_VAR
+from repro.errors import EngineError
 from repro.obs import MetricsRegistry, use_metrics
 from tests.conftest import make_vulnerable_device
 
@@ -158,6 +163,30 @@ class TestDispatchTriage:
             backend.execute(handle, (50,))
         counters = registry.snapshot()["counters"]
         assert counters["engine.fastpath.hits"] == 2
+
+    def test_backend_over_a_dropped_host_raises(self):
+        # The backend holds its host weakly: a host built inline and
+        # dropped surfaces as a descriptive error on first use.
+        board = make_station(fastpath=False)
+        cache = ProgramCache(FastPathBackend(HostInterface(board.device)))
+        with pytest.raises(EngineError, match="HostInterface is gone"):
+            cache.execute(("dropped",), (30,),
+                          lambda: self._summarizable(board))
+
+    def test_dropped_station_is_freed_without_the_cycle_collector(self):
+        # Host and backend form no reference cycle, so a station is
+        # reclaimed as soon as its last reference goes.
+        board = make_station(fastpath=True)
+        self._summarizable(board)
+        board.host.program_cache.execute(
+            ("freed",), (30,), lambda: self._summarizable(board))
+        device = weakref.ref(board.device)
+        gc.disable()
+        try:
+            del board
+            assert device() is None
+        finally:
+            gc.enable()
 
 
 class TestEnvironmentGating:
