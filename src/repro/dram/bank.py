@@ -379,20 +379,17 @@ class Bank:
         (the dose by a factor of two, which absorbs any reordering of
         the float sum it bounds)."""
         hammer, retention = self._restore_may_flip(
-            2.0 * dose, self._timing.seconds(cycles),
-            self._retention_scale())
+            2.0 * dose, self._timing.seconds(cycles))
         return not (hammer or retention)
 
-    def _retention_scale(self) -> float:
-        return self._profile.retention_temperature_scale(
-            self._environment.temperature_c)
-
-    def _restore_may_flip(self, dose: float, elapsed_s: float,
-                          retention_scale: float) -> Tuple[bool, bool]:
+    def _restore_may_flip(self, dose: float,
+                          elapsed_s: float) -> Tuple[bool, bool]:
         """The flip guards of a restore: whether a row holding ``dose``
         of disturbance, ``elapsed_s`` after its last restore, may flip
         by (hammer, retention).  Below both guards no cell can flip, so
         :meth:`_materialize` skips the row."""
+        retention_scale = self._profile.retention_temperature_scale(
+            self._environment.temperature_c)
         return (dose > self._disturb_guard,
                 elapsed_s >= self._retention_guard_s * retention_scale)
 
@@ -497,9 +494,8 @@ class Bank:
         direct = self.disturbance.get_direct(physical_row)
         elapsed_s = self._timing.seconds(
             int(cycle - self._last_restore[physical_row]))
-        retention_scale = self._retention_scale()
         hammer_possible, retention_possible = self._restore_may_flip(
-            below + above + direct, elapsed_s, retention_scale)
+            below + above + direct, elapsed_s)
         if not retention_possible and not hammer_possible:
             return
 
@@ -547,6 +543,8 @@ class Bank:
                           temp_scale * voltage_scale)
             flips |= vulnerable & (effective >= thresholds)
         if retention_possible:
+            retention_scale = profile.retention_temperature_scale(
+                environment.temperature_c)
             flips |= vulnerable & (
                 elapsed_s >= truth.retention_s * retention_scale)
 
