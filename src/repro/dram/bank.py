@@ -126,15 +126,6 @@ class Bank:
     def is_open(self) -> bool:
         return self._open_physical is not None
 
-    @property
-    def open_since(self) -> int:
-        """Cycle of the bank's latest ACT."""
-        return self._open_since
-
-    def last_restore_cycle(self, physical_row: int) -> int:
-        """Cycle at which a row's charge was last restored."""
-        return int(self._last_restore[physical_row])
-
     def row_is_written(self, physical_row: int) -> bool:
         return physical_row in self._bits
 
@@ -324,8 +315,7 @@ class Bank:
         amplification factor — is too; the caller passes the recorded
         value and the open-cycle arithmetic is skipped.
         """
-        self._last_open_factor[physical_row] = factor
-        self.disturbance.record_activation(physical_row, factor)
+        self.note_closed_activation(physical_row, factor)
         self._open_physical = None
 
     # ------------------------------------------------------------------

@@ -17,16 +17,27 @@ interpreter's loop fast path.  Its semantics are defined to match an
 unrolled sequence of ACT/PRE iterations exactly for loops whose activated
 rows do not flip themselves (the normal case: an activated row's charge is
 restored on every iteration); see :meth:`Device.bulk_activations`.
-One level up, :meth:`Device.apply_bursts` applies runs of identical
-REF-bounded bursts between events (TRR fires, REFs that reach a live
-row) in closed form, from a burst :meth:`Device.measure_burst` measured.
+
+The engine's analytic paths repeat command streams through one
+mechanism, the :class:`Schedule`: the cycle offsets, RowPress factors,
+exit timing state, clock advance and command counts of one stream,
+recorded while it is stepped through the per-command methods
+(:meth:`Device._record`) under its entry timing signature.  Hammer
+iterations (:meth:`Device.apply_hammer_steps`) and batched row writes
+(:meth:`Device.apply_row_writes`) memoize theirs by row-free stream
+shape and replay it, rows bound, whenever the signature recurs
+(:meth:`Device._replay`).  A REF-bounded burst's schedule, measured by
+:meth:`Device.measure_burst`, yields the closed form
+:meth:`Device.apply_bursts` repeats between events (TRR fires, REFs
+that reach a live row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from functools import cached_property
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -43,6 +54,7 @@ from repro.dram.commands import (
     Refresh,
     Write,
 )
+from repro.dram.disturb import SIDE_DIRECT
 from repro.dram.geometry import Geometry
 from repro.dram.modereg import ModeRegisters
 from repro.dram.subarrays import SubarrayLayout
@@ -100,14 +112,14 @@ class Device:
         self._timing_checker = TimingChecker(self.timing)
         self.now = 0
         self.command_counts: Dict[str, int] = {}
-        #: Memoized batch-write schedules, keyed by (bank key, batch
-        #: length) and guarded by the checker's entry replay signature;
-        #: see :meth:`apply_row_writes`.
-        self._write_replay: Dict[Tuple[BankKey, int], tuple] = {}
-        #: Memoized hammer-iteration schedules, keyed by the resolved
-        #: step tuple and guarded the same way; see
-        #: :meth:`apply_hammer_steps`.
-        self._hammer_replay: Dict[tuple, tuple] = {}
+        #: Memoized schedules, keyed by row-free stream shape: a hammer
+        #: iteration's steps (rows named by slot) or a write batch's
+        #: (bank key, length).  See :meth:`apply_hammer_steps`.
+        self._schedules: Dict[tuple, Schedule] = {}
+        #: While a stream is recorded, its row commands in issue order
+        #: as (kind, key, physical row, absolute cycle or value); see
+        #: :class:`Schedule`.
+        self._trace: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     # Environment / introspection
@@ -175,6 +187,8 @@ class Device:
         target.activate(physical, cycle)
         pc_state = self.channel(channel).pseudo_channels[pseudo_channel]
         pc_state.trr.observe_activation(key, physical)
+        if self._trace is not None:
+            self._trace.append(("act", key, physical, cycle))
         self.now = cycle + 1
         self._count("ACT")
         return cycle
@@ -185,27 +199,32 @@ class Device:
         self._timing_checker.record_precharge(key, cycle)
         closed = self.bank(channel, pseudo_channel, bank).precharge(cycle)
         if closed is not None:
-            self._route_cross_channel(channel, pseudo_channel, bank,
-                                      closed[0], closed[1])
+            self._route_cross_channel(key, *closed)
+            if self._trace is not None:
+                self._trace.append(("pre", key) + closed)
         self.now = cycle + 1
         self._count("PRE")
         return cycle
 
-    def _route_cross_channel(self, channel: int, pseudo_channel: int,
-                             bank: int, physical_row: int,
-                             dose: float) -> None:
-        """Leak a fraction of an activation dose to the same row of the
-        vertically adjacent channels (future work 3's hypothesis)."""
+    def _cross_channel(self, key: BankKey,
+                       dose: float) -> List[Tuple[BankKey, float]]:
+        """(bank, direct dose) of each leak of an activation ``dose`` on
+        bank ``key`` to the same row of the vertically adjacent channels
+        (future work 3's hypothesis)."""
         coupling = self.profile.cross_channel_coupling
         if coupling <= 0.0:
-            return
+            return []
         step = self.geometry.channels_per_die
-        for neighbor_channel in (channel - step, channel + step):
-            if not 0 <= neighbor_channel < self.geometry.channels:
-                continue
-            victim_bank = self.bank(neighbor_channel, pseudo_channel, bank)
-            victim_bank.disturbance.add_direct(physical_row,
-                                               coupling * dose)
+        return [((neighbor, key[1], key[2]), coupling * dose)
+                for neighbor in (key[0] - step, key[0] + step)
+                if 0 <= neighbor < self.geometry.channels]
+
+    def _route_cross_channel(self, key: BankKey, physical_row: int,
+                             dose: float) -> None:
+        if self.profile.cross_channel_coupling <= 0.0:
+            return  # uncoupled (the default): no list per PRE
+        for neighbor, amount in self._cross_channel(key, dose):
+            self.bank(*neighbor).disturbance.add_direct(physical_row, amount)
 
     def precharge_all(self, channel: int, pseudo_channel: int) -> int:
         cycle = self.now
@@ -220,8 +239,7 @@ class Device:
             self._timing_checker.record_precharge(key, cycle)
             closed = existing.precharge(cycle)
             if closed is not None:
-                self._route_cross_channel(channel, pseudo_channel,
-                                          bank_index, closed[0], closed[1])
+                self._route_cross_channel(key, *closed)
         self.now = cycle + 1
         self._count("PREA")
         return cycle
@@ -269,6 +287,8 @@ class Device:
             victim_bank = chan.existing_bank(bank_key[1], bank_key[2])
             if victim_bank is not None:
                 victim_bank.trr_refresh(victim, cycle)
+        if self._trace is not None:
+            self._trace.append(("ref", pc, None, cycle))
 
         # The HBM2 standard's *documented* TRR mode (§2 footnote 1): the
         # controller flags an aggressor via mode registers, and every
@@ -362,15 +382,12 @@ class Device:
         factor = self.profile.rowpress_amplification(
             pre_cycle - act_cycle, self.timing.ras_cycles)
         target.note_closed_activation(physical, factor)
-        self._route_cross_channel(channel, pseudo_channel, bank,
-                                  physical, factor)
+        self._route_cross_channel(key, physical, factor)
+        if self._trace is not None:
+            self._trace += (("wr", key, physical, act_cycle),
+                            ("pre", key, physical, factor))
         self.now = pre_cycle + 1
         self._count("PRE")
-
-    #: Minimum same-bank run length worth the bulk write path below:
-    #: the steady-state probe spends a few fully-scheduled triads
-    #: before it can start skipping the timing checker.
-    BULK_WRITE_THRESHOLD = 8
 
     def apply_row_writes(self, channel: int, pseudo_channel: int,
                          bank: int,
@@ -381,267 +398,178 @@ class Device:
         """Analytic batch of full-row writes to one bank.
 
         ``writes`` is a sequence of ``(logical row, bits, parity,
-        payload tag)``;
-        cycle- and state-identical to one :meth:`apply_row_write` per
-        entry, in order.  Uniform triads settle into a steady schedule
-        exactly like the interpreter's hammer loops, so after a probe
-        of fully-scheduled triads shows two consecutive triads with
-        identical period *and* intra-triad offsets — proof that no
-        absolute horizon (a stale REF window, a cold bank) still
-        binds, leaving only relative constraints, which repeat — the
-        middle triads skip the timing checker: their cycles are
-        arithmetic, the checker state is translated with
-        :meth:`~repro.dram.timing.TimingChecker.shift_state`, and the
-        last triad runs fully scheduled to re-anchor the trailing
-        state.  Row effects (payload store, restore stamp, RowPress
-        open-time factor, neighbour disturbance, cross-channel
-        routing) are applied per write, in write order, with the same
-        float operations as the unrolled sequence.  Every triad — probe,
-        bulk, and trailing — observes its ACT on the TRR sampler, so any
-        sampler strategy ends exactly where the unrolled sequence would
-        (no REF can interleave inside a batch).
-
-        The first batch of each (bank, length) also *records* its
-        schedule — per-write ACT offsets and RowPress factors, the
-        checker's exit offsets, and the clock advance — under the
-        checker's entry :meth:`~repro.dram.timing.TimingChecker.
-        replay_signature`.  A later batch whose entry signature
-        matches replays the recording without consulting the checker
-        at all: scheduling is a pure function of the clamped-relative
-        entry state (see ``replay_signature``), so the cycle offsets
-        are provably identical, and only the per-row effects — which
-        depend on row and payload, never on absolute time — are
-        re-executed.
+        payload tag)``; cycle- and state-identical to one
+        :meth:`apply_row_write` per entry, in order.  The batch's
+        :class:`Schedule` is memoized under (bank key, batch length),
+        its rows named by their position in the batch, so any later
+        batch of that bank and length replays it when it enters with
+        the same signature (:meth:`apply_hammer_steps` has the
+        argument); otherwise the batch is stepped, one
+        :meth:`apply_row_write` per entry, and recorded.
         """
-        if len(writes) < self.BULK_WRITE_THRESHOLD:
+        key: BankKey = (channel, pseudo_channel, bank)
+        shape = (key, len(writes))
+        rows = [write[0] for write in writes]
+        schedule = self._schedules.get(shape)
+        if schedule is not None and \
+                self._signature(schedule.banks) == schedule.signature:
+            self._replay(schedule, rows, writes)
+            return
+
+        def run() -> None:
             for row, bits, parity, tag in writes:
-                self.apply_row_write(channel, pseudo_channel, bank,
-                                     row, bits, parity, tag=tag)
-            return
-        key: BankKey = (channel, pseudo_channel, bank)
-        checker = self._timing_checker
-        count = len(writes)
-        entry_now = self.now
-        signature = checker.replay_signature(key, entry_now)
-        memo_key = (key, count)
-        memo = self._write_replay.get(memo_key)
-        if memo is not None and memo[0] == signature:
-            self._replay_row_writes(channel, pseudo_channel, bank,
-                                    writes, memo)
-            return
-        target = self.bank(channel, pseudo_channel, bank)
-        pc_state = self.channel(channel).pseudo_channels[pseudo_channel]
-        mapper = self.mapper
-        wr_advance = self.geometry.columns * self.timing.ccd_cycles
-        acts: List[int] = []
-        factors: List[float] = []
+                self.apply_row_write(channel, pseudo_channel, bank, row,
+                                     bits, parity, tag=tag)
 
-        def one_triad(row: int, bits: np.ndarray, parity: np.ndarray,
-                      tag: Optional[bytes]
-                      ) -> Tuple[int, int, int, float]:
-            physical = mapper.logical_to_physical(row)
-            act_cycle = checker.earliest_activate(key, self.now)
-            checker.record_activate(key, act_cycle)
-            pc_state.trr.observe_activation(key, physical)
-            self.now = act_cycle + 1
-            self._count("ACT")
-            wr_cycle = checker.earliest_rdwr(key, self.now)
-            checker.record_rdwr(key, wr_cycle, is_write=True)
-            target.store_full_row(physical, bits, parity, act_cycle,
-                                  tag=tag)
-            self.now = wr_cycle + wr_advance
-            self._count("WR", self.geometry.columns)
-            pre_cycle = checker.earliest_precharge(key, self.now)
-            checker.record_precharge(key, pre_cycle)
-            factor = self.profile.rowpress_amplification(
-                pre_cycle - act_cycle, self.timing.ras_cycles)
-            target.note_closed_activation(physical, factor)
-            self._route_cross_channel(channel, pseudo_channel, bank,
-                                      physical, factor)
-            self.now = pre_cycle + 1
-            self._count("PRE")
-            acts.append(act_cycle)
-            factors.append(factor)
-            return act_cycle, wr_cycle, pre_cycle, factor
+        slots = {(key, self.mapper.logical_to_physical(row)): index
+                 for index, row in enumerate(rows)}
+        schedule = self._record((key,), (), run, slots)
+        # A row written twice would name two positions by one slot.
+        if len(slots) == len(writes):
+            self._schedules[shape] = schedule
 
-        # Probe: schedule triads for real until two consecutive ones
-        # have the same shape (ACT period, WR and PRE offsets).
-        index = 0
-        shapes = []   # (period, wr - act, pre - act)
-        last_act = None
-        steady = None
-        while index < count - 1:
-            act_cycle, wr_cycle, pre_cycle, factor = one_triad(
-                *writes[index])
-            index += 1
-            if last_act is not None:
-                shapes.append((act_cycle - last_act, wr_cycle - act_cycle,
-                               pre_cycle - act_cycle))
-            last_act = act_cycle
-            if len(shapes) >= 2 and shapes[-1] == shapes[-2]:
-                steady = (shapes[-1][0], factor)
-                break
+    def apply_hammer_steps(self, steps: tuple, rows: Sequence[int]) -> None:
+        """Analytic single hammer iteration: ACT/PRE/Wait steps.
 
-        if steady is not None and index < count - 1:
-            period, factor = steady
-            bulk = count - 1 - index
-            for offset in range(bulk):
-                row, bits, parity, tag = writes[index + offset]
-                physical = mapper.logical_to_physical(row)
-                act_cycle = last_act + period * (offset + 1)
-                pc_state.trr.observe_activation(key, physical)
-                target.store_full_row(physical, bits, parity, act_cycle,
-                                      tag=tag)
-                target.note_closed_activation(physical, factor)
-                self._route_cross_channel(channel, pseudo_channel, bank,
-                                          physical, factor)
-                acts.append(act_cycle)
-                factors.append(factor)
-            checker.shift_state((key,), bulk * period)
-            self.now += bulk * period
-            self._count("ACT", bulk)
-            self._count("WR", bulk * self.geometry.columns)
-            self._count("PRE", bulk)
-            index += bulk
-
-        while index < count:
-            one_triad(*writes[index])
-            index += 1
-
-        self._write_replay[memo_key] = (
-            signature,
-            tuple(act - entry_now for act in acts),
-            tuple(factors),
-            checker.capture_offsets(key, entry_now),
-            self.now - entry_now,
-        )
-
-    def _replay_row_writes(self, channel: int, pseudo_channel: int,
-                           bank: int,
-                           writes: Sequence[Tuple[int, np.ndarray,
-                                                  np.ndarray,
-                                                  Optional[bytes]]],
-                           memo: tuple) -> None:
-        """Replay a memoized batch-write schedule (see above).
-
-        Applies the per-row effects in write order with the recorded
-        ACT cycles and RowPress factors, installs the recorded checker
-        exit state, advances the clock, and feeds the batch's ACT
-        sequence to the TRR sampler in bulk form — exactly equivalent
-        to per-ACT observation for every sampler strategy, since no
-        REF can interleave inside a batch.
-        """
-        _, act_offsets, factors, exit_offsets, advance = memo
-        key: BankKey = (channel, pseudo_channel, bank)
-        target = self.bank(channel, pseudo_channel, bank)
-        mapper = self.mapper
-        entry_now = self.now
-        act_events: List[Tuple[BankKey, int]] = []
-        for (row, bits, parity, tag), act_offset, factor in zip(
-                writes, act_offsets, factors):
-            physical = mapper.logical_to_physical(row)
-            act_events.append((key, physical))
-            target.store_full_row(physical, bits, parity,
-                                  entry_now + act_offset, tag=tag)
-            target.note_closed_activation(physical, factor)
-            self._route_cross_channel(channel, pseudo_channel, bank,
-                                      physical, factor)
-        pc_state = self.channel(channel).pseudo_channels[pseudo_channel]
-        pc_state.trr.observe_run(act_events, 1)
-        self._timing_checker.restore_offsets(key, entry_now, exit_offsets)
-        self.now = entry_now + advance
-        count = len(writes)
-        self._count("ACT", count)
-        self._count("WR", count * self.geometry.columns)
-        self._count("PRE", count)
-
-    def apply_hammer_steps(self, steps: tuple) -> None:
-        """Analytic single hammer iteration: resolved ACT/PRE/Wait steps.
-
-        ``steps`` is a tuple of ``("act", ch, pc, bank, logical_row)``,
-        ``("pre", ch, pc, bank)`` and ``("wait", cycles)`` tuples —
-        one unrolled loop iteration with row slots already bound.
+        ``steps`` is a tuple of ``("act", ch, pc, bank, slot)``,
+        ``("pre", ch, pc, bank)`` and ``("wait", cycles)`` tuples — one
+        loop iteration, as :class:`~repro.verify.effects.HammerOp`
+        holds it — and ``rows[slot]`` is the logical row of an ACT.
         Cycle- and state-identical to issuing each step through
         :meth:`activate` / :meth:`precharge` / :meth:`wait`, and the
-        first execution does exactly that, while recording each step's
-        cycle offset and RowPress factor under the involved banks'
-        entry :meth:`~repro.dram.timing.TimingChecker.
-        replay_signature` tuple.  A later iteration entering with the
-        same signatures replays the recording: scheduling is a pure
-        function of the clamped-relative entry state (per key, and
-        the interleaving across keys is fixed by step order), so the
-        cycles and open times are provably identical, and only the
-        bank physics — row restore, TRR observation, neighbour
-        disturbance, cross-channel routing — re-executes, in step
-        order, with the same float operations.
+        first execution does exactly that, recording its
+        :class:`Schedule` under ``steps``.  A later iteration of the
+        same steps, whatever its rows, replays the recording when it
+        enters with the same signature: scheduling is a pure function
+        of the clamped-relative entry state (per key, and the
+        interleaving across keys is fixed by step order), so the cycles
+        and open times are provably identical, and only the bank
+        physics — row restore, TRR observation, neighbour disturbance,
+        cross-channel routing — re-executes, on the bound rows, in
+        step order, with the same float operations.
         """
-        checker = self._timing_checker
-        entry_now = self.now
-        keys: List[BankKey] = []
-        for step in steps:
-            if step[0] != "wait":
-                key = (step[1], step[2], step[3])
-                if key not in keys:
-                    keys.append(key)
-        signature = tuple(checker.replay_signature(key, entry_now)
-                          for key in keys)
-        memo = self._hammer_replay.get(steps)
-        if memo is not None and memo[0] == signature:
-            _, events, exit_offsets, advance, n_act, n_pre = memo
-            banks = {key: self.bank(*key) for key in keys}
-            trrs = {key: self.channel(key[0]).pseudo_channels[key[1]].trr
-                    for key in keys}
-            for event in events:
-                if event[0] == "act":
-                    _, key, physical, offset = event
-                    banks[key].replay_activate(physical,
-                                               entry_now + offset)
-                    trrs[key].observe_activation(key, physical)
-                else:
-                    _, key, physical, factor = event
-                    banks[key].replay_precharge(physical, factor)
-                    self._route_cross_channel(key[0], key[1], key[2],
-                                              physical, factor)
-            for key, offsets in zip(keys, exit_offsets):
-                checker.restore_offsets(key, entry_now, offsets)
-            self.now = entry_now + advance
-            if n_act:
-                self._count("ACT", n_act)
-            if n_pre:
-                self._count("PRE", n_pre)
+        schedule = self._schedules.get(steps)
+        if schedule is not None and \
+                self._signature(schedule.banks) == schedule.signature:
+            self._replay(schedule, rows)
             return
 
-        events_out: List[tuple] = []
-        n_act = n_pre = 0
-        for step in steps:
-            tag = step[0]
-            if tag == "act":
-                key = (step[1], step[2], step[3])
-                physical = self.mapper.logical_to_physical(step[4])
-                cycle = self.activate(step[1], step[2], step[3], step[4])
-                events_out.append(("act", key, physical,
-                                   cycle - entry_now))
-                n_act += 1
-            elif tag == "pre":
-                key = (step[1], step[2], step[3])
-                target = self.bank(*key)
-                physical = target.open_physical_row
-                self.precharge(step[1], step[2], step[3])
-                if physical is not None:
-                    events_out.append(("pre", key, physical,
-                                       target.last_open_factor(physical)))
-                n_pre += 1
+        def run() -> None:
+            for step in steps:
+                if step[0] == "act":
+                    self.activate(step[1], step[2], step[3], rows[step[4]])
+                elif step[0] == "pre":
+                    self.precharge(step[1], step[2], step[3])
+                else:
+                    self.wait(step[1])
+
+        banks = tuple(dict.fromkeys(step[1:4] for step in steps
+                                    if step[0] != "wait"))
+        slots = {(step[1:4], self.mapper.logical_to_physical(rows[step[4]])):
+                 step[4] for step in steps if step[0] == "act"}
+        schedule = self._record(banks, (), run, slots)
+        # A bank open at entry closes a row whose open time, and so
+        # RowPress factor, the signature does not hold.
+        if not any(signature[3] for signature in schedule.signature):
+            self._schedules[steps] = schedule
+
+    # ------------------------------------------------------------------
+    # Schedule record and replay
+    # ------------------------------------------------------------------
+    def _signature(self, banks: Sequence[BankKey],
+                   pcs: Sequence[Tuple[int, int]] = ()) -> tuple:
+        """Entry signature of a stream on ``banks`` that also refreshes
+        ``pcs``: equal signatures schedule the stream identically (see
+        :meth:`~repro.dram.timing.TimingChecker.replay_signature`)."""
+        checker = self._timing_checker
+        now = self.now
+        return (tuple([checker.replay_signature(key, now) for key in banks])
+                + tuple([checker.pc_signature(pc, now) for pc in pcs]))
+
+    def _record(self, banks: Tuple[BankKey, ...],
+                pcs: Tuple[Tuple[int, int], ...], run: Callable[[], None],
+                slots: Optional[Dict[Tuple[BankKey, int], int]] = None
+                ) -> "Schedule":
+        """Run a command stream through the per-command methods and
+        record its :class:`Schedule`.
+
+        ``run`` issues the stream; it may hammer only ``banks`` and
+        refresh only ``pcs``.  ``slots`` maps (bank key, physical row)
+        to the row slot the schedule's events name; without it they
+        name physical rows.  A stream recorded inside another one
+        (hammer iterations inside a burst) also lands in the outer
+        stream's events.
+        """
+        signature = self._signature(banks, pcs)
+        entry = self.now
+        before = dict(self.command_counts)
+        outer, self._trace = self._trace, []
+        try:
+            run()
+        finally:
+            trace, self._trace = self._trace, outer
+        if outer is not None:
+            outer += trace
+        checker = self._timing_checker
+        return Schedule(
+            signature=signature, banks=banks, pcs=pcs,
+            events=tuple(
+                (kind, key,
+                 slots.get((key, row)) if slots and row is not None else row,
+                 value - entry if kind in _TIMED else value)
+                for kind, key, row, value in trace),
+            exits=tuple(checker.capture_offsets(key, entry) for key in banks),
+            advance=self.now - entry,
+            counts=tuple((name, count - before.get(name, 0))
+                         for name, count in self.command_counts.items()
+                         if count != before.get(name, 0)))
+
+    def _replay(self, schedule: "Schedule", rows: Sequence[int],
+                writes: Sequence[tuple] = ()) -> None:
+        """Install a memoized :class:`Schedule` with ``rows`` bound.
+
+        ``rows[slot]`` is the logical row of the events naming ``slot``
+        (``writes[slot]`` its payload, for a write).  The bank physics
+        runs per event at the recorded cycles and RowPress factors; the
+        checker exit state, the clock and the command counts are
+        installed from the recording.  Each pseudo channel's TRR sampler
+        takes the ACTs in one ``observe_run``, exactly as it would one
+        at a time (no REF interleaves).
+        """
+        entry = self.now
+        mapper = self.mapper
+        runs: Dict[Tuple[int, int], List[Tuple[BankKey, int]]] = {}
+        targets = {key: (self.bank(*key), runs.setdefault(key[:2], []))
+                   for key in schedule.banks}
+        trace = self._trace
+        opened: Dict[BankKey, int] = {}
+        for kind, key, slot, value in schedule.events:
+            bank_obj, run = targets[key]
+            if kind == "pre":
+                physical = opened[key]
+                bank_obj.replay_precharge(physical, value)
+                self._route_cross_channel(key, physical, value)
             else:
-                self.wait(step[1])
-        self._hammer_replay[steps] = (
-            signature,
-            tuple(events_out),
-            tuple(checker.capture_offsets(key, entry_now)
-                  for key in keys),
-            self.now - entry_now,
-            n_act,
-            n_pre,
-        )
+                physical = opened[key] = mapper.logical_to_physical(
+                    rows[slot])
+                value += entry
+                if kind == "act":
+                    bank_obj.replay_activate(physical, value)
+                else:
+                    _, bits, parity, tag = writes[slot]
+                    bank_obj.store_full_row(physical, bits, parity, value,
+                                            tag=tag)
+                run.append((key, physical))
+            if trace is not None:
+                trace.append((kind, key, physical, value))
+        for pc, events in runs.items():
+            self._pc_state(pc).trr.observe_run(events, 1)
+        checker = self._timing_checker
+        for key, offsets in zip(schedule.banks, schedule.exits):
+            checker.restore_offsets(key, entry, offsets)
+        self.now = entry + schedule.advance
+        for name, count in schedule.counts:
+            self._count(name, count)
 
     # ------------------------------------------------------------------
     # Generic dispatch for Command objects
@@ -715,23 +643,27 @@ class Device:
         # ACT's per-iteration dose carries the RowPress amplification the
         # warm-up iterations measured for that row (steady-state loops
         # hold every row open for the same duration each iteration).
+        trace = self._trace
         for key, physical in physical_body:
             bank_obj = self.bank(*key)
             activated = activated_per_bank[key]
             dose = iterations * bank_obj.last_open_factor(physical)
+            tracker = bank_obj.disturbance
             for victim, side, amount in \
-                    bank_obj.disturbance.contributions(physical, dose):
-                if victim in activated:
-                    continue
-                bank_obj.disturbance.add(victim, side, amount)
-            self._route_cross_channel(key[0], key[1], key[2], physical,
-                                      dose)
+                    tracker.bulk_contributions(physical, dose, activated):
+                tracker.add(victim, side, amount)
+            self._route_cross_channel(key, physical, dose)
+            if trace is not None:
+                trace.append(("bulk", key, physical,
+                              (dose, frozenset(activated))))
 
         # Activated rows end the loop freshly restored.
         for key, activated in activated_per_bank.items():
             bank_obj = self.bank(*key)
             for physical in activated:
                 bank_obj.mark_restored(physical, end_cycle)
+                if trace is not None:
+                    trace.append(("restore", key, physical, end_cycle))
 
         # TRR samplers see the full ACT stream in bulk form, grouped by
         # pseudo channel in body order: equivalent to per-ACT
@@ -760,35 +692,54 @@ class Device:
     # ------------------------------------------------------------------
     # REF-bounded bursts in closed form (the engine's BurstOp path)
     # ------------------------------------------------------------------
-    def _burst_signature(self, body: "BurstBody") -> tuple:
-        checker = self._timing_checker
-        now = self.now
-        return (tuple(checker.replay_signature(key, now)
-                      for key in body.banks),
-                tuple(checker.pc_signature(pc, now)
-                      for pc in body.ref_pcs))
-
     def _pc_state(self, pc: Tuple[int, int]):
         return self._channels[pc[0]].pseudo_channels[pc[1]]
 
-    def measure_burst(self, body: "BurstBody",
-                      step: Callable[[], Sequence[Tuple[int, int]]]
+    def _ledger_ops(self, events: Iterable[tuple]
+                    ) -> List[Tuple[BankKey, int, Optional[int], float]]:
+        """The disturbance-ledger ops the events of a :class:`Schedule`
+        recorded on physical rows (a burst's) make, in command order,
+        as (bank key, row, side, amount) (side None: a reset).
+
+        The addends come from the functions that make them when the
+        stream is stepped: a PRE's from
+        :meth:`~repro.dram.disturb.DisturbanceTracker.contributions`, a
+        bulk-applied ACT's from :meth:`~repro.dram.disturb.
+        DisturbanceTracker.bulk_contributions`, and both leak through
+        :meth:`_cross_channel`.  ACTs and a bulk loop's closing
+        restores reset their row.  A REF whose range holds no live row
+        makes none.
+        """
+        ops: List[Tuple[BankKey, int, Optional[int], float]] = []
+        for kind, key, row, value in events:
+            if kind in ("act", "wr", "restore"):
+                ops.append((key, row, None, 0.0))
+            elif kind in ("pre", "bulk"):
+                tracker = self.bank(*key).disturbance
+                if kind == "pre":
+                    dose, adds = value, tracker.contributions(row, value)
+                else:
+                    dose, activated = value
+                    adds = tracker.bulk_contributions(row, dose, activated)
+                ops += [(key, victim, side, amount)
+                        for victim, side, amount in adds]
+                ops += [(neighbor, row, SIDE_DIRECT, amount)
+                        for neighbor, amount in self._cross_channel(key,
+                                                                    dose)]
+        return ops
+
+    def measure_burst(self, body: "BurstBody", step: Callable[[], None]
                       ) -> Optional["SteadyBurst"]:
         """Step one burst and measure it for :meth:`apply_bursts`.
 
-        ``step`` runs one burst through the per-iteration path and
-        returns, for each of its REFs in body order, the clock when it
-        was issued and the cycle it issued at.  While it runs, every
-        bank's disturbance ledger journals its adds and resets.  The
-        measurement is kept only when the burst was *clean* — no TRR
-        fire, no REF range holding a live row, no bank created — since
-        then every reset it journaled is an ACT's restore, and the
-        journal is exactly what any later burst with the same entry
-        signature does to the ledgers.  Otherwise None.
+        ``step`` runs one burst through the per-iteration path, which
+        records its :class:`Schedule`.  The measurement is kept only
+        when the burst was *clean* — no TRR fire, no REF range holding
+        a live row, no bank created — since then every row it resets is
+        an ACT's restore, and the schedule's ledger ops
+        (:meth:`_ledger_ops`) are exactly what any later burst with the
+        same entry signature does to the ledgers.  Otherwise None.
         """
-        signature = self._burst_signature(body)
-        entry = self.now
-        counts = dict(self.command_counts)
         fires = False
         pointers = {}
         live: Dict[Tuple[int, int], set] = {}
@@ -800,30 +751,20 @@ class Device:
             live[pc] = set()
             for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
                 live[pc] |= bank_obj.live_rows()
-        banks = [bank_obj for chan in self._channels
-                 for bank_obj in chan.banks()]
-        journal: List[tuple] = []
-        for bank_obj in banks:
-            bank_obj.disturbance.journal = journal
-        try:
-            ref_stamps = step()
-        finally:
-            for bank_obj in banks:
-                bank_obj.disturbance.journal = None
-        if fires or len(banks) != sum(len(chan.banks())
-                                      for chan in self._channels):
+        banks = sum(len(chan.banks()) for chan in self._channels)
+        schedule = self._record(body.banks, body.ref_pcs, step)
+        if fires or banks != sum(len(chan.banks())
+                                 for chan in self._channels):
             return None
 
-        owners = {bank_obj.disturbance: bank_obj for bank_obj in banks}
-        ops: Dict[object, List[tuple]] = {}
-        for tracker, row, side, amount in journal:
-            ops.setdefault(tracker, []).append((row, side, amount))
+        ops: Dict[BankKey, List[tuple]] = {}
+        for key, row, side, amount in self._ledger_ops(schedule.events):
+            ops.setdefault(key, []).append((row, side, amount))
         rows = self.geometry.rows
         touched: Dict[Tuple[int, int], frozenset] = {}
-        for tracker, tracker_ops in ops.items():
-            pc = owners[tracker].key[:2]
-            touched[pc] = touched.get(pc, frozenset()) | {
-                row for row, _, _ in tracker_ops}
+        for key, key_ops in ops.items():
+            touched[key[:2]] = touched.get(key[:2], frozenset()) | {
+                row for row, _, _ in key_ops}
         for pc, refs in body.refs_per_pc():
             state = self._pc_state(pc)
             hit = state.refs_until_refresh_of(
@@ -832,26 +773,14 @@ class Device:
             if hit is not None and hit <= refs:
                 return None
 
-        period = self.now - entry
         plans = []
-        restores = []
         quiet = True
-        for tracker, tracker_ops in ops.items():
-            bank_obj = owners[tracker]
-            plan = tracker.burst_plan(tracker_ops)
-            plans.append((tracker, plan))
-            for (row, _), dose in zip(plan.resets, plan.doses):
-                restores.append((bank_obj, row,
-                                 bank_obj.last_restore_cycle(row) - entry))
-                quiet &= bank_obj.quiet_restore(dose, period)
-        refs = []
-        for pc, _ in body.refs_per_pc():
-            refs.append((pc, tuple(cycle - entry for ref_pc, (_, cycle) in
-                                   zip(body.refs, ref_stamps)
-                                   if ref_pc == pc)))
-        counts = tuple((name, value - counts.get(name, 0))
-                       for name, value in self.command_counts.items()
-                       if value != counts.get(name, 0))
+        for key, key_ops in ops.items():
+            bank_obj = self.bank(*key)
+            plan = bank_obj.disturbance.burst_plan(key_ops)
+            plans.append((bank_obj.disturbance, plan))
+            for dose in plan.doses:
+                quiet &= bank_obj.quiet_restore(dose, schedule.advance)
         acts = []
         for pc, runs in body.acts_per_pc():
             if len(runs) == 1:
@@ -862,15 +791,8 @@ class Device:
                     for event in run * iterations), 1
             acts.append((pc, tuple((key, self.mapper.logical_to_physical(
                 row)) for key, row in events), multiplier))
-        return SteadyBurst(
-            body=body, signature=signature, period=period, counts=counts,
-            ref_issue=(ref_stamps[0][0] - entry if body.final_ref
-                       else None),
-            refs=tuple(refs), acts=tuple(acts), plans=tuple(plans),
-            restores=tuple(restores),
-            opens=tuple((self.bank(*key), self.bank(*key).open_since - entry)
-                        for key in body.banks),
-            touched=touched, quiet=quiet)
+        return SteadyBurst(schedule=schedule, acts=tuple(acts),
+                           plans=tuple(plans), touched=touched, quiet=quiet)
 
     def bursts_until_event(self, body: "BurstBody",
                            steady: Optional["SteadyBurst"],
@@ -890,8 +812,8 @@ class Device:
         for pc in body.ref_pcs:
             if self._channels[pc[0]].mode_registers.documented_trr_mode:
                 return 0, "documented-trr"
-        if steady is None or \
-                self._burst_signature(body) != steady.signature:
+        if steady is None or self._signature(
+                body.banks, body.ref_pcs) != steady.schedule.signature:
             return 0, "warmup"
         if not steady.quiet:
             return 0, "guard"
@@ -918,27 +840,29 @@ class Device:
         """Apply ``bursts`` repetitions of a measured steady burst.
 
         With ``up_to_ref`` (for a body whose one REF is its last op),
-        also apply the next burst up to that REF, leaving the clock
-        where the REF is to issue: the caller then issues it through
-        :meth:`refresh`, event and all.
+        also apply the next burst up to that REF, leaving the clock at
+        the cycle the REF is to issue: the caller then issues it
+        through :meth:`refresh`, event and all.
 
         The caller has :meth:`bursts_until_event` vouch for the run.
         State-identical to stepping the bursts: the entry signature
-        matches the measured one, so every burst schedules at the same
-        offsets and the clock, the timing checker and the restore and
-        ACT stamps move by whole periods; the REF pointers, REF and TRR
-        counters and command counts advance arithmetically; no REF
-        range holds a live row, so each REF only restamps its range;
-        no TRR fires, and non-firing REFs do not touch the sampler, so
-        it takes the run's ACTs in one exact ``observe_run``; and no
-        re-activation materializes anything, so every ledger gets the
-        measured burst's adds repeated in command order.
+        matches the measured one, so every burst schedules at the
+        recorded offsets and the clock, the timing checker and the
+        restore and ACT stamps move by whole periods; the REF pointers,
+        REF and TRR counters and command counts advance arithmetically;
+        no REF range holds a live row, so each REF only restamps its
+        range; no TRR fires, and non-firing REFs do not touch the
+        sampler, so it takes the run's ACTs in one exact
+        ``observe_run``; and no re-activation materializes anything, so
+        every ledger gets the schedule's ledger ops repeated in command
+        order.
         """
         applied = bursts + up_to_ref
         if applied <= 0:
             return
+        schedule = steady.schedule
         entry = self.now
-        period = steady.period
+        period = schedule.advance
         last = entry + (applied - 1) * period
         rows = self.geometry.rows
         for pc, offsets in steady.refs:
@@ -952,25 +876,70 @@ class Device:
         for pc, events, multiplier in steady.acts:
             self._pc_state(pc).trr.observe_run(events,
                                                multiplier * applied)
-        for bank_obj, row, offset in steady.restores:
-            bank_obj.mark_restored(row, last + offset)
+        for (key, restores), offsets in zip(steady.restores,
+                                            schedule.exits):
+            bank_obj = self.bank(*key)
+            for row, offset in restores:
+                bank_obj.mark_restored(row, last + offset)
+            # The bank's latest ACT, as the checker's exit state holds it.
+            bank_obj.note_open_since(last + offsets[3])
         for tracker, plan in steady.plans:
             tracker.repeat_burst(plan, applied)
-        for bank_obj, offset in steady.opens:
-            bank_obj.note_open_since(last + offset)
         # The unissued REF leaves its pseudo channel's REF horizon where
         # the last full burst put it.
         self._timing_checker.shift_state(
-            steady.body.banks, applied * period, pcs=steady.body.ref_pcs,
+            schedule.banks, applied * period, pcs=schedule.pcs,
             refresh_delta=bursts * period)
-        self.now = (last + steady.ref_issue if up_to_ref
+        self.now = (last + steady.refs[0][1][0] if up_to_ref
                     else entry + bursts * period)
-        for name, count in steady.counts:
+        for name, count in schedule.counts:
             # The REF left to the caller is counted when it issues.
             total = count * applied - (1 if up_to_ref and name == "REF"
                                        else 0)
             if total:
                 self._count(name, total)
+
+
+#: Event kinds whose value is a cycle (offset, in a :class:`Schedule`).
+_TIMED = ("act", "wr", "restore", "ref")
+
+
+class Schedule(NamedTuple):
+    """One command stream's schedule, as :meth:`Device._record` records
+    it: everything needed to repeat the stream from another entry with
+    the same signature, except the rows.
+
+    ``events`` are the stream's row commands in issue order, as
+    ``(kind, key, row, value)``:
+
+    * ``act`` — ACT on bank ``key``; value: its cycle offset;
+    * ``wr`` — an analytic ACT + full-row write; value: its cycle offset;
+    * ``pre`` — the PRE closing ``row``; value: its RowPress factor;
+    * ``bulk`` — one ACT of a bulk-applied loop body; value: (its dose,
+      the body's rows on that bank);
+    * ``restore`` — a bulk-applied loop's closing restore of ``row``;
+      value: its cycle offset;
+    * ``ref`` — REF on pseudo channel ``key`` (row None); value: its
+      cycle offset.
+
+    ``row`` is the slot of the replaying call's rows a memoized
+    schedule binds, or the physical row itself (a burst's schedule).
+    """
+
+    #: Entry signature over ``banks`` then ``pcs``.
+    signature: tuple
+    #: The banks the stream hammers, in first-use order.
+    banks: Tuple[BankKey, ...]
+    #: The pseudo channels it refreshes.
+    pcs: Tuple[Tuple[int, int], ...]
+    events: Tuple[tuple, ...]
+    #: Per bank, the checker's exit state relative to the entry
+    #: (:meth:`~repro.dram.timing.TimingChecker.capture_offsets`).
+    exits: tuple
+    #: Clock advance over the stream.
+    advance: int
+    #: Command-count increments.
+    counts: Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -1010,30 +979,39 @@ class BurstBody:
 
 @dataclass(frozen=True)
 class SteadyBurst:
-    """A burst measured by :meth:`Device.measure_burst`."""
+    """A burst measured by :meth:`Device.measure_burst`: its
+    :class:`Schedule`, plus what the schedule does not hold."""
 
-    body: BurstBody
-    #: Entry signature the measured burst scheduled from.
-    signature: tuple
-    period: int
-    #: Command-count increments of one burst.
-    counts: Tuple[Tuple[str, int], ...]
-    #: Clock offset at which a ``final_ref`` body's REF issues.
-    ref_issue: Optional[int]
-    #: Per refreshed pseudo channel, its REF cycles' offsets.
-    refs: Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]
+    schedule: Schedule
     #: Per pseudo channel, (ACT events, iterations per burst) for the
     #: TRR sampler's ``observe_run``.
     acts: tuple
     #: (ledger, its :class:`~repro.dram.disturb.BurstPlan`) per
-    #: disturbance ledger the burst touches.
+    #: disturbance ledger the schedule's ledger ops touch.
     plans: tuple
-    #: (bank, row, offset) of each row the burst restores, offset of
-    #: its last restore.
-    restores: tuple
-    #: (bank, offset) of each hammered bank's last ACT.
-    opens: tuple
-    #: Per pseudo channel, the rows the burst's ledger ops touch.
+    #: Per pseudo channel, the rows those ops touch.
     touched: Dict[Tuple[int, int], frozenset]
     #: Every re-activation provably materializes nothing.
     quiet: bool
+
+    @cached_property
+    def refs(self) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
+        """Per refreshed pseudo channel, its REFs' cycle offsets."""
+        events = self.schedule.events
+        return tuple((pc, tuple(value for kind, key, _, value in events
+                                if kind == "ref" and key == pc))
+                     for pc in self.schedule.pcs)
+
+    @cached_property
+    def restores(self) -> Tuple[Tuple[BankKey, Tuple[Tuple[int, int], ...]],
+                                ...]:
+        """Per hammered bank, (row, offset of its last restore) of each
+        row the burst restores."""
+        last: Dict[Tuple[BankKey, int], int] = {}
+        for kind, key, row, value in self.schedule.events:
+            if kind in ("act", "restore"):
+                last[key, row] = value
+        return tuple((key, tuple((row, offset)
+                                 for (owner, row), offset in last.items()
+                                 if owner == key))
+                     for key in self.schedule.banks)

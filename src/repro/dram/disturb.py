@@ -77,11 +77,6 @@ class DisturbanceTracker:
         # function of the static geometry (weights + subarray layout),
         # so they are computed once per row and scaled per call.
         self._blast: Dict[int, Tuple[Tuple[int, int, float], ...]] = {}
-        #: When a list, every add and reset is also appended to it as
-        #: ``(tracker, row, side, amount)`` (side None: a reset) — how
-        #: the device records one burst's ledger ops to repeat them in
-        #: closed form (see :meth:`burst_plan`).
-        self.journal: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     def _blast_triples(self, physical_row: int
@@ -126,16 +121,22 @@ class DisturbanceTracker:
         return [(victim, side, weight * count)
                 for victim, side, weight in self._blast_triples(physical_row)]
 
+    def bulk_contributions(self, physical_row: int, count: float,
+                           activated) -> List[Tuple[int, int, float]]:
+        """:meth:`contributions` minus the victims in ``activated``: the
+        adds of a bulk-applied loop, whose body restores the rows it
+        activates every iteration."""
+        return [(victim, side, amount) for victim, side, amount
+                in self.contributions(physical_row, count)
+                if victim not in activated]
+
     def record_activation(self, physical_row: int, count: float = 1.0) -> None:
-        """Disturb the neighbours of ``physical_row`` by ``count`` ACTs.
+        """Disturb the neighbours of ``physical_row`` by ``count`` ACTs:
+        add each of :meth:`contributions`, inlined for the hot path.
 
         Does *not* reset the aggressor's own counters — charge restoration
         is the bank's job (it must also reset the refresh timestamp).
         """
-        if self.journal is not None:
-            for victim, side, weight in self._blast_triples(physical_row):
-                self.add(victim, side, weight * count)
-            return
         counts = self._counts
         for victim, side, weight in self._blast_triples(physical_row):
             entry = counts.get(victim)
@@ -146,8 +147,6 @@ class DisturbanceTracker:
     def add(self, physical_row: int, side: int, amount: float) -> None:
         """Directly add disturbance to one row side (bulk fast path)."""
         self._entry(physical_row)[side] += amount
-        if self.journal is not None:
-            self.journal.append((self, physical_row, side, amount))
 
     def get_sides(self, physical_row: int) -> Tuple[float, float]:
         """(from below, from above) accumulated disturbance of one row."""
@@ -175,8 +174,6 @@ class DisturbanceTracker:
     def reset(self, physical_row: int) -> None:
         """Charge restored: the row's accumulated disturbance vanishes."""
         self._counts.pop(physical_row, None)
-        if self.journal is not None:
-            self.journal.append((self, physical_row, None, 0.0))
 
     def reset_range(self, start: int, end: int) -> None:
         """Reset a contiguous physical-row range (periodic refresh)."""
@@ -191,10 +188,11 @@ class DisturbanceTracker:
     @staticmethod
     def burst_plan(ops: Sequence[Tuple[int, Optional[int], float]]
                    ) -> BurstPlan:
-        """The closed form of one burst's recorded ledger ops.
+        """The closed form of one burst's ledger ops.
 
-        ``ops`` are one tracker's journal entries of one burst, as
-        ``(row, side, amount)`` in command order (side None: a reset).
+        ``ops`` are one tracker's ops of one burst, as ``(row, side,
+        amount)`` in command order (side None: a reset), as the device
+        derives them from the burst's schedule.
         A row the burst resets ends every repetition the same way: only
         the adds after its last reset survive, so the plan carries that
         tail applied to a fresh entry.  Every other row gets the burst's

@@ -344,9 +344,13 @@ class TimingChecker:
     # at or behind ``now`` can never bind again — its exact value is
     # irrelevant.  Two moments with equal signatures therefore schedule
     # any identical future same-bank stream identically, cycle offset for
-    # cycle offset.  The device's analytic batch paths memoize a recorded
-    # schedule under its entry signature and replay it without consulting
-    # the checker (see :meth:`Device.apply_row_writes`).
+    # cycle offset.  The device's one replay mechanism rests on this: a
+    # :class:`~repro.dram.device.Schedule` is recorded under its entry
+    # signature together with each bank's exit state
+    # (``capture_offsets``); a replay installs that state
+    # (``restore_offsets``) without consulting the checker, and a run of
+    # REF-bounded bursts translates it whole periods ahead
+    # (``shift_state``).
 
     def replay_signature(self, key: Tuple[int, int, int],
                          now: int) -> Tuple:

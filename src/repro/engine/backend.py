@@ -27,8 +27,8 @@ run_loop`).  A burst op — REF-bounded hammer bursts, TRRespass rounds —
 is split one level up:
 
 * **warm-up**: bursts are stepped singly through the per-iteration path
-  while :meth:`~repro.dram.device.Device.measure_burst` measures one
-  that holds no event;
+  while :meth:`~repro.dram.device.Device.measure_burst` records the
+  schedule of one that holds no event;
 * **closed-form windows**: from the first burst entry whose timing
   ``replay_signature`` equals the measured entry's, each run of bursts
   up to the next event is applied at once by
@@ -282,8 +282,7 @@ class FastPathBackend:
             index += 1
             if isinstance(op, RowWriteOp):
                 # Coalesce a run of same-bank writes: the device's
-                # batched form skips the timing checker for the middle
-                # triads once the schedule is provably periodic.
+                # batched form replays the batch's memoized schedule.
                 bank_key = (op.channel, op.pseudo_channel, op.bank)
                 writes = [(rows[op.row],) +
                           interpreter.lower_payload(op.data) +
@@ -339,26 +338,8 @@ class FastPathBackend:
         bursts stepped for any other cause
         (``engine.fastpath.bursts.stepped.<cause>``).
         """
-        segments: List = []
-        for sub in op.ops:
-            if isinstance(sub, RefreshOp):
-                segments.append(sub)
-            elif segments and isinstance(segments[-1], list):
-                segments[-1].append(sub)
-            else:
-                segments.append([sub])
-
-        def step() -> List[Tuple[int, int]]:
-            refs: List[Tuple[int, int]] = []
-            for segment in segments:
-                if isinstance(segment, RefreshOp):
-                    for _ in range(segment.count):
-                        issued = device.now
-                        refs.append((issued, device.refresh(
-                            segment.channel, segment.pseudo_channel)))
-                else:
-                    self._apply_ops(segment, rows, device, result)
-            return refs
+        def step() -> None:
+            self._apply_ops(op.ops, rows, device, result)
 
         metrics = get_metrics()
         body = _burst_body(op.ops, rows)
@@ -373,7 +354,7 @@ class FastPathBackend:
                                                           remaining)
             # An event on the REF that closes the body: the burst's ops
             # before it join the closed form, the REF itself is issued.
-            at_ref = cause in EVENT_CAUSES and steady.ref_issue is not None
+            at_ref = cause in EVENT_CAUSES and body.final_ref
             if bursts or at_ref:
                 device.apply_bursts(steady, bursts, up_to_ref=at_ref)
                 remaining -= bursts
@@ -398,16 +379,14 @@ class FastPathBackend:
     def _apply_hammer(self, op: HammerOp, rows: RowBinding,
                       device) -> None:
         """One hammer op through the interpreter's loop policy."""
-        resolved = tuple(
-            ("act", step[1], step[2], step[3], rows[step[4]])
-            if step[0] == "act" else tuple(step)
-            for step in op.steps)
+        steps = op.steps
 
         def run_iteration() -> None:
-            device.apply_hammer_steps(resolved)
+            device.apply_hammer_steps(steps, rows)
 
         run_loop(device, op.iterations, run_iteration,
-                 (step[1:] for step in resolved if step[0] == "act"))
+                 ((step[1], step[2], step[3], rows[step[4]])
+                  for step in steps if step[0] == "act"))
 
 
 #: Burst causes that are events on one REF (see

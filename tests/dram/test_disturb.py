@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dram.calibration import default_profile
-from repro.dram.disturb import SIDE_ABOVE, SIDE_BELOW, DisturbanceTracker
+from repro.dram.disturb import (SIDE_ABOVE, SIDE_BELOW, SIDE_DIRECT,
+                                DisturbanceTracker)
 from repro.dram.subarrays import SubarrayLayout
 
 
@@ -119,7 +120,7 @@ class TestContributions:
 
 
 class TestBurstPlans:
-    """A journaled burst, repeated in closed form, equals stepping it."""
+    """A burst's ledger ops, repeated in closed form, equal stepping it."""
 
     @staticmethod
     def burst(tracker, factors):
@@ -136,6 +137,24 @@ class TestBurstPlans:
         tracker.reset(4)
         tracker.record_activation(4, factors[-1])
 
+    @staticmethod
+    def burst_ops(tracker, factors):
+        """The same burst's ops as the device derives them from its
+        schedule: a reset per ACT, :meth:`contributions` per PRE."""
+        ops = []
+
+        def activation(row, factor):
+            ops.append((row, None, 0.0))
+            ops.extend(tracker.contributions(row, factor))
+
+        for factor in factors:
+            activation(4, factor)
+            activation(6, factor * 1.0000001)
+        ops.append((5, SIDE_BELOW, 37 * factors[-1]))
+        ops.append((5, SIDE_DIRECT, 1e-3 * factors[0]))
+        activation(4, factors[-1])
+        return ops
+
     @pytest.mark.parametrize("times", [2, 17, 5000])
     def test_repeat_equals_stepped(self, times):
         layout, profile = SubarrayLayout([10, 10]), default_profile()
@@ -144,10 +163,8 @@ class TestBurstPlans:
         closed = DisturbanceTracker(20, layout, profile)
         for tracker in (stepped, closed):
             tracker.add(5, SIDE_ABOVE, 0.3)  # pre-existing dose
-        closed.journal = []
         self.burst(closed, factors)
-        closed.journal, journal = None, closed.journal
-        plan = closed.burst_plan([entry[1:] for entry in journal])
+        plan = closed.burst_plan(self.burst_ops(closed, factors))
         closed.repeat_burst(plan, times - 1)
         for _ in range(times):
             self.burst(stepped, factors)

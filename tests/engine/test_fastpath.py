@@ -14,18 +14,20 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.bender.board import BenderBoard
+from repro.bender.board import BenderBoard, make_paper_setup
 from repro.bender.host import HostInterface
 from repro.bender.program import Program, ProgramBuilder
 from repro.bender.transport import PcieTransport
 from repro.core.hammer import DoubleSidedHammer
 from repro.core.patterns import CHECKERED0, ROWSTRIPE0
+from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.dram.address import DramAddress
 from repro.engine.backend import FastPathBackend
 from repro.engine.cache import ProgramCache
 from repro.engine.session import EngineSession
 from repro.envutil import FASTPATH_VAR
 from repro.errors import EngineError
+from repro.faults.plan import FaultSpec
 from repro.obs import MetricsRegistry, use_metrics
 from tests.conftest import make_vulnerable_device
 
@@ -52,11 +54,12 @@ def make_station(fastpath: bool, seed: int = 5) -> BenderBoard:
 def mini_campaign(board: BenderBoard):
     """A miniature Fig. 3 slice: fill, hammer, read, per victim/pattern.
 
-    Deliberately covers every fast-path machinery layer: the ≥8-row
-    neighbourhood fill exercises the batched write path and its replay
-    memo, repeated hammers exercise the warm/bulk/trail split and the
-    hammer-iteration replay memo, pattern fills exercise the payload-tag
-    caches, and flipped victims exercise the shared-row copy-on-write.
+    Deliberately covers every fast-path machinery layer: the
+    neighbourhood fill exercises the batched write path and its
+    memoized schedule, repeated hammers exercise the warm/bulk/trail
+    split and the hammer-iteration schedules, pattern fills exercise the
+    payload-tag caches, and flipped victims exercise the shared-row
+    copy-on-write.
     """
     hammer = DoubleSidedHammer(board.host, board.device.mapper)
     flips = []
@@ -215,3 +218,23 @@ class TestEnvironmentGating:
         counters = registry.snapshot()["counters"]
         assert counters["bender.programs"] > 0
         assert all(not name.startswith("engine.") for name in counters)
+
+
+class TestScheduleMemo:
+    """The device memoizes schedules by row-free stream shape."""
+
+    @staticmethod
+    def memo_entries(rows_per_region: int) -> int:
+        """Schedules memoized by one device over the hbm2 reference-style
+        BER sweep of one channel."""
+        board = make_paper_setup(seed=2023)
+        config = SweepConfig(channels=(0,), rows_per_region=rows_per_region,
+                             include_hcfirst=False, faults=FaultSpec())
+        SpatialSweep(board, config).run()
+        return len(board.device._schedules)
+
+    def test_memo_does_not_grow_with_rows(self):
+        # Four times the rows, the same stream shapes.
+        entries = self.memo_entries(2)
+        assert entries > 0
+        assert self.memo_entries(8) == entries

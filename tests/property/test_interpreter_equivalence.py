@@ -18,7 +18,9 @@ to the dynamic-length bound, on every device family's timing and TRR
 sampler.  Long REF-bounded bursts are what the production path applies
 in closed-form windows between events (TRR fires, REFs whose range
 holds a live row), so the pinned examples walk the refresh pointer
-across filled rows and through several TRR fires.
+across filled rows and through several TRR fires.  The device memoizes
+schedules by row-free stream shape, so other pinned examples run one
+shape under two row bindings on one device.
 
 After the second run a test-side digest of the full device state is
 compared: clock and command counts, timing-checker bank and
@@ -241,33 +243,45 @@ def programs(draw):
 # -- the three executions --------------------------------------------------
 #: Each execution runs the program this many times on one device, so
 #: the second run starts from the state the first left behind and the
-#: device's replay memos (batched row writes, hammer iterations) are
-#: exercised across programs, not only within one.
+#: device's memoized schedules (batched row writes, hammer iterations)
+#: are exercised across programs, not only within one.  A tuple of
+#: programs runs in turn, this many times over.
 RUNS = 2
 
 
+def in_turn(program):
+    """The programs one execution runs in turn, in order."""
+    return program if isinstance(program, tuple) else (program,)
+
+
 def run_unrolled(device, program):
-    oracle = unrolled(program)
-    return [Interpreter(device).run(oracle) for _ in range(RUNS)][-1]
+    oracles = [unrolled(one) for one in in_turn(program)]
+    return [Interpreter(device).run(oracle)
+            for _ in range(RUNS) for oracle in oracles][-1]
 
 
 def run_interpreted(device, program):
-    return [Interpreter(device).run(program) for _ in range(RUNS)][-1]
+    return [Interpreter(device).run(one)
+            for _ in range(RUNS) for one in in_turn(program)][-1]
 
 
 def run_production(device, program):
+    programs = in_turn(program)
     host = HostInterface(device)
     cache = ProgramCache(FastPathBackend(host))
     registry = MetricsRegistry()
     with use_metrics(registry):
-        results = [cache.execute(("oracle",), canonicalize(program)[1],
-                                 lambda: program)
-                   for _ in range(RUNS)]
+        results = [cache.execute(("oracle", index), canonicalize(one)[1],
+                                 lambda one=one: one)
+                   for _ in range(RUNS)
+                   for index, one in enumerate(programs)]
     counters = registry.snapshot()["counters"]
     # Never vacuous: every run is summarized and applied, and every run
     # after the first reuses the cached shape.
-    assert counters.get("engine.fastpath.hits") == RUNS, counters
-    assert counters.get("engine.cache.hits") == RUNS - 1, counters
+    runs = RUNS * len(programs)
+    assert counters.get("engine.fastpath.hits") == runs, counters
+    assert counters.get("engine.cache.hits") == runs - len(programs), \
+        counters
     return results[-1]
 
 
@@ -369,19 +383,27 @@ def assert_same_state(result, device, reference_result, reference_device,
 
 
 def double_sided(element_kind, iterations, bursts, fill_bytes,
-                 decoy=DECOY_ROW) -> Program:
-    """Physical rows 30 and 32 hammered around victim 31, their blast
-    radius filled with ``fill_bytes`` (``decoy``: the decoy row of a
-    ``decoy-burst``)."""
-    aggressors = [MAPPER.physical_to_logical(row) for row in (30, 32)]
+                 decoy=DECOY_ROW, victim=31) -> Program:
+    """Physical rows ``victim`` ± 1 hammered, their blast radius filled
+    with ``fill_bytes`` (``decoy``: the decoy row of a
+    ``decoy-burst``).  Every victim gives the same program shape."""
+    aggressors = [MAPPER.physical_to_logical(row)
+                  for row in (victim - 1, victim + 1)]
     body = ((((0, 0, 0), aggressors[0], 0), ((0, 0, 0), aggressors[1], 5)),
             0)
     fills = tuple(((0, 0, 0), MAPPER.physical_to_logical(row))
-                  for row in range(28, 35))
+                  for row in range(victim - 3, victim + 4))
     element = (element_kind, body, iterations, bursts)
     if element_kind == "decoy-burst":
         element += (decoy,)
     return build_program(fills, fill_bytes, [element])
+
+
+def filled(victim, fill_bytes) -> Program:
+    """Only the fill and readback of :func:`double_sided`'s rows."""
+    fills = tuple(((0, 0, 0), MAPPER.physical_to_logical(row))
+                  for row in range(victim - 3, victim + 4))
+    return build_program(fills, fill_bytes, [])
 
 
 #: 20 REF-bounded bursts: every family's TRR fires (periods 17, 9, 4).
@@ -407,6 +429,15 @@ DECOY_FLIPPING = double_sided("decoy-burst", 200, 150, [0xFF, 0x00])
 #: provably inert and every burst is stepped.
 GUARDED = double_sided("decoy-burst", 1500, 8, [0xFF, 0x00],
                        decoy=MAPPER.physical_to_logical(31))
+#: One hammer shape under two row bindings: around victim 31, then
+#: around victim 47, whose aggressors straddle the subarray boundary at
+#: physical row 48 (so their blast radii differ).  Below the bulk
+#: threshold every iteration is a hammer-step schedule, replayed with
+#: the second binding's rows.
+REBOUND = (double_sided("hammer", 7, 0, [0xFF, 0x00]),
+           double_sided("hammer", 7, 0, [0xFF, 0x00], victim=47))
+#: One write batch (bank, length) replayed with other rows and payloads.
+REWRITTEN = (filled(31, [0x55, 0xFF]), filled(100, [0x0F]))
 
 
 @given(program=programs(), profile=st.sampled_from(PROFILES),
@@ -425,6 +456,9 @@ GUARDED = double_sided("decoy-burst", 1500, 8, [0xFF, 0x00],
 @example(program=DECOY_CROSSING, profile="ddr5", seed=3)
 @example(program=DECOY_FLIPPING, profile="hbm2", seed=1)
 @example(program=GUARDED, profile="ddr4", seed=1)
+@example(program=REBOUND, profile="hbm2", seed=1)
+@example(program=REBOUND, profile="ddr5", seed=2)
+@example(program=REWRITTEN, profile="hbm2", seed=1)
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
