@@ -30,7 +30,7 @@ from repro.core.patterns import DataPattern, ROWSTRIPE0
 from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
-from repro.verify.program import VerifyContext, assert_verified
+from repro.verify.program import VerifyContext
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class TrrBypassAttack:
 
     def __init__(self, host: HostInterface, mapper: RowAddressMapper,
                  pattern: DataPattern = ROWSTRIPE0,
-                 decoy_distance: int = 512, verify: bool = True) -> None:
+                 decoy_distance: int = 512) -> None:
         """
         Args:
             decoy_distance: physical rows between the victim and the
@@ -68,7 +68,6 @@ class TrrBypassAttack:
         self._mapper = mapper
         self._pattern = pattern
         self._decoy_distance = decoy_distance
-        self._verify = verify
 
     def run(self, victim: DramAddress, hammer_count: int,
             use_decoy: bool) -> BypassOutcome:
@@ -124,29 +123,23 @@ class TrrBypassAttack:
                 emit_burst(remainder)
             return builder.build()
 
-        verify = None
-        if self._verify:
+        def checks() -> VerifyContext:
+            # Deliberately NOT assume_trr_escaped: the attack runs with
+            # TRR live and either loses to it (naive) or decoys it.
             expected = {(victim.channel, victim.pseudo_channel,
                          victim.bank, row): hammer_count
                         for row in aggressors}
             if use_decoy:
                 expected[(victim.channel, victim.pseudo_channel,
                           victim.bank, decoy_logical)] = bursts
+            return VerifyContext.for_host(host, expected_hammers=expected)
 
-            def verify(program) -> None:
-                # Deliberately NOT assume_trr_escaped: the attack runs
-                # with TRR live and either loses to it (naive) or
-                # decoys it.
-                assert_verified(
-                    program,
-                    VerifyContext.for_host(host, expected_hammers=expected),
-                    what=f"TRR bypass program for {victim}")
         rows = tuple(aggressors) + ((decoy_logical,) if use_decoy else ())
         host.cached_run(
             ("trr_bypass", victim.channel, victim.pseudo_channel,
              victim.bank, len(aggressors), bursts, hammers_per_burst,
              remainder, use_decoy),
-            rows, build, verify=verify)
+            rows, build, checks)
 
         read_bits = host.read_row(victim)
         expected = byte_fill_bits(self._pattern.victim_byte,

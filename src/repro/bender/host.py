@@ -84,22 +84,28 @@ class HostInterface:
         """A fresh program builder (pure convenience)."""
         return ProgramBuilder()
 
-    def cached_run(self, key, rows, build, verify=None) -> ExecutionResult:
+    def cached_run(self, key, rows, build, checks=None) -> ExecutionResult:
         """Run the program ``build()`` would produce, through the shape
         cache when one is installed.
 
         ``key`` identifies the program *shape* (everything but the ACT
         row operands); ``rows`` is the row binding, in first-ACT order.
-        ``verify`` runs on the built program before it executes: once
-        per shape when the cache is installed (insert time), once per
-        call without it — exactly the pre-engine behavior.
+        ``checks`` returns the :class:`~repro.verify.VerifyContext` the
+        built program must pass before it runs (a violation raises
+        :class:`~repro.errors.VerificationError`); like ``build``, it is
+        called once per shape with the cache, once per call without.
         """
         if self.program_cache is None:
             program = build()
-            if verify is not None:
-                verify(program)
+            if checks is not None:
+                # Imported lazily: repro.verify.program imports this
+                # package.
+                from repro.verify.program import assert_verified
+                assert_verified(program, checks(),
+                                what=f"program {key!r} on rows "
+                                     f"{tuple(rows)}")
             return self.run(program)
-        return self.program_cache.execute(key, rows, build, verify=verify)
+        return self.program_cache.execute(key, rows, build, checks)
 
     # ------------------------------------------------------------------
     # Row-granularity convenience wrappers (each is a tiny test program)

@@ -18,8 +18,8 @@ from repro.bender.program import ProgramBuilder
 from repro.core.experiment import ExperimentConfig, check_time_budget
 from repro.core.hammer import (
     DoubleSidedHammer,
+    hammer_checks,
     prepare_neighborhood,
-    verify_hammer_program,
 )
 from repro.core.patterns import DataPattern, STANDARD_PATTERNS
 from repro.core.results import BerRecord
@@ -36,8 +36,7 @@ class BerExperiment:
         self._host = host
         self._mapper = mapper
         self._config = config or ExperimentConfig()
-        self._hammer = DoubleSidedHammer(
-            host, mapper, verify=self._config.verify_programs)
+        self._hammer = DoubleSidedHammer(host, mapper)
 
     @property
     def config(self) -> ExperimentConfig:
@@ -113,16 +112,13 @@ class BerExperiment:
                                     victim.bank)
             return builder.build()
 
-        verify = None
-        if config.verify_programs:
-            def verify(program) -> None:
-                verify_hammer_program(program, host, victim, aggressors,
-                                      config.ber_hammer_count)
         execution = host.cached_run(
             ("ber_refresh", victim.channel, victim.pseudo_channel,
              victim.bank, len(aggressors), full_bursts, hammers_per_refi,
              remainder),
-            tuple(aggressors), build, verify=verify)
+            tuple(aggressors), build,
+            lambda: hammer_checks(host, victim, aggressors,
+                                  config.ber_hammer_count))
         duration_s = timing.seconds(execution.duration_cycles)
 
         read_bits = host.read_row(victim)

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 from repro.bender.host import HostInterface
 from repro.bender.program import ProgramBuilder
+from repro.core.hammer import hammer_checks
 from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
-from repro.verify.program import VerifyContext, assert_verified
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,10 @@ class CrossChannelExperiment:
     """Differential aggressor-channel stress test."""
 
     def __init__(self, host: HostInterface, mapper: RowAddressMapper,
-                 fill_byte: int = 0x00, verify: bool = True) -> None:
+                 fill_byte: int = 0x00) -> None:
         self._host = host
         self._mapper = mapper
         self._fill_byte = fill_byte
-        self._verify = verify
 
     def vertical_neighbor_channels(self, channel: int) -> list:
         """Channels stacked directly above/below ``channel``."""
@@ -96,24 +95,16 @@ class CrossChannelExperiment:
                 builder.wait(activations * timing.rc_cycles)
             return builder.build()
 
-        verify = None
-        if self._verify:
-            def verify(program) -> None:
-                expected = {(aggressor_channel, victim.pseudo_channel,
-                             victim.bank, victim.row): activations} \
-                    if stressed else None
-                # Both arms deliberately leave the victim unrefreshed for
-                # the whole duration — decay is the experiment's common
-                # mode.
-                assert_verified(
-                    program,
-                    VerifyContext.for_host(host, expected_hammers=expected,
-                                           allow_retention_decay=True),
-                    what="cross-channel stress program")
+        rows = (victim.row,) if stressed else ()
+        aggressor = DramAddress(aggressor_channel, victim.pseudo_channel,
+                                victim.bank, victim.row)
+        # Both arms deliberately leave the victim unrefreshed for the
+        # whole duration — decay is the experiment's common mode.
         host.cached_run(
             ("cross_channel", aggressor_channel, victim.pseudo_channel,
-             victim.bank, activations, stressed),
-            (victim.row,) if stressed else (), build, verify=verify)
+             victim.bank, activations, stressed), rows, build,
+            lambda: hammer_checks(host, aggressor, rows, activations,
+                                  allow_retention_decay=True))
 
         read_bits = host.read_row(victim)
         expected = byte_fill_bits(self._fill_byte, geometry.row_bytes)

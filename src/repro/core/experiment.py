@@ -69,11 +69,6 @@ class ExperimentConfig:
     repetitions: int = 1
     #: Chip temperature during experiments (degC).
     temperature_c: float = 85.0
-    #: Statically verify every generated test program before it runs
-    #: (protocol + timing + hammer-count checks, :mod:`repro.verify`).
-    #: Programs are small, so the cost is negligible; turn off only to
-    #: deliberately run a program the verifier rejects.
-    verify_programs: bool = True
     #: Device-family profile name (:mod:`repro.dram.profiles`) the
     #: experiment is designed for.  ``None`` (the default) means
     #: family-agnostic: no consistency check against the station.  When

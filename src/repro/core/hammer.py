@@ -28,7 +28,7 @@ from repro.core.rowdata import FlipReport, byte_fill_bits, flip_report
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
 from repro.obs import get_metrics, get_tracer
-from repro.verify.program import VerifyContext, assert_verified
+from repro.verify.program import VerifyContext
 
 #: Physical radius of rows initialized around the victim (Table 1 uses
 #: V±[2:8] around the aggressors at V±1).
@@ -125,33 +125,29 @@ def build_hammer_program(victim: DramAddress, aggressor_rows: Sequence[int],
     return builder.build()
 
 
-def verify_hammer_program(program: Program, host: HostInterface,
-                          victim: DramAddress,
-                          aggressor_rows: Sequence[int],
-                          hammer_count: int) -> None:
-    """Statically verify a hammer payload before it touches the device.
+def hammer_checks(host: HostInterface, victim: DramAddress,
+                  aggressor_rows: Sequence[int], hammer_count: int,
+                  **overrides) -> VerifyContext:
+    """The static checks a hammer payload declares before it runs.
 
-    Checks DRAM protocol and timing against the host's parameters and —
-    the property dynamic execution cannot check — that every declared
+    DRAM protocol and timing against the host's parameters and — the
+    property dynamic execution cannot check — that every declared
     aggressor row is activated exactly ``hammer_count`` times, so BER
     and HC_first are attributed to the hammer count the experiment
-    records.  Raises :class:`~repro.errors.VerificationError`.
+    records.  ``overrides`` go to :meth:`VerifyContext.for_host`.
     """
     expected = {(victim.channel, victim.pseudo_channel, victim.bank, row):
                 hammer_count for row in aggressor_rows}
-    assert_verified(program,
-                    VerifyContext.for_host(host, expected_hammers=expected),
-                    what=f"hammer program for {victim}")
+    return VerifyContext.for_host(host, expected_hammers=expected,
+                                  **overrides)
 
 
 class DoubleSidedHammer:
     """The paper's primary access pattern (§3.1)."""
 
-    def __init__(self, host: HostInterface, mapper: RowAddressMapper,
-                 verify: bool = True) -> None:
+    def __init__(self, host: HostInterface, mapper: RowAddressMapper) -> None:
         self._host = host
         self._mapper = mapper
-        self._verify = verify
 
     def aggressors_of(self, victim: DramAddress) -> List[int]:
         """Logical rows physically adjacent to the victim."""
@@ -181,11 +177,6 @@ class DoubleSidedHammer:
             raise ExperimentError(
                 f"victim {victim} has {len(aggressors)} physical "
                 "neighbour(s); double-sided hammering needs two")
-        verify = None
-        if self._verify:
-            def verify(program: Program) -> None:
-                verify_hammer_program(program, host, victim, aggressors,
-                                      hammer_count)
         with tracer.span("hammer", hammers=hammer_count):
             # Through the engine: the program *shape* (everything but
             # the aggressor rows) is assembled and verified once, then
@@ -196,7 +187,8 @@ class DoubleSidedHammer:
                 tuple(aggressors) if hammer_count else (),
                 lambda: build_hammer_program(victim, aggressors,
                                              hammer_count),
-                verify=verify)
+                lambda: hammer_checks(host, victim, aggressors,
+                                      hammer_count))
         duration_s = host.device.timing.seconds(execution.duration_cycles)
 
         with tracer.span("readback"):
@@ -220,11 +212,9 @@ class SingleSidedHammer:
     neighbours.
     """
 
-    def __init__(self, host: HostInterface, mapper: RowAddressMapper,
-                 verify: bool = True) -> None:
+    def __init__(self, host: HostInterface, mapper: RowAddressMapper) -> None:
         self._host = host
         self._mapper = mapper
-        self._verify = verify
 
     def run(self, aggressor: DramAddress, pattern: DataPattern,
             hammer_count: int,
@@ -257,11 +247,6 @@ class SingleSidedHammer:
                 host.write_row(aggressor.with_row(logical),
                                bytes([fill]) * geometry.row_bytes)
 
-        verify = None
-        if self._verify:
-            def verify(program: Program) -> None:
-                verify_hammer_program(program, host, aggressor,
-                                      [aggressor.row], hammer_count)
         with get_tracer().span("hammer", hammers=hammer_count,
                                single_sided=True):
             host.cached_run(
@@ -270,7 +255,8 @@ class SingleSidedHammer:
                 (aggressor.row,) if hammer_count else (),
                 lambda: build_hammer_program(aggressor, [aggressor.row],
                                              hammer_count),
-                verify=verify)
+                lambda: hammer_checks(host, aggressor, [aggressor.row],
+                                      hammer_count))
 
         expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
         physical_aggressor = mapper.logical_to_physical(aggressor.row)

@@ -51,8 +51,7 @@ class HcFirstSearch:
             raise ExperimentError("start_hammers must be >= 1")
         self._host = host
         self._config = config or ExperimentConfig()
-        self._hammer = DoubleSidedHammer(
-            host, mapper, verify=self._config.verify_programs)
+        self._hammer = DoubleSidedHammer(host, mapper)
         self._start = start_hammers
 
     def _probe(self, victim: DramAddress, pattern: DataPattern,

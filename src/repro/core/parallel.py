@@ -29,7 +29,7 @@ live ``board`` to sweep with a reverse-engineered mapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.bender.board import BenderBoard, BoardSpec
@@ -246,7 +246,6 @@ def run_sweep(config: SweepConfig, *, spec: Optional[BoardSpec] = None,
               progress: Optional[ProgressCallback] = None,
               campaign_dir=None, max_retries: int = 1,
               retry_backoff_s: float = 0.0,
-              verify: Optional[bool] = None,
               degrade: str = "auto") -> CharacterizationDataset:
     """Run a sweep on a live board or as a sharded campaign.
 
@@ -262,14 +261,9 @@ def run_sweep(config: SweepConfig, *, spec: Optional[BoardSpec] = None,
         campaign_dir: checkpoint/resume directory for the campaign.
         max_retries: extra attempts per failed shard.
         retry_backoff_s: base backoff before retry rounds.
-        verify: override ``config.experiment.verify_programs`` (static
-            verification of every generated hammer program; default on).
         degrade: ``"auto"`` finishes serially in-process when the pool's
             crash-loop breaker opens; ``"never"`` propagates the error.
     """
-    if verify is not None and verify != config.experiment.verify_programs:
-        config = replace(config, experiment=replace(
-            config.experiment, verify_programs=verify))
     if board is not None and config.jobs == 1 and campaign_dir is None:
         return SpatialSweep(board, config).run(progress)
     if spec is None:

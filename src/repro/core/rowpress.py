@@ -32,12 +32,11 @@ from typing import List, Optional, Sequence
 
 from repro.bender.host import HostInterface
 from repro.bender.program import Program, ProgramBuilder
-from repro.core.hammer import prepare_neighborhood
+from repro.core.hammer import hammer_checks, prepare_neighborhood
 from repro.core.patterns import DataPattern, ROWSTRIPE0
 from repro.core.rowdata import byte_fill_bits, flip_report
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
-from repro.verify.program import VerifyContext, assert_verified
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,10 @@ class RowPressExperiment:
     """Sweeps aggressor-on time at a fixed hammer count."""
 
     def __init__(self, host: HostInterface, mapper: RowAddressMapper,
-                 pattern: DataPattern = ROWSTRIPE0,
-                 verify: bool = True) -> None:
+                 pattern: DataPattern = ROWSTRIPE0) -> None:
         self._host = host
         self._mapper = mapper
         self._pattern = pattern
-        self._verify = verify
 
     def run_point(self, victim: DramAddress, hammer_count: int,
                   extra_open_cycles: int) -> RowPressPoint:
@@ -105,27 +102,16 @@ class RowPressExperiment:
         if len(aggressors) < 2:
             raise ExperimentError(
                 f"victim {victim} lacks two physical neighbours")
-        verify = None
-        if self._verify:
-            def verify(program: Program) -> None:
-                expected = {(victim.channel, victim.pseudo_channel,
-                             victim.bank, row): hammer_count
-                            for row in aggressors}
-                # Long aggressor-on times deliberately run past tREFW
-                # (the module docstring's retention note), so decay is
-                # allowed.
-                assert_verified(
-                    program,
-                    VerifyContext.for_host(host, expected_hammers=expected,
-                                           allow_retention_decay=True),
-                    what=f"RowPress program for {victim}")
+        # Long aggressor-on times deliberately run past tREFW (the module
+        # docstring's retention note), so decay is allowed.
         execution = host.cached_run(
             ("rowpress", victim.channel, victim.pseudo_channel, victim.bank,
              len(aggressors), hammer_count, extra_open_cycles),
             tuple(aggressors) if hammer_count else (),
             lambda: build_rowpress_program(victim, aggressors, hammer_count,
                                            extra_open_cycles),
-            verify=verify)
+            lambda: hammer_checks(host, victim, aggressors, hammer_count,
+                                  allow_retention_decay=True))
         read_bits = host.read_row(victim)
         expected = byte_fill_bits(self._pattern.victim_byte,
                                   geometry.row_bytes)

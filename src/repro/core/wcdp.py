@@ -50,17 +50,10 @@ def _best_hcfirst_by_pattern(
     return best
 
 
-def select_wcdp(dataset: CharacterizationDataset,
-                row_key: RowKey) -> str:
-    """The WCDP name for one row, by the paper's rule.
-
-    Smallest (uncensored) HC_first wins; ties — including the case where
-    every pattern is censored — are broken by largest BER at 256K.  Rows
-    with no HC_first data at all fall back to the largest-BER rule.
-    """
-    hc_records = [r for r in dataset.hcfirst_records if r.row_key == row_key]
-    ber_records = [r for r in dataset.ber_records
-                   if r.row_key == row_key and r.pattern != WCDP_NAME]
+def _wcdp_rule(row_key: RowKey, hc_records: List[HcFirstRecord],
+               ber_records: List[BerRecord]) -> str:
+    """:func:`select_wcdp`'s rule over one row's records."""
+    ber_records = [r for r in ber_records if r.pattern != WCDP_NAME]
     if not hc_records and not ber_records:
         raise AnalysisError(f"no records for row {row_key}")
 
@@ -89,13 +82,31 @@ def select_wcdp(dataset: CharacterizationDataset,
     return max(mean_ber, key=lambda pattern: (mean_ber[pattern], pattern))
 
 
+def select_wcdp(dataset: CharacterizationDataset,
+                row_key: RowKey) -> str:
+    """The WCDP name for one row, by the paper's rule.
+
+    Smallest (uncensored) HC_first wins; ties — including the case where
+    every pattern is censored — are broken by largest BER at 256K.  Rows
+    with no HC_first data at all fall back to the largest-BER rule.
+    """
+    return _wcdp_rule(
+        row_key,
+        [r for r in dataset.hcfirst_records if r.row_key == row_key],
+        [r for r in dataset.ber_records if r.row_key == row_key])
+
+
 def wcdp_assignments(
         dataset: CharacterizationDataset) -> Dict[RowKey, str]:
-    """WCDP name for every row present in the dataset."""
-    row_keys = {record.row_key for record in dataset.ber_records}
-    row_keys.update(record.row_key for record in dataset.hcfirst_records)
-    return {row_key: select_wcdp(dataset, row_key)
-            for row_key in sorted(row_keys)}
+    """WCDP name for every row present in the dataset (records are
+    grouped by row once, in dataset order: linear in the records)."""
+    rows: Dict[RowKey, Tuple[list, list]] = {}
+    for record in dataset.hcfirst_records:
+        rows.setdefault(record.row_key, ([], []))[0].append(record)
+    for record in dataset.ber_records:
+        rows.setdefault(record.row_key, ([], []))[1].append(record)
+    return {row_key: _wcdp_rule(row_key, *rows[row_key])
+            for row_key in sorted(rows)}
 
 
 def derive_wcdp_records(
@@ -108,19 +119,13 @@ def derive_wcdp_records(
     columns of Figs. 3 and 4.
     """
     assignments = wcdp_assignments(dataset)
-    ber_out: List[BerRecord] = []
-    hc_out: List[HcFirstRecord] = []
-    for record in dataset.ber_records:
-        if record.pattern == WCDP_NAME:
-            continue
-        if assignments.get(record.row_key) == record.pattern:
-            ber_out.append(replace(record, pattern=WCDP_NAME))
-    for record in dataset.hcfirst_records:
-        if record.pattern == WCDP_NAME:
-            continue
-        if assignments.get(record.row_key) == record.pattern:
-            hc_out.append(replace(record, pattern=WCDP_NAME))
-    return ber_out, hc_out
+
+    def copies(records):
+        # A row's WCDP is never "WCDP" itself: the rule skips WCDP inputs.
+        return [replace(record, pattern=WCDP_NAME) for record in records
+                if assignments.get(record.row_key) == record.pattern]
+
+    return copies(dataset.ber_records), copies(dataset.hcfirst_records)
 
 
 def append_wcdp_records(dataset: CharacterizationDataset) -> None:

@@ -13,7 +13,7 @@ Four sub-layers, each in its own module:
   ``--jobs N``, and ``--resume`` consume the *same* plan, so
   byte-identical output falls out by construction.
 * **Backend** (:mod:`repro.engine.backend`,
-  :mod:`repro.engine.pool`) — the ``compile(program) -> handle`` /
+  :mod:`repro.engine.pool`) — the ``compile(program, checks) -> handle`` /
   ``execute(handle, rows) -> readbacks`` protocol;
   :class:`~repro.engine.backend.FastPathBackend` is the one production
   backend (cached effect summaries applied directly to the cell model,

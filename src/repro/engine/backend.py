@@ -3,20 +3,21 @@
 The engine narrows every way of running a Bender program down to one
 two-call protocol::
 
-    handle = backend.compile(program)        # canonicalize + summarize
-    result = backend.execute(handle, rows)   # apply the bound effects
+    handle = backend.compile(program, checks)  # verify + summarize
+    result = backend.execute(handle, rows)     # apply the bound effects
 
 :class:`FastPathBackend` is the station's one production backend.
-``compile`` canonicalizes the program into a row-free template, lowers
-its row-write payloads (a WRROW's ``np.unpackbits`` expansion and its
-ECC parity words are pure functions of the payload bytes, memoized on
-the interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
+``compile`` verifies the program once, against the checks its driver
+declares, canonicalizes it into a row-free template, lowers its
+row-write payloads (a WRROW's ``np.unpackbits`` expansion and its ECC
+parity words are pure functions of the payload bytes, memoized on the
+interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
 enable_payload_cache`), and runs the effect-summary analysis
-(:func:`repro.verify.summarize_program`) on the template.  ``execute``
-applies a summarized program's effect ops directly against the device —
-the same ACT counts, timing stamps, TRR observations, disturbance doses
-and command counts the interpreter would produce, without walking the
-command stream.  Programs whose effects cannot be proven
+(:func:`repro.verify.summarize_program`) on the template, from that
+one verification report.  ``execute`` applies a summarized program's
+effect ops directly against the device — the same ACT counts, timing
+stamps, TRR observations, disturbance doses and command counts the
+interpreter would produce, without walking the command stream.  Programs whose effects cannot be proven
 (:class:`~repro.verify.Unsummarizable`) and stations the fast path must
 step aside for (an installed transport, tracing) run the instantiated
 program on the host's interpreter instead.
@@ -76,6 +77,8 @@ from repro.engine.cache import (
 )
 from repro.errors import EngineError
 from repro.obs import get_metrics
+# Called through the module so the benchmark ledger sees every pass.
+import repro.verify.program as verifier
 from repro.verify import VerifyContext
 from repro.verify.effects import (
     BurstOp,
@@ -200,15 +203,29 @@ class FastPathBackend:
         return (f"{device.profile_name or ''}|{device.geometry!r}"
                 f"|{device.trr_config!r}")
 
-    def compile(self, program: Program) -> CompiledProgram:
-        """Canonicalize, lower and summarize ``program`` into a handle."""
-        template, binding, slot_banks = canonicalize(program)
+    def compile(self, program: Program,
+                checks: Optional[VerifyContext] = None,
+                what: str = "program") -> CompiledProgram:
+        """Verify ``program`` once, then canonicalize, lower and
+        summarize it into a handle.
+
+        Violations of the declared ``checks`` raise
+        :class:`~repro.errors.VerificationError` naming ``what``;
+        without checks the engine default context applies.  Either
+        report feeds the summary unchanged: verdicts are row-agnostic,
+        and a clean report under declared checks carries the default
+        one's truncation and TRR-window facts.
+        """
         host = self._host
+        context = checks if checks is not None else \
+            VerifyContext.for_host(host, allow_retention_decay=True)
+        report = verifier.verify_program(program, context)
+        if checks is not None:
+            verifier.raise_on_violations(report, what)
+        template, binding, slot_banks = canonicalize(program)
         for payload in _wrrow_payloads(template):
             host.interpreter.lower_payload(payload)
-        context = VerifyContext.for_host(host,
-                                         allow_retention_decay=True)
-        outcome = summarize_program(template, context)
+        outcome = summarize_program(template, context, report=report)
         summarized = isinstance(outcome, EffectSummary)
         return CompiledProgram(
             template=template, slot_banks=slot_banks,

@@ -46,6 +46,7 @@ from repro.bender.assembler import disassemble
 from repro.bender.program import Program
 from repro.errors import EngineError
 from repro.obs import get_metrics
+from repro.verify.program import VerifyContext
 
 #: Ordered distinct row operands of a program (first-occurrence order).
 RowBinding = Tuple[int, ...]
@@ -175,7 +176,7 @@ class ProgramCache:
 
     def execute(self, key: tuple, rows: RowBinding,
                 build: Callable[[], Program],
-                verify: Optional[Callable[[Program], None]] = None):
+                checks: Optional[Callable[[], VerifyContext]] = None):
         """Run the program ``build()`` describes, via the cache.
 
         Args:
@@ -186,10 +187,11 @@ class ProgramCache:
             build: constructs the program (with whatever build-time
                 protocol checking the uncached path performs).  Called
                 on a miss only.
-            verify: full static verification for the built program
-                (verify-at-cache-insert).  Called on a miss only; hits
-                inherit the insert-time report by the substitution
-                argument in the module docstring.
+            checks: returns the context the built program must pass
+                (see :meth:`~repro.engine.backend.FastPathBackend.
+                compile`).  Called on a miss only; hits inherit the
+                insert-time verdict by the substitution argument in the
+                module docstring.
 
         Returns the backend's :class:`~repro.bender.interpreter.
         ExecutionResult`.
@@ -201,14 +203,19 @@ class ProgramCache:
             self.misses += 1
             metrics.counter("engine.cache.misses").inc()
             program = build()
-            if verify is not None:
-                verify(program)
-            handle = self._backend.compile(program)
+            if checks is None:
+                handle = self._backend.compile(program)
+            else:
+                handle = self._backend.compile(
+                    program, checks(),
+                    what=f"program {key!r} on rows {rows}")
             if handle.source_binding != rows:
                 raise EngineError(
                     f"cache key {key!r} declared row binding {rows} but "
                     f"the built program binds {handle.source_binding}")
-            entry = self._digests.setdefault(handle.digest, handle)
+            entry = self._digests.get(handle.digest, handle)
+            if len(self._digests) < self._max_entries:
+                self._digests.setdefault(handle.digest, entry)
             if len(self._keys) < self._max_entries:
                 self._keys[key] = entry
         else:

@@ -644,8 +644,9 @@ def summarize_program(program, context: Optional[VerifyContext] = None,
         context: verification assumptions (default ``VerifyContext()``).
             ``assume_trr_escaped=True`` makes TRR-window warnings block
             summarization (reason ``trr-window``).
-        report: an existing :func:`verify_program` report for this
-            exact (program, context) pair, to avoid verifying twice.
+        report: an existing :func:`verify_program` report under
+            ``context`` for this program or any row binding of it
+            (verdicts are row-agnostic), to avoid verifying twice.
 
     Returns:
         :class:`EffectSummary` when every effect is statically proven,

@@ -105,13 +105,13 @@ class VerifyContext:
         """Context for programs that will execute on ``host``: its timing
         table and geometry, plus experiment-specific overrides.
 
-        This is the construction every driver uses when handing a
-        verifier to the engine's program cache.  The cache verifies once
-        per program *shape* at insert time; the verdict transfers to
-        every row substitution because nothing in a context built here
-        depends on a row value — the verifier tracks rows only for
-        open/closed identity and the ``expected_hammers`` row keys,
-        both of which the cache's canonical row renaming preserves.
+        This is how every driver declares the checks its program must
+        pass.  The engine verifies once per program *shape*, at cache
+        insert; the verdict transfers to every row substitution because
+        nothing in a context built here depends on a row value — the
+        verifier tracks rows only for open/closed identity and the
+        ``expected_hammers`` row keys, both of which the cache's
+        canonical row renaming preserves.
         """
         overrides.setdefault("trr_period_refs",
                              host.device.trr_config.refresh_period)
@@ -622,7 +622,13 @@ def assert_verified(program, context: Optional[VerifyContext] = None,
                     what: str = "test program") -> VerificationReport:
     """Verify and raise :class:`~repro.errors.VerificationError` if any
     violation was found (warnings pass).  Returns the report."""
-    report = verify_program(program, context)
+    return raise_on_violations(verify_program(program, context), what)
+
+
+def raise_on_violations(report: VerificationReport,
+                        what: str = "test program") -> VerificationReport:
+    """Raise :class:`~repro.errors.VerificationError` naming ``what`` if
+    ``report`` holds a violation (warnings pass).  Returns the report."""
     violations = report.violations
     if violations:
         summary = "; ".join(diagnostic.render()

@@ -108,3 +108,37 @@ class TestDerivedRecords:
         # Re-appending adds the same number again (WCDP inputs are
         # excluded from selection), so the count grows by the same 2.
         assert len(dataset.ber_records) == first_count + 2
+
+
+class TestLinearity:
+    """WCDP selection reads each record's row key a fixed number of
+    times, however many rows the dataset holds (counted, not timed)."""
+
+    @staticmethod
+    def row_key_reads(monkeypatch, rows):
+        dataset = CharacterizationDataset()
+        for row in range(rows):
+            for index, pattern in enumerate(("Rowstripe0", "Rowstripe1",
+                                             "Checkered0", "Checkered1")):
+                dataset.extend([ber(pattern, (row + index) % 7, row=row),
+                                hc(pattern, 40_000 + index, row=row)])
+        reads = [0]
+        for cls in (BerRecord, HcFirstRecord):
+            original = cls.row_key
+
+            def counting(record, original=original):
+                reads[0] += 1
+                return original.fget(record)
+
+            monkeypatch.setattr(cls, "row_key", property(counting))
+        derive_wcdp_records(dataset)
+        monkeypatch.undo()
+        return reads[0], len(dataset.ber_records) + len(
+            dataset.hcfirst_records)
+
+    def test_row_key_reads_grow_linearly_with_records(self, monkeypatch):
+        small, small_records = self.row_key_reads(monkeypatch, 8)
+        large, large_records = self.row_key_reads(monkeypatch, 64)
+        assert large_records == 8 * small_records
+        assert small == 2 * small_records
+        assert large == 8 * small

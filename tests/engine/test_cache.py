@@ -4,7 +4,7 @@ import pytest
 
 from repro.bender import isa
 from repro.bender.program import ProgramBuilder
-from repro.core.hammer import build_hammer_program
+from repro.core.hammer import build_hammer_program, hammer_checks
 from repro.dram.address import DramAddress
 from repro.engine import (
     FastPathBackend,
@@ -15,6 +15,7 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.obs import MetricsRegistry, use_metrics
+from repro.verify import program as verifier
 
 
 def hammer_program(rows, count=4):
@@ -124,28 +125,51 @@ class TestShapeDigest:
 
 
 class TestProgramCache:
-    def test_miss_then_hits_build_and_verify_once(self, small_host):
-        cache = ProgramCache(FastPathBackend(small_host))
-        calls = {"build": 0, "verify": 0}
+    def test_miss_then_hits_build_and_verify_once(self, small_host,
+                                                  monkeypatch):
+        """Declared checks cost one verifier pass per miss on the
+        production path and none per hit; without a cache, one per
+        call."""
+        passes = []
+        original = verifier.verify_program
 
-        def run(rows):
+        def counting(program, context=None):
+            passes.append(context)
+            return original(program, context)
+
+        monkeypatch.setattr(verifier, "verify_program", counting)
+        calls = {"build": 0, "checks": 0}
+
+        def run(execute, rows):
             def build():
                 calls["build"] += 1
                 return hammer_program(rows)
 
-            def verify(program):
-                calls["verify"] += 1
+            def checks():
+                calls["checks"] += 1
+                return hammer_checks(small_host,
+                                     DramAddress(0, 0, 1, rows[0]), rows, 4)
 
-            return cache.execute(("hammer", 0, 0, 1, 4), rows, build,
-                                 verify=verify)
+            return execute(("hammer", 0, 0, 1, 4), rows, build, checks)
 
-        run((40, 42))
-        run((90, 92))
-        run((110, 112))
-        assert calls == {"build": 1, "verify": 1}
+        cache = ProgramCache(FastPathBackend(small_host))
+        run(cache.execute, (40, 42))
+        assert len(passes) == 1
+        assert passes[0].expected_hammers == {(0, 0, 1, 40): 4,
+                                              (0, 0, 1, 42): 4}
+        run(cache.execute, (90, 92))
+        run(cache.execute, (110, 112))
+        assert calls == {"build": 1, "checks": 1}
+        assert len(passes) == 1
         assert (cache.misses, cache.hits) == (1, 2)
         assert cache.hit_rate == pytest.approx(2 / 3)
         assert len(cache) == 1
+
+        assert small_host.program_cache is None
+        for rows in ((40, 42), (90, 92), (110, 112)):
+            run(small_host.cached_run, rows)
+        assert calls == {"build": 4, "checks": 4}
+        assert len(passes) == 4
 
     def test_counters_exported_through_metrics_registry(self, small_host):
         cache = ProgramCache(FastPathBackend(small_host))
@@ -188,6 +212,7 @@ class TestProgramCache:
         # "a" is still resident.
         cache.execute(("a",), (90, 92), lambda: hammer_program((90, 92)))
         assert cache.hits == 1
+        assert len(cache) <= 1
 
     def test_cached_execution_matches_direct_run(self, vulnerable_board):
         """A cache hit's readback is byte-identical to host.run of the
