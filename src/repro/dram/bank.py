@@ -345,22 +345,40 @@ class Bank:
         self._last_restore[start:end] = cycle
         self.disturbance.reset_range(start, end)
 
-    def refresh_runs(self, ranges: Sequence[Tuple[int, int]],
-                     cycles: Iterable[int]) -> None:
+    def refresh_runs(self, segments: Sequence[Tuple[int, int, int]],
+                     cycles: np.ndarray, rows_per_ref: int) -> None:
         """A run of periodic refreshes whose ranges hold no live row.
 
-        Each REF restamps its range's retention clock.  With no stored
-        data and no ledger entry in any range (the caller proves that
-        via :meth:`live_rows`), :meth:`refresh_rows` would materialize
-        and reset nothing, so the stamps are the whole effect.
+        ``segments`` are the run's wrap segments as
+        :meth:`~repro.dram.channel.PseudoChannelState.advance_refresh`
+        returns them, ``cycles`` each REF's cycle.  Each REF restamps
+        its range's retention clock; one slice assignment per segment
+        does it, and a later segment overwrites an earlier one, as the
+        later REF would.  With no stored data and no ledger entry in
+        any range (the caller proves that via :meth:`live_rows`),
+        :meth:`refresh_rows` would materialize and reset nothing, so
+        the stamps are the whole effect.
         """
-        last_restore = self._last_restore
-        for (start, end), cycle in zip(ranges, cycles):
-            last_restore[start:end] = cycle
+        for first, start, end in segments:
+            count = -(-(end - start) // rows_per_ref)
+            self._last_restore[start:end] = np.repeat(
+                cycles[first:first + count], rows_per_ref)[:end - start]
 
     def live_rows(self) -> Iterable[int]:
         """Rows a refresh would act on: stored data or a ledger entry."""
         return self._bits.keys() | self.disturbance.rows()
+
+    def quiet_restore_of(self, physical_row: int, dose: float,
+                         until: int) -> bool:
+        """Whether restoring ``physical_row`` at any cycle up to
+        ``until``, holding its ledger entry plus at most ``dose`` more,
+        provably materializes nothing (see :meth:`quiet_restore`).  A
+        row without stored data never does."""
+        if physical_row not in self._bits:
+            return True
+        return self.quiet_restore(
+            self.disturbance.get_total(physical_row) + dose,
+            until - int(self._last_restore[physical_row]))
 
     def quiet_restore(self, dose: float, cycles: int) -> bool:
         """Whether restoring a row that holds at most ``dose`` of

@@ -66,10 +66,29 @@ class PseudoChannelState:
         return first
 
     def advance_refresh(self, refs: int, rows: int
-                        ) -> List[Tuple[int, int]]:
-        """Sequence ``refs`` REFs; the row range each refreshes, in
-        order (the pointer wraps to row 0 at the bank's end)."""
-        return [self.next_refresh_range(rows) for _ in range(refs)]
+                        ) -> List[Tuple[int, int, int]]:
+        """Sequence ``refs`` REFs, as :meth:`next_refresh_range` would
+        one at a time, in pointer arithmetic.
+
+        Returns the rows they refresh per wrap segment, in order, as
+        (index of the segment's first REF, start row, end row): the
+        segment's ``i``-th REF refreshes ``[start + i * rows_per_ref,
+        start + (i + 1) * rows_per_ref)`` cut at ``end``.  A segment
+        ends where the pointer wraps to row 0 or the REFs run out.
+        """
+        step = self.rows_per_ref
+        pointer = self.refresh_pointer
+        segments: List[Tuple[int, int, int]] = []
+        done = 0
+        while done < refs:
+            count = min(-(-(rows - pointer) // step), refs - done)
+            end = min(pointer + count * step, rows)
+            segments.append((done, pointer, end))
+            done += count
+            pointer = end % rows
+        self.refresh_pointer = pointer
+        self.ref_count += refs
+        return segments
 
 
 class Channel:

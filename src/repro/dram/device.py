@@ -29,12 +29,13 @@ shape and replay it, rows bound, whenever the signature recurs
 (:meth:`Device._replay`).  A REF-bounded burst's schedule, measured by
 :meth:`Device.measure_burst`, yields the closed form
 :meth:`Device.apply_bursts` repeats between events (TRR fires, REFs
-that reach a live row).
+that reach a live row), and through whole fire cycles when the TRR
+sampler vouches for their picks (:meth:`Device.bursts_until_event`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -778,7 +779,7 @@ class Device:
         for key, key_ops in ops.items():
             bank_obj = self.bank(*key)
             plan = bank_obj.disturbance.burst_plan(key_ops)
-            plans.append((bank_obj.disturbance, plan))
+            plans.append((bank_obj, plan))
             for dose in plan.doses:
                 quiet &= bank_obj.quiet_restore(dose, schedule.advance)
         acts = []
@@ -792,13 +793,25 @@ class Device:
             acts.append((pc, tuple((key, self.mapper.logical_to_physical(
                 row)) for key, row in events), multiplier))
         return SteadyBurst(schedule=schedule, acts=tuple(acts),
+                           ops=tuple((key, tuple(key_ops))
+                                     for key, key_ops in ops.items()),
                            plans=tuple(plans), touched=touched, quiet=quiet)
+
+    def _live_rows(self, pc: Tuple[int, int], extra: Iterable[int]
+                   ) -> set:
+        """Rows of ``pc``'s banks a REF would act on, plus ``extra``."""
+        live = set(extra)
+        for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
+            live |= bank_obj.live_rows()
+        return live
 
     def bursts_until_event(self, body: "BurstBody",
                            steady: Optional["SteadyBurst"],
-                           limit: int) -> Tuple[int, str]:
+                           limit: int
+                           ) -> Tuple[int, str, Optional["FireCycle"]]:
         """How many of the next ``limit`` bursts :meth:`apply_bursts`
-        may apply, and, when fewer, why the next one must be stepped.
+        may apply, and, when fewer, why the next one must be stepped;
+        third, the fire cycles the run is made of, if any.
 
         The causes: ``documented-trr`` (the documented TRR mode refreshes
         the flagged rows on every REF), ``warmup`` (no measurement yet,
@@ -807,16 +820,26 @@ class Device:
         its bank's flip guards when re-activated), ``trr-fire`` (a REF
         of the next burst fires the TRR engine) and ``refresh-hit`` (a
         REF of the next burst refreshes a live row).  Fire timing is
-        the REF counter's alone, so no sampler is consulted.
+        the REF counter's alone.
+
+        Fire cycles: when the body's one REF closes it and the TRR
+        engine has just fired, the run goes on through the fires —
+        whole cycles of ``refresh_period`` bursts, each closed by a
+        firing REF — when :meth:`_fire_cycles` vouches for them, and
+        ends on the last one's REF with nothing to step.  When it
+        cannot, the fire is stepped under the refusal's cause:
+        ``fire-picks`` (the sampler's picks show no short period) or
+        ``fire-guard`` (a fire's victim restore is not provably below
+        its bank's flip guards).
         """
         for pc in body.ref_pcs:
             if self._channels[pc[0]].mode_registers.documented_trr_mode:
-                return 0, "documented-trr"
+                return 0, "documented-trr", None
         if steady is None or self._signature(
                 body.banks, body.ref_pcs) != steady.schedule.signature:
-            return 0, "warmup"
+            return 0, "warmup", None
         if not steady.quiet:
-            return 0, "guard"
+            return 0, "guard", None
         bursts, cause = limit, ""
         rows = self.geometry.rows
         for pc, offsets in steady.refs:
@@ -826,23 +849,117 @@ class Device:
             if until_fire is not None and \
                     (until_fire - 1) // per_burst < bursts:
                 bursts, cause = (until_fire - 1) // per_burst, "trr-fire"
-            live = set(steady.touched.get(pc, ()))
-            for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
-                live |= bank_obj.live_rows()
-            until_hit = state.refs_until_refresh_of(live, rows)
+            until_hit = state.refs_until_refresh_of(
+                self._live_rows(pc, steady.touched.get(pc, ())), rows)
             if until_hit is not None and \
                     (until_hit - 1) // per_burst < bursts:
                 bursts, cause = (until_hit - 1) // per_burst, "refresh-hit"
-        return bursts, cause
+        if cause == "trr-fire" and body.final_ref:
+            cycle, refusal = self._fire_cycles(steady, limit)
+            if cycle is not None:
+                return cycle.bursts, "", cycle
+            cause = refusal or cause
+        return bursts, cause, None
+
+    def _fire_cycles(self, steady: "SteadyBurst", limit: int
+                     ) -> Tuple[Optional["FireCycle"], str]:
+        """The fire cycles of the next ``limit`` bursts of a body whose
+        one REF closes it, or (None, the refusal cause or "" when the
+        run simply holds no whole period of cycles).
+
+        A run of ``k`` cycles qualifies when four things hold:
+
+        * the TRR engine has just fired, so each cycle is
+          ``refresh_period`` bursts whose last REF fires;
+        * the sampler vouches for the picks of the ``k`` fires, a
+          period of them repeating (:meth:`~repro.dram.trr.TrrEngine.
+          fire_cycle`);
+        * no REF of the run reaches a live row, a row the bursts touch
+          or a fire's victim;
+        * every row a period of cycles resets — the bursts' ACTs and
+          the fires' victim restores — is provably below its bank's
+          flip guards whenever it is restored, counting what its ledger
+          holds on entry (:meth:`~repro.dram.bank.Bank.
+          quiet_restore_of`).
+
+        Then the run is one closed form: the steady burst repeated, the
+        victim restores joining its ledger ops as resets after each
+        firing REF (:meth:`_cycle_plans`).
+        """
+        pc = steady.refs[0][0]
+        state = self._pc_state(pc)
+        period = state.trr.config.refresh_period
+        if state.trr.ref_counter or limit < period:
+            return None, ""
+        events, multiplier = next(
+            ((events, multiplier) for owner, events, multiplier
+             in steady.acts if owner == pc), ((), 0))
+        iterations = multiplier * period
+        victims, covered = state.trr.fire_cycle(events, iterations,
+                                                limit // period)
+        if not victims:
+            return None, "fire-picks"
+        restores = tuple(tuple(self._restorable(one)) for one in victims)
+        until_hit = state.refs_until_refresh_of(
+            self._live_rows(pc, steady.touched.get(pc, ())).union(
+                row for one in restores for _, row in one),
+            self.geometry.rows)
+        fires = min(covered, limit // period)
+        if until_hit is not None:
+            fires = min(fires, (until_hit - 1) // period)
+        fires -= fires % len(victims)
+        if not fires:
+            return None, ""
+        plans = steady.cycles.get(restores)
+        if plans is None:
+            plans = steady.cycles[restores] = self._cycle_plans(
+                steady, restores, period)
+        until = self.now + len(victims) * period * steady.schedule.advance
+        for bank_obj, plan in plans:
+            for (row, _), dose in zip(plan.resets, plan.doses):
+                if not bank_obj.quiet_restore_of(row, dose, until):
+                    return None, "fire-guard"
+        return FireCycle(pc=pc, fires=fires, period=period,
+                         victims=victims, restores=restores, plans=plans,
+                         events=events, iterations=iterations), ""
+
+    def _restorable(self, victims: Iterable[Tuple[BankKey, int]]
+                    ) -> Iterable[Tuple[Bank, int]]:
+        """The (bank, row) of each victim a fire restores: one inside an
+        existing bank (:meth:`refresh` skips the others)."""
+        for key, row in victims:
+            bank_obj = self._channels[key[0]].existing_bank(key[1], key[2])
+            if bank_obj is not None and 0 <= row < self.geometry.rows:
+                yield bank_obj, row
+
+    @staticmethod
+    def _cycle_plans(steady: "SteadyBurst", restores: tuple,
+                     period: int) -> Tuple[tuple, ...]:
+        """(bank, :class:`~repro.dram.disturb.BurstPlan`) per ledger of
+        one period of fire cycles: per cycle, the steady burst's ledger
+        ops ``period`` times, then a reset per victim the closing fire
+        restores."""
+        ops: Dict[Bank, List[tuple]] = {}
+        banks = {bank_obj.key: bank_obj for bank_obj, _ in steady.plans}
+        for fire in restores:
+            for key, key_ops in steady.ops:
+                ops.setdefault(banks[key], []).extend(key_ops * period)
+            for bank_obj, row in fire:
+                ops.setdefault(bank_obj, []).append((row, None, 0.0))
+        return tuple((bank_obj, bank_obj.disturbance.burst_plan(bank_ops))
+                     for bank_obj, bank_ops in ops.items())
 
     def apply_bursts(self, steady: "SteadyBurst", bursts: int,
-                     up_to_ref: bool = False) -> None:
+                     up_to_ref: bool = False,
+                     cycle: Optional["FireCycle"] = None) -> None:
         """Apply ``bursts`` repetitions of a measured steady burst.
 
         With ``up_to_ref`` (for a body whose one REF is its last op),
         also apply the next burst up to that REF, leaving the clock at
         the cycle the REF is to issue: the caller then issues it
-        through :meth:`refresh`, event and all.
+        through :meth:`refresh`, event and all.  With ``cycle`` the
+        bursts are the fire cycles :meth:`bursts_until_event` vouched
+        for, fires and all.
 
         The caller has :meth:`bursts_until_event` vouch for the run.
         State-identical to stepping the bursts: the entry signature
@@ -851,11 +968,16 @@ class Device:
         restore and ACT stamps move by whole periods; the REF pointers,
         REF and TRR counters and command counts advance arithmetically;
         no REF range holds a live row, so each REF only restamps its
-        range; no TRR fires, and non-firing REFs do not touch the
-        sampler, so it takes the run's ACTs in one exact
-        ``observe_run``; and no re-activation materializes anything, so
-        every ledger gets the schedule's ledger ops repeated in command
-        order.
+        range, one slice per wrap of the pointer; and no re-activation
+        materializes anything, so every ledger gets the schedule's
+        ledger ops repeated in command order.  Without fires,
+        non-firing REFs do not touch the sampler, so it takes the run's
+        ACTs in one exact ``observe_run``.  With them, the sampler
+        skips whole periods of fires it vouched for, each victim
+        restore materializes nothing either, and joins the ledger ops
+        as a reset after its fire's REF, and each victim's retention
+        clock is stamped at the last fire that restores it (or the
+        burst's last ACT of it, if later).
         """
         applied = bursts + up_to_ref
         if applied <= 0:
@@ -867,24 +989,44 @@ class Device:
         rows = self.geometry.rows
         for pc, offsets in steady.refs:
             state = self._pc_state(pc)
-            ranges = state.advance_refresh(bursts * len(offsets), rows)
-            cycles = [entry + burst * period + offset
-                      for burst in range(bursts) for offset in offsets]
+            segments = state.advance_refresh(bursts * len(offsets), rows)
+            cycles = ((entry + period * np.arange(bursts))[:, None]
+                      + np.asarray(offsets)).ravel()
             for bank_obj in self._channels[pc[0]].touched_banks(pc[1]):
-                bank_obj.refresh_runs(ranges, cycles)
-            state.trr.advance_refs(bursts * len(offsets))
+                bank_obj.refresh_runs(segments, cycles, state.rows_per_ref)
+            if cycle is None:
+                state.trr.advance_refs(bursts * len(offsets))
         for pc, events, multiplier in steady.acts:
-            self._pc_state(pc).trr.observe_run(events,
-                                               multiplier * applied)
+            if cycle is None or pc != cycle.pc:
+                self._pc_state(pc).trr.observe_run(events,
+                                                   multiplier * applied)
+        restored: Dict[Tuple[Bank, int], int] = {}
         for (key, restores), offsets in zip(steady.restores,
                                             schedule.exits):
             bank_obj = self.bank(*key)
             for row, offset in restores:
-                bank_obj.mark_restored(row, last + offset)
+                restored[bank_obj, row] = last + offset
             # The bank's latest ACT, as the checker's exit state holds it.
             bank_obj.note_open_since(last + offsets[3])
-        for tracker, plan in steady.plans:
-            tracker.repeat_burst(plan, applied)
+        plans, times = steady.plans, applied
+        if cycle is not None:
+            self._pc_state(cycle.pc).trr.skip_fire_cycles(
+                cycle.events, cycle.iterations, cycle.fires, cycle.victims)
+            # Fire f (from 1) closes burst f * period; each phase's last
+            # fire is in the run's final period of cycles.
+            ref_offset = steady.refs[0][1][0]
+            base = cycle.fires - len(cycle.restores)
+            for phase, fire in enumerate(cycle.restores):
+                fired = (entry + ((base + phase + 1) * cycle.period - 1)
+                         * period + ref_offset)
+                for target in fire:
+                    restored[target] = max(restored.get(target, fired),
+                                           fired)
+            plans, times = cycle.plans, cycle.fires // len(cycle.restores)
+        for (bank_obj, row), stamp in restored.items():
+            bank_obj.mark_restored(row, stamp)
+        for bank_obj, plan in plans:
+            bank_obj.disturbance.repeat_burst(plan, times)
         # The unissued REF leaves its pseudo channel's REF horizon where
         # the last full burst put it.
         self._timing_checker.shift_state(
@@ -986,13 +1128,20 @@ class SteadyBurst:
     #: Per pseudo channel, (ACT events, iterations per burst) for the
     #: TRR sampler's ``observe_run``.
     acts: tuple
-    #: (ledger, its :class:`~repro.dram.disturb.BurstPlan`) per
+    #: Per bank key, the schedule's ledger ops as (row, side, amount)
+    #: (see :meth:`Device._ledger_ops`).
+    ops: tuple
+    #: (bank, its ledger's :class:`~repro.dram.disturb.BurstPlan`) per
     #: disturbance ledger the schedule's ledger ops touch.
     plans: tuple
     #: Per pseudo channel, the rows those ops touch.
     touched: Dict[Tuple[int, int], frozenset]
     #: Every re-activation provably materializes nothing.
     quiet: bool
+    #: Fire-cycle plans (:meth:`Device._cycle_plans`) by the victim
+    #: restores of one period of fires, built when first needed.
+    cycles: Dict[tuple, tuple] = field(default_factory=dict,
+                                       compare=False, repr=False)
 
     @cached_property
     def refs(self) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
@@ -1015,3 +1164,29 @@ class SteadyBurst:
                                  for (owner, row), offset in last.items()
                                  if owner == key))
                      for key in self.schedule.banks)
+
+
+class FireCycle(NamedTuple):
+    """A run of fire cycles :meth:`Device.bursts_until_event` vouched
+    for: ``fires`` fires, a whole number of periods of the sampler's
+    picks, each closing ``period`` steady bursts."""
+
+    #: The pseudo channel whose REFs fire.
+    pc: Tuple[int, int]
+    fires: int
+    #: Bursts per fire (the TRR engine's ``refresh_period``).
+    period: int
+    #: Per fire of one period of picks, its (bank key, row) victims.
+    victims: tuple
+    #: The same, as the (bank, row) restores the fires make.
+    restores: tuple
+    #: (bank, :class:`~repro.dram.disturb.BurstPlan`) per ledger of one
+    #: period of cycles.
+    plans: tuple
+    #: The ACT events and repetitions the sampler observes per fire.
+    events: tuple
+    iterations: int
+
+    @property
+    def bursts(self) -> int:
+        return self.fires * self.period

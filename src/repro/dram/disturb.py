@@ -229,6 +229,10 @@ class DisturbanceTracker:
         return BurstPlan(tuple(resets), tuple(doses), tuple(targets),
                          padded)
 
+    #: Columns of one :meth:`repeat_burst` accumulate chunk: bounds its
+    #: scratch array however many repetitions it applies.
+    REPEAT_CHUNK = 4096
+
     def repeat_burst(self, plan: BurstPlan, times: int) -> None:
         """Apply ``times`` repetitions of a burst's :meth:`burst_plan`.
 
@@ -236,7 +240,9 @@ class DisturbanceTracker:
         with its tail entry, and every other accumulator gets the
         burst's addends ``times`` over, one IEEE-754 double add at a
         time in command order (``np.add.accumulate`` adds sequentially
-        along its axis, exactly as the stepped ``+=`` chain does).
+        along its axis, exactly as the stepped ``+=`` chain does).  The
+        chain runs in chunks of about :attr:`REPEAT_CHUNK` addends,
+        each starting from the running totals the last one ended at.
         """
         counts = self._counts
         for row, final in plan.resets:
@@ -248,23 +254,19 @@ class DisturbanceTracker:
             return
         entries = [self._entry(row) for row, _ in plan.targets]
         width = plan.addends.shape[1]
-        chain = np.empty((len(entries), 1 + width * times))
-        chain[:, 0] = [entry[side] for entry, (_, side)
-                       in zip(entries, plan.targets)]
-        chain[:, 1:] = np.tile(plan.addends, times)
-        totals = np.add.accumulate(chain, axis=1)[:, -1].tolist()
-        for entry, (_, side), total in zip(entries, plan.targets, totals):
+        totals = np.array([entry[side] for entry, (_, side)
+                           in zip(entries, plan.targets)])
+        per_chunk = max(1, self.REPEAT_CHUNK // max(width, 1))
+        while times > 0:
+            repeats = min(times, per_chunk)
+            chain = np.empty((len(entries), 1 + width * repeats))
+            chain[:, 0] = totals
+            chain[:, 1:] = np.tile(plan.addends, repeats)
+            totals = np.add.accumulate(chain, axis=1)[:, -1]
+            times -= repeats
+        for entry, (_, side), total in zip(entries, plan.targets,
+                                           totals.tolist()):
             entry[side] = total
-
-    def reset_many(self, physical_rows: Iterable[int]) -> None:
-        for row in physical_rows:
-            self._counts.pop(row, None)
-
-    def disturbed_rows(self, minimum: float = 0.0) -> np.ndarray:
-        """Physical rows with total accumulated disturbance > ``minimum``."""
-        rows = [row for row in sorted(self._counts)
-                if self.get_total(row) > minimum]
-        return np.asarray(rows, dtype=np.intp)
 
     def total(self) -> float:
         """Sum of all accumulated disturbance (diagnostics)."""

@@ -46,6 +46,13 @@ final state, the counter sampler short-circuits on its per-bank steady
 states — arithmetic count fill once membership stabilizes, early exit
 on a churn fixed point — and the probabilistic sampler back-scans the
 hash).
+
+Every sampler also answers :meth:`TrrSampler.fire_cycle`, the fire-cycle
+contract the closed form of REF-bounded bursts relies on: which
+(bank, aggressor) pairs the next fires pick when every fire follows the
+same run of ACTs.  The deterministic samplers find it by simulation up
+to a short period (their state is all that decides a pick); the
+probabilistic sampler reads each fire's pick off its hash.
 """
 
 from __future__ import annotations
@@ -125,6 +132,56 @@ class TrrSampler:
         """Consume and return the sampled (bank, aggressor) pairs."""
         raise NotImplementedError
 
+    #: The longest period of fires :meth:`fire_cycle` looks for.
+    MAX_FIRE_PERIOD = 4
+
+    def fire_cycle(self, events: Sequence[ActEvent], iterations: int,
+                   fires: int) -> Tuple[Tuple[Tuple[Tuple[BankKey, int],
+                                                    ...], ...], int]:
+        """The picks of the next ``fires`` fires when each follows
+        ``iterations`` in-order repetitions of ``events`` (and nothing
+        else reaches the sampler).
+
+        Returns (one period of per-fire picks, how many of the fires
+        they cover): fire ``j`` (from 1) picks ``picks[(j - 1) %
+        len(picks)]`` for every ``j`` up to the count, and the sampler
+        ends those fires, taken in whole periods, where
+        :meth:`skip_fires` leaves it.  ``((), 0)`` when no period is
+        found.  The sampler is left as it was.
+
+        This form simulates: observe and fire until the state returns
+        to the entry state, at most :attr:`MAX_FIRE_PERIOD` times.  A
+        sampler is a pure function of its state and its input, so a
+        return means the picks repeat with that period for ever.
+        """
+        entry = self._state()
+        picks = []
+        for _ in range(self.MAX_FIRE_PERIOD):
+            self.observe_run(events, iterations)
+            picks.append(tuple(self.fire()))
+            if self._state() == entry:
+                return tuple(picks), fires
+        self._load(entry)
+        return (), 0
+
+    def skip_fires(self, events: Sequence[ActEvent], iterations: int,
+                   fires: int) -> None:
+        """Bulk form of ``fires`` repetitions of (``iterations`` x
+        ``events`` observed, then :meth:`fire`), for fires that
+        :meth:`fire_cycle` covered, in whole periods of its picks.
+
+        A found period returns the state to where it started, so this
+        form has nothing to do.
+        """
+
+    def _state(self) -> tuple:
+        """The sampler's state, in order, for :meth:`fire_cycle`."""
+        raise NotImplementedError
+
+    def _load(self, state: tuple) -> None:
+        """Install a state :meth:`_state` returned."""
+        raise NotImplementedError
+
 
 class LastActivationSampler(TrrSampler):
     """One slot per bank holding the most recent ACT (paper §5)."""
@@ -147,6 +204,12 @@ class LastActivationSampler(TrrSampler):
         picked = list(self._sampled.items())
         self._sampled.clear()
         return picked
+
+    def _state(self) -> tuple:
+        return tuple(self._sampled.items())
+
+    def _load(self, state: tuple) -> None:
+        self._sampled = dict(state)
 
 
 class CounterSampler(TrrSampler):
@@ -230,6 +293,13 @@ class CounterSampler(TrrSampler):
             picked.append((bank, top))
         return picked
 
+    def _state(self) -> tuple:
+        return tuple((bank, tuple(table.items()))
+                     for bank, table in self._tables.items())
+
+    def _load(self, state: tuple) -> None:
+        self._tables = {bank: dict(table) for bank, table in state}
+
 
 def _mix64(value: int) -> int:
     """splitmix64 finalizer: a well-distributed 64-bit hash."""
@@ -289,6 +359,44 @@ class ProbabilisticSampler(TrrSampler):
         self._sampled.clear()
         return picked
 
+    def fire_cycle(self, events: Sequence[ActEvent], iterations: int,
+                   fires: int) -> Tuple[Tuple[Tuple[Tuple[BankKey, int],
+                                                    ...], ...], int]:
+        """The ordinals only grow, so the state never repeats; instead
+        each fire's pick is read off the hash, back-scanning its cycle's
+        ordinals as :meth:`observe_run` does.  Covers the leading fires
+        that pick what the first one picks (a period of one)."""
+        per_bank: Dict[BankKey, List[int]] = {}
+        for bank, physical_row in events:
+            per_bank.setdefault(bank, []).append(physical_row)
+        sampled = dict(self._sampled)
+        first = None
+        for fire in range(fires):
+            for bank, rows in per_bank.items():
+                length = len(rows)
+                total = length * iterations
+                start = self._ordinals.get(bank, 0) + fire * total
+                for offset in range(total - 1, -1, -1):
+                    if self._wins(bank, start + offset + 1):
+                        sampled[bank] = rows[offset % length]
+                        break
+            picks = tuple(sampled.items())
+            if first is None:
+                first = picks
+            elif picks != first:
+                return (first,), fire
+            sampled = {}
+        return ((first,), fires) if fires else ((), 0)
+
+    def skip_fires(self, events: Sequence[ActEvent], iterations: int,
+                   fires: int) -> None:
+        if fires <= 0:
+            return
+        for bank, _ in events:
+            self._ordinals[bank] = (self._ordinals.get(bank, 0)
+                                    + iterations * fires)
+        self._sampled.clear()
+
 
 def make_sampler(config: TrrConfig, seed: int = 0) -> TrrSampler:
     """Instantiate the sampler strategy ``config`` names."""
@@ -326,7 +434,8 @@ class TrrEngine:
 
     @property
     def ref_counter(self) -> int:
-        """REF commands seen since the last firing (diagnostics only)."""
+        """REF commands seen since the last firing (0 right after one:
+        where fire cycles start)."""
         return self._ref_counter
 
     def observe_activation(self, bank: BankKey, physical_row: int) -> None:
@@ -382,12 +491,48 @@ class TrrEngine:
         if self._ref_counter < self._config.refresh_period:
             return []
         self._ref_counter = 0
-        victims: List[Tuple[BankKey, int]] = []
-        for bank, aggressor in self._sampler.fire():
-            for distance in range(1, self._config.refresh_radius + 1):
-                victims.append((bank, aggressor - distance))
-                victims.append((bank, aggressor + distance))
+        victims = self._victims(self._sampler.fire())
         if victims:
             get_metrics().counter("trr.preventive_refreshes").inc(
                 len(victims))
         return victims
+
+    def _victims(self, picks: Sequence[Tuple[BankKey, int]]
+                 ) -> List[Tuple[BankKey, int]]:
+        """The (bank, physical victim row) pairs a fire of ``picks``
+        refreshes, in order."""
+        victims: List[Tuple[BankKey, int]] = []
+        for bank, aggressor in picks:
+            for distance in range(1, self._config.refresh_radius + 1):
+                victims.append((bank, aggressor - distance))
+                victims.append((bank, aggressor + distance))
+        return victims
+
+    def fire_cycle(self, events: Sequence[ActEvent], iterations: int,
+                   fires: int) -> Tuple[Tuple[Tuple[Tuple[BankKey, int],
+                                                    ...], ...], int]:
+        """Fire cycles from here: when the REF counter is at zero (a
+        fire just happened) and every next fire follows ``iterations``
+        repetitions of ``events`` — the ACTs of ``refresh_period`` REF
+        intervals — the victims of one period of fires, and how many of
+        the next ``fires`` fires it covers (see
+        :meth:`TrrSampler.fire_cycle`).  ``((), 0)`` mid-cycle, when
+        disabled, or when the sampler finds no period."""
+        if not self._config.enabled or self._ref_counter:
+            return (), 0
+        picks, covered = self._sampler.fire_cycle(events, iterations, fires)
+        return tuple(tuple(self._victims(one)) for one in picks), covered
+
+    def skip_fire_cycles(self, events: Sequence[ActEvent], iterations: int,
+                         fires: int,
+                         victims: Sequence[Sequence[Tuple[BankKey, int]]]
+                         ) -> None:
+        """Count ``fires`` fires that :meth:`fire_cycle` covered, a whole
+        number of periods of ``victims``: the sampler moves as the
+        stepped fires move it, the REF counter ends at zero where it
+        started, and ``trr.preventive_refreshes`` grows by the same
+        total."""
+        self._sampler.skip_fires(events, iterations, fires)
+        total = fires // len(victims) * sum(len(one) for one in victims)
+        if total:
+            get_metrics().counter("trr.preventive_refreshes").inc(total)

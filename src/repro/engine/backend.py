@@ -41,14 +41,24 @@ is split one level up:
   form; otherwise the whole burst is stepped.  Every burst is stepped
   when a re-activated row is not provably below its flip guards,
   documented-TRR mode is on, or the body holds more than hammer, idle
-  and REF ops;
+  and REF ops.  After a stepped fire of such a body the fires join the
+  closed form too: a run of whole *fire cycles* — ``refresh_period``
+  bursts, the last REF firing — is one window while the TRR sampler
+  vouches for a short period of picks and every victim restore of it
+  is provably below the flip guards; otherwise the fire is stepped
+  under the refusal's cause (``fire-picks``, ``fire-guard``);
 * **trailing**: nothing extra — a window may end at the last burst.
 
 Exactness: equal entry signatures mean the same schedule, so every
 disturbance addend repeats and is added in command order; non-firing
 REFs leave the TRR sampler alone, so one ``observe_run`` covers a
 window (the :class:`~repro.dram.trr.TrrSampler` contract); and fires
-are found from the REF counter alone, the same for every sampler.
+are found from the REF counter alone, the same for every sampler.  In
+a fire cycle, the sampler's picks repeat by its ``fire_cycle``
+contract (its state returns after the period; the probabilistic
+sampler's picks are read off its hash), and a victim restore that
+materializes nothing is a retention stamp plus a ledger reset, which
+joins the burst's ledger ops after its fire's REF.
 
 The oracle is the station without any engine services
 (``REPRO_FASTPATH=0``): every program is then built, verified and
@@ -350,9 +360,11 @@ class FastPathBackend:
         the next event is applied in closed form
         (:meth:`~repro.dram.device.Device.apply_bursts`) and the event
         is stepped: its REF alone when it closes the body, else its
-        whole burst.  Counted per window
-        (``engine.fastpath.bursts.collapsed``), per event and per run of
-        bursts stepped for any other cause
+        whole burst.  A window may also run through fires, as whole
+        fire cycles, and then ends on its last fire with nothing to
+        step.  Counted per window (``engine.fastpath.bursts.collapsed``),
+        per fire applied in one (``engine.fastpath.bursts.cycle_fires``),
+        and per event and per run of bursts stepped for any other cause
         (``engine.fastpath.bursts.stepped.<cause>``).
         """
         def step() -> None:
@@ -365,20 +377,27 @@ class FastPathBackend:
         remaining = op.iterations
         while remaining:
             if body is None:
-                bursts, cause = 0, "irregular-body"
+                bursts, cause, cycle = 0, "irregular-body", None
             else:
-                bursts, cause = device.bursts_until_event(body, steady,
-                                                          remaining)
+                bursts, cause, cycle = device.bursts_until_event(
+                    body, steady, remaining)
             # An event on the REF that closes the body: the burst's ops
             # before it join the closed form, the REF itself is issued.
             at_ref = cause in EVENT_CAUSES and body.final_ref
             if bursts or at_ref:
-                device.apply_bursts(steady, bursts, up_to_ref=at_ref)
+                device.apply_bursts(steady, bursts, up_to_ref=at_ref,
+                                    cycle=cycle)
                 remaining -= bursts
                 if bursts:
                     metrics.counter(
                         "engine.fastpath.bursts.collapsed").inc()
                     last_cause = None
+                if cycle is not None:
+                    metrics.counter(
+                        "engine.fastpath.bursts.cycle_fires").inc(
+                            cycle.fires)
+                    # The run ended on its last fire: nothing to step.
+                    continue
                 if not remaining:
                     break
             if cause in EVENT_CAUSES or cause != last_cause:
@@ -407,8 +426,9 @@ class FastPathBackend:
 
 
 #: Burst causes that are events on one REF (see
-#: :meth:`~repro.dram.device.Device.bursts_until_event`).
-EVENT_CAUSES = ("trr-fire", "refresh-hit")
+#: :meth:`~repro.dram.device.Device.bursts_until_event`): a fire, a
+#: fire whose cycle was refused, or a REF reaching a live row.
+EVENT_CAUSES = ("trr-fire", "fire-picks", "fire-guard", "refresh-hit")
 
 
 def _burst_body(ops, rows: RowBinding) -> Optional[BurstBody]:

@@ -247,11 +247,13 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
                for name, value in sorted(counters.items())
                if name.startswith(BURSTS_STEPPED)}
     collapsed = int(counters.get("engine.fastpath.bursts.collapsed", 0))
+    cycle_fires = int(counters.get("engine.fastpath.bursts.cycle_fires", 0))
     if collapsed or stepped:
         causes = ", ".join(f"{cause} {count:,}"
                            for cause, count in stepped.items())
         lines.append(f"REF-bounded bursts: {collapsed:,} closed-form "
-                     f"windows; stepped: {causes or 'none'}")
+                     f"windows, {cycle_fires:,} TRR fires in closed "
+                     f"form; stepped: {causes or 'none'}")
     for name in sorted(metrics.get("histograms", {})):
         summary = metrics["histograms"][name]
         if not summary.get("count") or "p50" not in summary:

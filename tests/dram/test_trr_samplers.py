@@ -266,3 +266,72 @@ class TestEngineIntegration:
             engine.observe_activation(BANK, 50)
             assert engine.on_refresh() == [(BANK, 49), (BANK, 51)]
         assert registry.counter("trr.preventive_refreshes").value == 2
+
+
+def state(sampler) -> str:
+    """A sampler's whole state, insertion order included."""
+    return repr(vars(sampler))
+
+
+class TestFireCycleContract:
+    """``fire_cycle`` names the picks that stepping the fires makes, and
+    ``skip_fires`` leaves the state stepping leaves, on every sampler."""
+
+    #: Two aggressors hammered in turn, plus a lone ACT on another bank.
+    EVENTS = ((BANK, 10), (BANK, 12), (OTHER_BANK, 40))
+
+    @staticmethod
+    def _stepped(sampler, fires, iterations):
+        picks = []
+        for _ in range(fires):
+            sampler.observe_run(TestFireCycleContract.EVENTS, iterations)
+            picks.append(tuple(sampler.fire()))
+        return picks
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_picks_and_state_match_stepped_fires(self, kind):
+        config = TrrConfig(sampler=kind, table_size=4,
+                           sample_probability=0.125)
+        cycled, stepped = (make_sampler(config, seed=5) for _ in range(2))
+        for sampler in (cycled, stepped):
+            # Off the cycle's fixed point first: a period must start
+            # from whatever the sampler holds, here a row of a bank the
+            # cycle never activates.
+            sampler.observe(BANK, 11)
+            self._stepped(sampler, 1, 3)
+            sampler.observe_run((((0, 0, 2), 77),), 64)
+        covered_fires = 0
+        for _ in range(20):
+            before = state(cycled)
+            picks, covered = cycled.fire_cycle(self.EVENTS, 9, 12)
+            assert state(cycled) == before, kind
+            fires = covered - covered % len(picks) if picks else 0
+            if not fires:
+                # Refused: step one fire on both and ask again.
+                self._stepped(cycled, 1, 9)
+                self._stepped(stepped, 1, 9)
+                continue
+            expected = self._stepped(stepped, fires, 9)
+            assert expected == [picks[index % len(picks)]
+                                for index in range(fires)], kind
+            cycled.skip_fires(self.EVENTS, 9, fires)
+            assert state(cycled) == state(stepped), kind
+            covered_fires += fires
+        assert covered_fires >= 20, kind
+
+    def test_counter_alternation_has_period_two(self):
+        sampler = CounterSampler(table_size=4)
+        sampler.observe_run(((BANK, 10), (BANK, 12)), 9)
+        sampler.fire()
+        picks, covered = sampler.fire_cycle(((BANK, 10), (BANK, 12)), 9, 8)
+        assert picks == (((BANK, 12),), ((BANK, 10),))
+        assert covered == 8
+
+    def test_long_rotation_is_refused(self):
+        rows = tuple((BANK, row) for row in range(10, 20, 2))
+        sampler = CounterSampler(table_size=8)
+        sampler.observe_run(rows, 9)
+        before = state(sampler)
+        assert len(rows) > CounterSampler.MAX_FIRE_PERIOD
+        assert sampler.fire_cycle(rows, 9, 20) == ((), 0)
+        assert state(sampler) == before

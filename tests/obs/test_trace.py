@@ -245,8 +245,27 @@ class TestSummarize:
                           "engine.fastpath.bursts.stepped.trr-fire": 1708,
                           "engine.fastpath.bursts.stepped.refresh-hit": 4}},
             wall=1.0)
-        assert ("REF-bounded bursts: 1,712 closed-form windows; stepped: "
-                "refresh-hit 4, trr-fire 1,708, warmup 4") in text
+        assert ("REF-bounded bursts: 1,712 closed-form windows, 0 TRR "
+                "fires in closed form; stepped: refresh-hit 4, "
+                "trr-fire 1,708, warmup 4") in text
+
+    def test_render_metrics_reports_fire_cycles_and_refusals(self):
+        from repro.obs.summarize import _render_metrics
+
+        text = _render_metrics(
+            {"counters": {"engine.fastpath.hits": 4,
+                          "engine.fastpath.bursts.collapsed": 22,
+                          "engine.fastpath.bursts.cycle_fires": 1702,
+                          "engine.fastpath.bursts.stepped.warmup": 4,
+                          "engine.fastpath.bursts.stepped.trr-fire": 8,
+                          "engine.fastpath.bursts.stepped.fire-guard": 2,
+                          "engine.fastpath.bursts.stepped.fire-picks": 1,
+                          "engine.fastpath.bursts.stepped.refresh-hit":
+                              32}},
+            wall=1.0)
+        assert ("REF-bounded bursts: 22 closed-form windows, 1,702 TRR "
+                "fires in closed form; stepped: fire-guard 2, "
+                "fire-picks 1, refresh-hit 32, trr-fire 8, warmup 4") in text
 
     def test_render_metrics_silent_without_fastpath(self):
         from repro.obs.summarize import _render_metrics
