@@ -84,16 +84,21 @@ class HostInterface:
         """A fresh program builder (pure convenience)."""
         return ProgramBuilder()
 
-    def cached_run(self, key, rows, build, checks=None) -> ExecutionResult:
+    def cached_run(self, key, rows, build, checks=None,
+                   count=None) -> ExecutionResult:
         """Run the program ``build()`` would produce, through the shape
         cache when one is installed.
 
         ``key`` identifies the program *shape* (everything but the ACT
-        row operands); ``rows`` is the row binding, in first-ACT order.
-        ``checks`` returns the :class:`~repro.verify.VerifyContext` the
-        built program must pass before it runs (a violation raises
+        row operands and the count); ``rows`` is the row binding, in
+        first-ACT order.  ``count`` is the count binding of a program
+        that is one hammer loop — its iteration count — so one shape
+        serves every count (see :mod:`repro.engine.cache`).  ``checks``
+        returns the :class:`~repro.verify.VerifyContext` the built
+        program must pass before it runs (a violation raises
         :class:`~repro.errors.VerificationError`); like ``build``, it is
-        called once per shape with the cache, once per call without.
+        called once per shape (and per widening to a larger count) with
+        the cache, once per call without.
         """
         if self.program_cache is None:
             program = build()
@@ -105,7 +110,7 @@ class HostInterface:
                                 what=f"program {key!r} on rows "
                                      f"{tuple(rows)}")
             return self.run(program)
-        return self.program_cache.execute(key, rows, build, checks)
+        return self.program_cache.execute(key, rows, build, checks, count)
 
     # ------------------------------------------------------------------
     # Row-granularity convenience wrappers (each is a tiny test program)

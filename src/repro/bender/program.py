@@ -36,17 +36,6 @@ class Program:
         """Commands executed when run (loops expanded)."""
         return isa.instruction_count(self.instructions)
 
-    def static_length(self) -> int:
-        """Instruction slots occupied (loops counted once)."""
-        def count(body: Tuple[isa.Instruction, ...]) -> int:
-            total = 0
-            for instruction in body:
-                total += 1
-                if isinstance(instruction, isa.Loop):
-                    total += count(instruction.body)
-            return total
-        return count(self.instructions)
-
 
 class ProgramBuilder:
     """Incrementally constructs a :class:`Program`."""

@@ -142,6 +142,29 @@ def hammer_checks(host: HostInterface, victim: DramAddress,
                                   **overrides)
 
 
+def _run_hammer(host: HostInterface, victim: DramAddress,
+                aggressor_rows: Sequence[int], hammer_count: int):
+    """Run :func:`build_hammer_program` through the host's shape cache.
+
+    The shape is keyed by the bank and the number of aggressors; the
+    rows and the hammer count are its row and count bindings, and the
+    declared per-aggressor count is the count binding itself, so a
+    verdict at the largest count carries to every smaller one.  Count 0
+    builds an empty program, its own row-free shape.
+    """
+    key = ("hammer", victim.channel, victim.pseudo_channel, victim.bank,
+           len(aggressor_rows))
+    if hammer_count:
+        rows, count = tuple(aggressor_rows), hammer_count
+    else:
+        key, rows, count = key + (0,), (), None
+    return host.cached_run(
+        key, rows,
+        lambda: build_hammer_program(victim, aggressor_rows, hammer_count),
+        lambda: hammer_checks(host, victim, aggressor_rows, hammer_count),
+        count)
+
+
 class DoubleSidedHammer:
     """The paper's primary access pattern (§3.1)."""
 
@@ -179,16 +202,10 @@ class DoubleSidedHammer:
                 "neighbour(s); double-sided hammering needs two")
         with tracer.span("hammer", hammers=hammer_count):
             # Through the engine: the program *shape* (everything but
-            # the aggressor rows) is assembled and verified once, then
-            # re-instantiated per victim by patching the ACT rows.
-            execution = host.cached_run(
-                ("hammer", victim.channel, victim.pseudo_channel,
-                 victim.bank, len(aggressors), hammer_count),
-                tuple(aggressors) if hammer_count else (),
-                lambda: build_hammer_program(victim, aggressors,
-                                             hammer_count),
-                lambda: hammer_checks(host, victim, aggressors,
-                                      hammer_count))
+            # the aggressor rows and the hammer count) is assembled and
+            # verified once, then re-instantiated per victim and count
+            # by patching the ACT rows and the loop count.
+            execution = _run_hammer(host, victim, aggressors, hammer_count)
         duration_s = host.device.timing.seconds(execution.duration_cycles)
 
         with tracer.span("readback"):
@@ -249,14 +266,7 @@ class SingleSidedHammer:
 
         with get_tracer().span("hammer", hammers=hammer_count,
                                single_sided=True):
-            host.cached_run(
-                ("hammer", aggressor.channel, aggressor.pseudo_channel,
-                 aggressor.bank, 1, hammer_count),
-                (aggressor.row,) if hammer_count else (),
-                lambda: build_hammer_program(aggressor, [aggressor.row],
-                                             hammer_count),
-                lambda: hammer_checks(host, aggressor, [aggressor.row],
-                                      hammer_count))
+            _run_hammer(host, aggressor, [aggressor.row], hammer_count)
 
         expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
         physical_aggressor = mapper.logical_to_physical(aggressor.row)

@@ -22,9 +22,9 @@ Four sub-layers, each in its own module:
   subprocess fan-out.
 * **ProgramCache** (:mod:`repro.engine.cache`) — content-addressed
   (blake2b over assembled template + timing table) store of
-  built-and-verified programs with row-address patching, so assembly
-  and verification are paid once per program *shape* rather than once
-  per row.
+  built-and-verified programs with row-address and hammer-count
+  patching, so assembly and verification are paid once per program
+  *shape* rather than once per row or count.
 
 :mod:`repro.engine.pool` is intentionally not imported here: it
 depends on :mod:`repro.core.sweeps` (which itself imports this

@@ -6,6 +6,10 @@ two-call protocol::
     handle = backend.compile(program, checks)  # verify + summarize
     result = backend.execute(handle, rows)     # apply the bound effects
 
+A hammer loop's iteration count may be bound the same way as its rows
+(``compile(..., count=N)``, then ``execute(handle, rows, n)`` for any
+``n <= N``; see :mod:`repro.engine.cache`).
+
 :class:`FastPathBackend` is the station's one production backend.
 ``compile`` verifies the program once, against the checks its driver
 declares, canonicalizes it into a row-free template, lowers its
@@ -115,6 +119,14 @@ class CompiledProgram:
     *are* slot ordinals, a summary's row operands index any concrete
     binding — the same renaming rule row substitution uses — so one
     analysis serves every execution of the shape.
+
+    ``count`` is set on a count-bound shape (one hammer loop, see
+    :mod:`repro.engine.cache`): the loop count the shape was verified
+    and summarized at, which the template keeps.  Any count binding
+    from 1 to ``count`` executes the handle — the summary's one
+    :class:`~repro.verify.effects.HammerOp` then runs that many
+    iterations — because every count-dependent verdict is monotone in
+    the count (the argument is in the cache module's docstring).
     """
 
     template: Program
@@ -123,6 +135,7 @@ class CompiledProgram:
     digest: str
     summary: Optional[EffectSummary] = None
     unsummarizable: Optional[Unsummarizable] = None
+    count: Optional[int] = None
 
     @property
     def slots(self) -> int:
@@ -215,7 +228,8 @@ class FastPathBackend:
 
     def compile(self, program: Program,
                 checks: Optional[VerifyContext] = None,
-                what: str = "program") -> CompiledProgram:
+                what: str = "program",
+                count: Optional[int] = None) -> CompiledProgram:
         """Verify ``program`` once, then canonicalize, lower and
         summarize it into a handle.
 
@@ -224,7 +238,11 @@ class FastPathBackend:
         without checks the engine default context applies.  Either
         report feeds the summary unchanged: verdicts are row-agnostic,
         and a clean report under declared checks carries the default
-        one's truncation and TRR-window facts.
+        one's truncation and TRR-window facts.  ``count`` makes the
+        handle count-bound at that count (:func:`~repro.engine.cache.
+        canonicalize`): the program must be one hammer loop of exactly
+        ``count`` iterations, and the verdict holds for every smaller
+        count.
         """
         host = self._host
         context = checks if checks is not None else \
@@ -232,7 +250,7 @@ class FastPathBackend:
         report = verifier.verify_program(program, context)
         if checks is not None:
             verifier.raise_on_violations(report, what)
-        template, binding, slot_banks = canonicalize(program)
+        template, binding, slot_banks = canonicalize(program, count)
         for payload in _wrrow_payloads(template):
             host.interpreter.lower_payload(payload)
         outcome = summarize_program(template, context, report=report)
@@ -241,31 +259,38 @@ class FastPathBackend:
             template=template, slot_banks=slot_banks,
             source_binding=binding,
             digest=shape_digest(template, self.timing,
-                                self.device_identity()),
+                                self.device_identity(),
+                                counted=count is not None),
             summary=outcome if summarized else None,
-            unsummarizable=None if summarized else outcome)
+            unsummarizable=None if summarized else outcome,
+            count=count)
 
-    def execute(self, handle: CompiledProgram,
-                binding: RowBinding = ()) -> ExecutionResult:
-        """Run ``handle`` with ``binding`` patched into its row slots."""
+    def execute(self, handle: CompiledProgram, binding: RowBinding = (),
+                count: Optional[int] = None) -> ExecutionResult:
+        """Run ``handle`` with ``binding`` patched into its row slots
+        and ``count`` into its count slot (None: the handle's own)."""
+        if count is not None and not 0 < count <= (handle.count or 0):
+            raise EngineError(
+                f"count binding {count} outside the 1..{handle.count} "
+                f"shape {handle.digest[:12]} was verified for")
         if handle.summary is None:
             get_metrics().counter("engine.fastpath.fallbacks").inc()
-            return self._interpret(handle, binding)
+            return self._interpret(handle, binding, count)
         if not self._fast_path_capable():
             get_metrics().counter("engine.fastpath.bypasses").inc()
-            return self._interpret(handle, binding)
+            return self._interpret(handle, binding, count)
         get_metrics().counter("engine.fastpath.hits").inc()
-        return self._apply(handle, tuple(binding))
+        return self._apply(handle, tuple(binding), count)
 
-    def _interpret(self, handle: CompiledProgram,
-                   binding: RowBinding) -> ExecutionResult:
+    def _interpret(self, handle: CompiledProgram, binding: RowBinding,
+                   count: Optional[int] = None) -> ExecutionResult:
         """Instantiate the handle and run it on the station's host."""
         binding = tuple(binding)
-        key = (handle.digest, binding)
+        key = (handle.digest, binding, count)
         program = self._instantiations.get(key)
         if program is None:
             program = substitute(handle.template, handle.slot_banks,
-                                 binding)
+                                 binding, count)
             if len(self._instantiations) >= self.MAX_INSTANTIATIONS:
                 self._instantiations.clear()
             self._instantiations[key] = program
@@ -277,8 +302,8 @@ class FastPathBackend:
                 not host.interpreter.trace_enabled)
 
     # -- effect application -------------------------------------------
-    def _apply(self, handle: CompiledProgram,
-               rows: RowBinding) -> ExecutionResult:
+    def _apply(self, handle: CompiledProgram, rows: RowBinding,
+               count: Optional[int] = None) -> ExecutionResult:
         if len(rows) != handle.slots:
             raise EngineError(
                 f"program shape {handle.digest[:12]} has {handle.slots} "
@@ -295,7 +320,11 @@ class FastPathBackend:
         get_metrics().counter("bender.programs").inc()
         device = self._host.device
         result = ExecutionResult(start_cycle=device.now)
-        self._apply_ops(handle.summary.ops, rows, device, result)
+        if count is None:
+            self._apply_ops(handle.summary.ops, rows, device, result)
+        else:
+            # A count-bound shape summarizes to its one hammer op.
+            self._apply_hammer(handle.summary.ops[0], rows, device, count)
         result.end_cycle = device.now
         return result
 
@@ -333,7 +362,7 @@ class FastPathBackend:
                     device.apply_row_writes(op.channel, op.pseudo_channel,
                                             op.bank, writes)
             elif isinstance(op, HammerOp):
-                self._apply_hammer(op, rows, device)
+                self._apply_hammer(op, rows, device, op.iterations)
             elif isinstance(op, RowReadOp):
                 device.activate(op.channel, op.pseudo_channel, op.bank,
                                 rows[op.row])
@@ -412,15 +441,16 @@ class FastPathBackend:
                 step()
             remaining -= 1
 
-    def _apply_hammer(self, op: HammerOp, rows: RowBinding,
-                      device) -> None:
-        """One hammer op through the interpreter's loop policy."""
+    def _apply_hammer(self, op: HammerOp, rows: RowBinding, device,
+                      iterations: int) -> None:
+        """One hammer op through the interpreter's loop policy, for
+        ``iterations`` (the op's own count, or a count binding)."""
         steps = op.steps
 
         def run_iteration() -> None:
             device.apply_hammer_steps(steps, rows)
 
-        run_loop(device, op.iterations, run_iteration,
+        run_loop(device, iterations, run_iteration,
                  ((step[1], step[2], step[3], rows[step[4]])
                   for step in steps if step[0] == "act"))
 

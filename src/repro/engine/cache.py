@@ -5,10 +5,12 @@ hammer program once and replaying it across thousands of rows; the
 repo's hot loops instead rebuilt and re-verified a near-identical
 program per (row, pattern, repetition).  :class:`ProgramCache` closes
 that gap: programs are cached by *shape* — the program with every ACT
-row operand replaced by a slot ordinal — so construction, protocol
+row operand replaced by a slot ordinal and, for a hammer loop, its
+iteration count lifted into a count slot — so construction, protocol
 checking, static verification, and backend compilation are paid once
-per shape and every further execution only patches row addresses into
-the verified template.
+per shape and every further execution only patches row addresses (and
+the count) into the verified template.  On hardware the count is a
+register or a placeholder in the same way, not a new program.
 
 Soundness of patching
 ---------------------
@@ -22,23 +24,70 @@ substitution keeps distinct slots distinct within each bank, which
 one row raises :class:`~repro.errors.EngineError` instead of executing
 with silently merged activation counts.
 
+A count binding is narrower.  Only a program that is exactly one
+``LOOP n`` over ACT/PRE/WAIT (with at least one ACT) takes one — the
+shape of :func:`repro.core.hammer.build_hammer_program` — and a shape is
+verified at the largest count ``N`` it has been bound to; a binding
+``n <= N`` runs the verified handle, a binding ``n > N`` rebuilds and
+re-verifies the shape at ``n`` (a *widening*).  That is sound because
+the verifier's run over ``LOOP n {B}`` is the first ``n`` iterations of
+its run over ``LOOP N {B}``: the commands and the abstract state after
+each iteration are the same (steady-state extrapolation reaches the
+state stepping would), so every verdict that depends on the count is
+monotone in it and a clean verdict at ``N`` is clean at every ``n``:
+
+* *protocol and timing violations* are raised at a command from the
+  state before it, and ``n``'s commands and states are a prefix of
+  ``N``'s;
+* *hammer-count exactness*: a row activated ``a`` times per iteration
+  gets ``n * a`` ACTs, and the declared count is the count variable
+  itself (:func:`repro.core.hammer.hammer_checks` declares ``n`` per
+  aggressor), so exact at ``N`` means ``a == 1``, exact at every ``n``
+  — the same holds for any declared ``c * n``, never for a constant;
+* *refresh starvation*: the REF gaps of ``n``'s run are gaps of
+  ``N``'s, and the tail after the last REF (with no REF in the body,
+  the whole scheduled duration) only grows with the iterations after
+  it;
+* *the TRR-window warning* fires when a pseudo channel's REF count
+  reaches the sampler period, and that count, ``n`` times the body's
+  REFs (zero for a hammer body), only grows;
+* *step-budget truncation*: a loop of at most ``FULL_UNROLL_LIMIT``
+  dynamic commands costs at most that many steps, a longer one
+  ``min(n, k)`` body passes where ``k`` is the iteration that reaches
+  steady state (``n`` when none does), so ``steps(n) <= max(steps(N),
+  FULL_UNROLL_LIMIT)`` and the default budget cannot truncate at ``n``
+  what it did not truncate at ``N``.  Truncation is a warning anyway:
+  it only withholds a summary, never blocks a run.
+
+The effect summary transfers the same way: the effect grammar maps
+``LOOP n {B}`` to ``HammerOp(n, steps(B))`` for every ``n >= 1``, so the
+handle's one op with its iteration count read from the binding is the
+summary of the program built at ``n``.  Count 0 builds an empty program
+and is its own (row-free, count-free) shape.
+``tests/property/test_count_binding.py`` checks all of this against
+programs built and verified at each ``n``, and the oracle.
+
 Addressing
 ----------
 Entries are content-addressed: the digest is ``blake2b`` over the
-canonical assembly text of the template plus the timing parameter
-table, so two call sites that build the same shape share one compiled,
-verified entry.  Callers index the store with a cheap structural key
-(e.g. ``("hammer", ch, pc, bank, aggressors, count)``) to avoid
-building a program at all on the hot path; the key maps to a digest,
-the digest to the entry.
+canonical assembly text of the template (its count loop's header reads
+``LOOP count``, so the digest carries no count) plus the timing
+parameter table and device identity, so two call sites that build the
+same shape share one compiled, verified entry.  Callers index the store
+with a cheap structural key (e.g. ``("hammer", ch, pc, bank, sides)``)
+to avoid building a program at all on the hot path; the key maps to the
+entry, which carries its digest and verified count.  The key store is
+bounded: past ``max_entries`` keys the least recently used is evicted.
 
 Hit/miss counters are exported through the metrics registry as
-``engine.cache.hits`` / ``engine.cache.misses``.
+``engine.cache.hits`` / ``engine.cache.misses``; ``engine.cache.widened``
+counts the misses that re-verified a shape at a larger count.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bender import isa
@@ -53,19 +102,57 @@ RowBinding = Tuple[int, ...]
 #: The (channel, pseudo channel, bank) coordinate of each row slot.
 SlotBanks = Tuple[Tuple[int, int, int], ...]
 
-#: Entries kept per cache (a backstop: shape key spaces are tiny; only
-#: per-row retention waits could otherwise grow one entry per row).
+#: Keys kept per cache; past it the least recently used key is evicted.
+#: Count-free shape keys number in the tens per campaign, but keys that
+#: carry data (``write_rows`` payloads, ``wait`` seconds) can grow one
+#: per distinct value.
 DEFAULT_MAX_ENTRIES = 4096
 
+#: Instructions a count-bound loop body may hold.
+_HAMMER_BODY = (isa.Act, isa.Pre, isa.Wait)
 
-def canonicalize(program: Program) -> Tuple[Program, RowBinding, SlotBanks]:
+
+def _count_loop(program: Program) -> isa.Loop:
+    """The loop whose iteration count a count binding sets.
+
+    A count-bound program is exactly one ``LOOP`` over ACT/PRE/WAIT
+    with at least one ACT (module docstring); anything else raises
+    :class:`~repro.errors.EngineError`.
+    """
+    instructions = program.instructions
+    if len(instructions) == 1 and isinstance(instructions[0], isa.Loop):
+        loop = instructions[0]
+        body = loop.body
+        if (all(isinstance(instruction, _HAMMER_BODY)
+                for instruction in body)
+                and any(isinstance(instruction, isa.Act)
+                        for instruction in body)):
+            return loop
+    raise EngineError(
+        "a count binding needs a program that is one LOOP over "
+        "ACT/PRE/WAIT")
+
+
+def canonicalize(program: Program, count: Optional[int] = None
+                 ) -> Tuple[Program, RowBinding, SlotBanks]:
     """Split ``program`` into a row-free template and its row binding.
 
     Each distinct (channel, pseudo channel, bank, row) ACT operand is
     assigned a slot ordinal in first-occurrence order and the template
     carries the ordinal in place of the row.  Returns the template, the
     binding (original row per slot), and each slot's bank coordinate.
+
+    With ``count``, the program is count-bound: it must be one hammer
+    loop (:func:`_count_loop`) of exactly ``count`` iterations.  Its
+    template keeps that count, the one it is verified at, and
+    :func:`substitute` and :func:`shape_digest` treat it as the slot.
     """
+    if count is not None:
+        built = _count_loop(program).count
+        if not 0 < count == built:
+            raise EngineError(
+                f"count binding {count} does not match the program's "
+                f"loop of {built} iteration(s)")
     slots: Dict[Tuple[int, int, int, int], int] = {}
     binding: List[int] = []
     slot_banks: List[Tuple[int, int, int]] = []
@@ -97,12 +184,13 @@ def canonicalize(program: Program) -> Tuple[Program, RowBinding, SlotBanks]:
 
 
 def substitute(template: Program, slot_banks: SlotBanks,
-               rows: RowBinding) -> Program:
-    """Instantiate a template with a concrete row binding.
+               rows: RowBinding, count: Optional[int] = None) -> Program:
+    """Instantiate a template with a concrete row (and count) binding.
 
     Verification transfers from the insert-time instance only if the
     binding preserves slot distinctness per bank (see module
-    docstring), so aliasing bindings are rejected.
+    docstring), so aliasing bindings are rejected.  ``count`` sets a
+    count-bound template's loop count (None keeps the template's).
     """
     if len(rows) != len(slot_banks):
         raise EngineError(
@@ -129,10 +217,17 @@ def substitute(template: Program, slot_banks: SlotBanks,
                 out.append(instruction)
         return tuple(out)
 
-    return Program(walk(template.instructions))
+    instructions = walk(template.instructions)
+    if count is not None:
+        _count_loop(template)
+        if count < 1:
+            raise EngineError(f"count binding must be positive, got {count}")
+        instructions = (isa.Loop(count, instructions[0].body),)
+    return Program(instructions)
 
 
-def shape_digest(template: Program, timing, device_identity: str = "") -> str:
+def shape_digest(template: Program, timing, device_identity: str = "",
+                 counted: bool = False) -> str:
     """blake2b over the template's assembly, timing, and device identity.
 
     ``device_identity`` is the executing device family's identity string
@@ -141,28 +236,44 @@ def shape_digest(template: Program, timing, device_identity: str = "") -> str:
     keeps verified programs from aliasing across device families that
     happen to share an assembly text and timing table: a verdict is only
     transferable to the device it was verified against.
+
+    ``counted`` marks a count-bound template: its loop header reads
+    ``LOOP count``, text no real program assembles to, so the digest
+    carries no count and never aliases a count-free shape.
     """
-    payload = (disassemble(template).encode("ascii")
+    text = disassemble(template)
+    if counted:
+        text = "LOOP count" + text[text.index("\n"):]
+    payload = (text.encode("ascii")
                + b"\x00" + repr(timing).encode("ascii")
                + b"\x00" + device_identity.encode("ascii"))
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 class ProgramCache:
-    """Verified-program store with row-address patching.
+    """Verified-program store with row-address and count patching.
 
     One cache serves one station (board): entries are compiled against
     the station's backend and verified against its timing table, so the
     engine session owns construction (see
-    :class:`repro.engine.session.EngineSession`).
+    :class:`repro.engine.session.EngineSession`).  At most
+    ``max_entries`` keys are kept, least recently used evicted first;
+    a digest's entry goes with the last key that maps to it.
     """
 
     def __init__(self, backend, max_entries: int = DEFAULT_MAX_ENTRIES
                  ) -> None:
+        if max_entries < 1:
+            raise EngineError(
+                f"max_entries must be at least 1, got {max_entries}")
         self._backend = backend
         self._max_entries = max_entries
-        self._keys: Dict[tuple, "CompiledProgram"] = {}
+        #: Key -> handle, least recently used first.
+        self._keys: "OrderedDict[tuple, CompiledProgram]" = OrderedDict()
+        #: Digest -> the widest handle of that shape, and how many keys
+        #: map to the digest.
         self._digests: Dict[str, "CompiledProgram"] = {}
+        self._users: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -176,13 +287,14 @@ class ProgramCache:
 
     def execute(self, key: tuple, rows: RowBinding,
                 build: Callable[[], Program],
-                checks: Optional[Callable[[], VerifyContext]] = None):
+                checks: Optional[Callable[[], VerifyContext]] = None,
+                count: Optional[int] = None):
         """Run the program ``build()`` describes, via the cache.
 
         Args:
             key: structural shape key — must determine the program up
-                to its row binding (callers include every non-row
-                parameter that reaches the builder).
+                to its row binding and count binding (callers include
+                every other parameter that reaches the builder).
             rows: the program's row binding in first-ACT order.
             build: constructs the program (with whatever build-time
                 protocol checking the uncached path performs).  Called
@@ -192,6 +304,12 @@ class ProgramCache:
                 compile`).  Called on a miss only; hits inherit the
                 insert-time verdict by the substitution argument in the
                 module docstring.
+            count: the count binding of a count-bound shape (the
+                iteration count of its one hammer loop; see the module
+                docstring), passed on every call of its key; ``build``
+                and ``checks`` describe the program at this count.  A
+                count above the entry's verified count rebuilds and
+                re-verifies the shape at it (``engine.cache.widened``).
 
         Returns the backend's :class:`~repro.bender.interpreter.
         ExecutionResult`.
@@ -199,26 +317,50 @@ class ProgramCache:
         rows = tuple(rows)
         entry = self._keys.get(key)
         metrics = get_metrics()
-        if entry is None:
-            self.misses += 1
-            metrics.counter("engine.cache.misses").inc()
-            program = build()
-            if checks is None:
-                handle = self._backend.compile(program)
-            else:
-                handle = self._backend.compile(
-                    program, checks(),
-                    what=f"program {key!r} on rows {rows}")
-            if handle.source_binding != rows:
-                raise EngineError(
-                    f"cache key {key!r} declared row binding {rows} but "
-                    f"the built program binds {handle.source_binding}")
-            entry = self._digests.get(handle.digest, handle)
-            if len(self._digests) < self._max_entries:
-                self._digests.setdefault(handle.digest, entry)
-            if len(self._keys) < self._max_entries:
-                self._keys[key] = entry
-        else:
+        if entry is not None and (count is None or
+                                  count <= (entry.count or 0)):
+            self._keys.move_to_end(key)
             self.hits += 1
             metrics.counter("engine.cache.hits").inc()
-        return self._backend.execute(entry, rows)
+            return self._backend.execute(entry, rows, count)
+        self.misses += 1
+        metrics.counter("engine.cache.misses").inc()
+        if entry is not None:
+            metrics.counter("engine.cache.widened").inc()
+        program = build()
+        handle = self._backend.compile(
+            program, None if checks is None else checks(),
+            what=f"program {key!r} on rows {rows}", count=count)
+        if handle.source_binding != rows:
+            raise EngineError(
+                f"cache key {key!r} declared row binding {rows} but "
+                f"the built program binds {handle.source_binding}")
+        return self._backend.execute(self._admit(key, handle), rows, count)
+
+    def _admit(self, key: tuple, handle: "CompiledProgram"
+               ) -> "CompiledProgram":
+        """Map ``key`` to ``handle`` (or the digest's wider equal),
+        evicting least recently used keys past the bound."""
+        self._release(self._keys.pop(key, None))
+        while len(self._keys) >= self._max_entries:
+            self._release(self._keys.popitem(last=False)[1])
+        shared = self._digests.get(handle.digest)
+        if shared is not None and (handle.count is None or
+                                   shared.count >= handle.count):
+            handle = shared
+        else:
+            self._digests[handle.digest] = handle
+        self._keys[key] = handle
+        self._users[handle.digest] = self._users.get(handle.digest, 0) + 1
+        return handle
+
+    def _release(self, entry: Optional["CompiledProgram"]) -> None:
+        """Drop one key's claim on its entry's digest."""
+        if entry is None:
+            return
+        users = self._users[entry.digest] - 1
+        if users:
+            self._users[entry.digest] = users
+        else:
+            del self._users[entry.digest]
+            del self._digests[entry.digest]

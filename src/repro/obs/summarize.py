@@ -230,9 +230,11 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
             lines.append(f"{label}: {int(counters[name]):,}")
     hits = int(counters.get("engine.cache.hits", 0))
     misses = int(counters.get("engine.cache.misses", 0))
+    widened = int(counters.get("engine.cache.widened", 0))
     if hits or misses:
         rate = hits / (hits + misses)
         lines.append(f"program cache: {hits:,} hits, {misses:,} misses "
+                     f"of which {widened:,} count widenings "
                      f"({rate:.1%} hit rate)")
     fast_hits = int(counters.get("engine.fastpath.hits", 0))
     fast_falls = int(counters.get("engine.fastpath.fallbacks", 0))

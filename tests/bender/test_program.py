@@ -63,12 +63,6 @@ class TestBuilder:
         assert isinstance(outer.body[1], isa.Loop)
         assert program.dynamic_length() == 4 * (1 + 2)
 
-    def test_static_length_counts_loop_headers(self):
-        builder = ProgramBuilder()
-        with builder.loop(1000):
-            builder.wait(1)
-        assert builder.build().static_length() == 2
-
     def test_wait_time_converts_to_cycles(self):
         builder = ProgramBuilder()
         builder.wait_time(1e-6, 600e6)

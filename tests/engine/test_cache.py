@@ -99,6 +99,16 @@ class TestSubstitute:
         with pytest.raises(EngineError, match="aliases"):
             substitute(template, slot_banks, (90, 90))
 
+    def test_count_binding_sets_the_loop_count(self):
+        template, _, slot_banks = canonicalize(
+            hammer_program((40, 42), count=4), 4)
+        assert substitute(template, slot_banks, (90, 92), 9) == \
+            hammer_program((90, 92), count=9)
+        assert substitute(template, slot_banks, (90, 92)) == \
+            hammer_program((90, 92), count=4)
+        with pytest.raises(EngineError, match="positive"):
+            substitute(template, slot_banks, (90, 92), 0)
+
     def test_same_row_allowed_across_banks(self):
         builder = ProgramBuilder()
         builder.act(0, 0, 0, 5)
@@ -122,6 +132,19 @@ class TestShapeDigest:
         one, _, _ = canonicalize(hammer_program((40, 42), count=4))
         other, _, _ = canonicalize(hammer_program((40, 42), count=5))
         assert shape_digest(one, timing) != shape_digest(other, timing)
+
+
+    def test_count_slot_leaves_the_count_out(self, small_host):
+        timing = small_host.device.timing
+
+        def digest(count, counted):
+            template, _, _ = canonicalize(
+                hammer_program((40, 42), count=count),
+                count if counted else None)
+            return shape_digest(template, timing, counted=counted)
+
+        assert digest(4, True) == digest(5, True)
+        assert digest(4, True) != digest(4, False)
 
 
 class TestProgramCache:
@@ -200,19 +223,38 @@ class TestProgramCache:
         assert len(cache) == 1  # one compiled entry behind both keys
 
     def test_max_entries_bounds_the_key_store(self, small_host):
-        cache = ProgramCache(FastPathBackend(small_host), max_entries=1)
-        cache.execute(("a",), (40, 42), lambda: hammer_program((40, 42)))
-        cache.execute(("b",), (40, 42),
-                      lambda: hammer_program((40, 42), count=5))
-        # "b" was not admitted: re-running it misses again.
-        cache.execute(("b",), (40, 42),
-                      lambda: hammer_program((40, 42), count=5))
-        assert cache.misses == 3
-        assert cache.hits == 0
-        # "a" is still resident.
-        cache.execute(("a",), (90, 92), lambda: hammer_program((90, 92)))
-        assert cache.hits == 1
-        assert len(cache) <= 1
+        """Past the bound the least recently used key is evicted; a
+        digest's entry stays while any resident key maps to it."""
+        cache = ProgramCache(FastPathBackend(small_host), max_entries=2)
+
+        def run(key, count):
+            cache.execute((key,), (40, 42),
+                          lambda: hammer_program((40, 42), count=count))
+
+        run("a", 4)
+        run("b", 5)
+        run("a", 4)  # a is now the most recently used
+        run("c", 6)  # evicts b
+        assert (cache.misses, cache.hits) == (3, 1)
+        run("a", 4)
+        assert (cache.misses, cache.hits) == (3, 2)
+        run("b", 5)  # b was evicted: it compiles again, evicting c
+        assert (cache.misses, cache.hits) == (4, 2)
+        run("c", 6)
+        assert (cache.misses, cache.hits) == (5, 2)
+        assert len(cache) == 2
+
+        shared = ProgramCache(FastPathBackend(small_host), max_entries=1)
+        shared.execute(("site_a",), (40, 42),
+                       lambda: hammer_program((40, 42)))
+        shared.execute(("site_b",), (90, 92),
+                       lambda: hammer_program((90, 92)))
+        assert len(shared) == 1  # site_b still maps to the digest
+        shared.execute(("other",), (40, 42),
+                       lambda: hammer_program((40, 42), count=5))
+        assert len(shared) == 1
+        with pytest.raises(EngineError, match="at least 1"):
+            ProgramCache(FastPathBackend(small_host), max_entries=0)
 
     def test_cached_execution_matches_direct_run(self, vulnerable_board):
         """A cache hit's readback is byte-identical to host.run of the

@@ -95,6 +95,36 @@ class TestDeclaredChecksBite:
             assert len(host.program_cache) == 0
 
 
+    @pytest.mark.parametrize("fastpath", ["1", "0"])
+    def test_wrong_hammer_count_never_runs_count_bound(self, monkeypatch,
+                                                       fastpath):
+        """With the count a binding, a declaration that does not match
+        the built program is still refused before the first command,
+        at the first compile and at a widening to a larger count."""
+        monkeypatch.setenv(FASTPATH_VAR, fastpath)
+        host = EngineSession(board=vulnerable_board()).board.host
+        victim = DramAddress(0, 0, 0, 20)
+        aggressors = [19, 21]
+
+        def run(built, declared):
+            host.cached_run(
+                ("hammer", 0, 0, 0, 2), tuple(aggressors),
+                lambda: build_hammer_program(victim, aggressors, built),
+                lambda: hammer_checks(host, victim, aggressors, declared),
+                built)
+
+        for built in (100, 200):
+            start = host.device.now
+            with pytest.raises(VerificationError) as excinfo:
+                run(built, built - 1)
+            kinds = {diagnostic.kind
+                     for diagnostic in excinfo.value.diagnostics}
+            assert kinds == {HAMMER_COUNT_MISMATCH}
+            assert host.device.now == start
+            run(built, built)
+        run(150, 150)
+
+
 def captured_compiles(host):
     """Wrap the station backend's ``compile``; returns the list of
     (key label or None, handle) it fills."""
@@ -102,8 +132,8 @@ def captured_compiles(host):
     compile_ = backend.compile
     handles = []
 
-    def capture(program, checks=None, what="program"):
-        handle = compile_(program, checks, what)
+    def capture(program, checks=None, what="program", count=None):
+        handle = compile_(program, checks, what, count)
         handles.append((what if checks is not None else None, handle))
         return handle
 

@@ -267,6 +267,16 @@ class TestSummarize:
                 "fires in closed form; stepped: fire-guard 2, "
                 "fire-picks 1, refresh-hit 32, trr-fire 8, warmup 4") in text
 
+    def test_render_metrics_reports_count_widenings(self):
+        from repro.obs.summarize import _render_metrics
+
+        text = _render_metrics(
+            {"counters": {"engine.cache.hits": 1_195,
+                          "engine.cache.misses": 5,
+                          "engine.cache.widened": 2}}, wall=1.0)
+        assert ("program cache: 1,195 hits, 5 misses of which 2 count "
+                "widenings (99.6% hit rate)") in text
+
     def test_render_metrics_silent_without_fastpath(self):
         from repro.obs.summarize import _render_metrics
 
