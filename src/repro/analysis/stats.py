@@ -115,18 +115,3 @@ def relative_difference(larger: float, smaller: float) -> float:
     if larger == 0:
         raise AnalysisError("relative difference with zero reference")
     return (larger - smaller) / larger
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (summary across multiplicative effects).
-
-    Zero or negative entries (an all-zero BER series included) are
-    rejected up front — ``log`` of them would emit numpy warnings and
-    propagate ``-inf``/NaN into downstream summaries.
-    """
-    array = _validated(values, "geometric mean")
-    if np.any(array <= 0):
-        raise AnalysisError(
-            f"geometric mean needs positive values; "
-            f"{int(np.count_nonzero(array <= 0))} of {array.size} are <= 0")
-    return float(np.exp(np.log(array).mean()))

@@ -122,19 +122,3 @@ def pattern_by_name(name: str) -> DataPattern:
         raise ConfigurationError(
             f"unknown data pattern {name!r}; known: "
             f"{sorted(_BY_NAME)}") from None
-
-
-def random_pattern(seed: int) -> DataPattern:
-    """A pseudo-random byte assignment (future-work pattern fuzzing).
-
-    Deterministic per seed so campaigns are reproducible; the victim and
-    aggressor bytes are drawn independently, the surround byte follows
-    the Table 1 convention of matching the victim.
-    """
-    import numpy as np
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    victim_byte = int(rng.integers(0, 256))
-    aggressor_byte = int(rng.integers(0, 256))
-    return DataPattern(f"Random{seed}", victim_byte=victim_byte,
-                       aggressor_byte=aggressor_byte,
-                       surround_byte=victim_byte)

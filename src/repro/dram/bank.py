@@ -119,10 +119,6 @@ class Bank:
         return self._key
 
     @property
-    def open_physical_row(self) -> Optional[int]:
-        return self._open_physical
-
-    @property
     def is_open(self) -> bool:
         return self._open_physical is not None
 
@@ -492,12 +488,19 @@ class Bank:
         return cells[:self._geometry.row_bits]
 
     def _materialize(self, physical_row: int, cycle: int) -> None:
-        """Apply pending RowHammer and retention flips to stored data."""
+        """Apply pending RowHammer and retention flips to stored data.
+
+        Only cells whose base threshold (retention time) is within the
+        restore's reach can flip (see :mod:`repro.dram.cellmodel`), so
+        the row's sorted prefixes are sliced at the reaches and only
+        those cells are compared, with the dense arithmetic's dtypes
+        and operation order, so their outcomes are bit-identical."""
         stored = self._bits.get(physical_row)
         if stored is None:
             return  # Never written: fully discharged, nothing can flip.
 
         profile = self._profile
+        environment = self._environment
         below, above = self.disturbance.get_sides(physical_row)
         direct = self.disturbance.get_direct(physical_row)
         elapsed_s = self._timing.seconds(
@@ -507,10 +510,27 @@ class Bank:
         if not retention_possible and not hammer_possible:
             return
 
-        truth = self._truth.row(*self._key, physical_row)
+        reach = retention_reach = 0.0
+        if hammer_possible:
+            temp_scale = profile.temperature_threshold_scale(
+                environment.temperature_c)
+            voltage_scale = profile.voltage_threshold_scale(
+                environment.wordline_voltage_v)
+            reach = 2.0 * (below + above + direct) / (
+                temp_scale * voltage_scale)
+        if retention_possible:
+            retention_scale = profile.retention_temperature_scale(
+                environment.temperature_c)
+            retention_reach = 2.0 * elapsed_s / retention_scale
+        truth = self._truth.row(*self._key, physical_row, reach,
+                                retention_reach)
+        hammer = truth.hammer.upto(reach)
+        retention = truth.retention.upto(retention_reach)
+        if not hammer and not retention:
+            return
+
         data_bits = self._geometry.row_bits
         parity = self._parity[physical_row]
-        environment = self._environment
         # A tagged row's stored data is exactly the pristine lowered
         # payload, so the payload-keyed arrays below are value-identical
         # to recomputation; untagged rows (all interpreted execution)
@@ -524,22 +544,17 @@ class Bank:
             if tag is not None:
                 environment.pattern_cells[tag] = cells
 
-        charged = truth.charged_values
-        vulnerable = cells == charged
-
-        flips = np.zeros(cells.shape[0], dtype=bool)
-        if hammer_possible:
+        flipped = []
+        if hammer:
+            index = truth.hammer.cells[:hammer].astype(np.intp)
+            vulnerable = cells[index] == truth.hammer.charged[:hammer]
             effective = self._effective_disturbance(
-                physical_row, cells, data_bits, below, above, tag)
+                physical_row, cells, index, below, above, tag)
             if direct > 0.0:
                 # Cross-channel leakage couples through the stack, not
                 # through in-die wordline fields: no neighbour-data
                 # weighting applies.
                 effective = effective + direct
-            temp_scale = profile.temperature_threshold_scale(
-                self._environment.temperature_c)
-            voltage_scale = profile.voltage_threshold_scale(
-                self._environment.wordline_voltage_v)
             horizontal = None
             if tag is not None:
                 horizontal = environment.pattern_horizontal.get(tag)
@@ -547,16 +562,18 @@ class Bank:
                 horizontal = self._horizontal_penalty(cells, data_bits)
                 if tag is not None:
                     environment.pattern_horizontal[tag] = horizontal
-            thresholds = (truth.thresholds * horizontal *
+            thresholds = (truth.hammer.keys[:hammer] * horizontal[index] *
                           temp_scale * voltage_scale)
-            flips |= vulnerable & (effective >= thresholds)
-        if retention_possible:
-            retention_scale = profile.retention_temperature_scale(
-                environment.temperature_c)
-            flips |= vulnerable & (
-                elapsed_s >= truth.retention_s * retention_scale)
+            flipped.append(index[vulnerable & (effective >= thresholds)])
+        if retention:
+            index = truth.retention.cells[:retention].astype(np.intp)
+            vulnerable = cells[index] == truth.retention.charged[:retention]
+            flipped.append(index[vulnerable & (
+                elapsed_s >= truth.retention.keys[:retention] *
+                retention_scale)])
 
-        if flips.any():
+        flips = np.concatenate(flipped)
+        if flips.size:
             if tag is not None:
                 # The cached array is shared; flips belong to this row
                 # only, and the row's data is no longer the payload.
@@ -565,18 +582,21 @@ class Bank:
             self._own_row(physical_row)
             stored = self._bits[physical_row]
             parity = self._parity[physical_row]
-            cells[flips] ^= 1
+            # A cell both mechanisms flip is listed twice, and is
+            # assigned its flipped value twice: it flips once.
+            cells[flips] = cells[flips] ^ 1
             stored[:] = cells[:data_bits]
             parity[:] = cells[data_bits:]
 
     def _effective_disturbance(self, physical_row: int, cells: np.ndarray,
-                               data_bits: int, below: float,
+                               index: np.ndarray, below: float,
                                above: float,
                                victim_tag: Optional[bytes] = None
                                ) -> np.ndarray:
-        """Per-cell disturbance, weighted by aggressor-data coupling."""
+        """Disturbance at the cells ``index``, weighted by aggressor-data
+        coupling."""
         profile = self._profile
-        effective = np.zeros(cells.shape[0], dtype=np.float64)
+        effective = np.zeros(index.shape[0], dtype=np.float64)
         for amount, direction in ((below, -1), (above, +1)):
             if amount <= 0.0:
                 continue
@@ -599,6 +619,7 @@ class Bank:
                                 neighbor_cells != cells, 1.0,
                                 profile.same_bit_coupling)
                             cache[cache_key] = coupling
+                        coupling = coupling[index]
             if coupling is None:
                 neighbor = self._neighbor_bits(physical_row, direction)
                 if neighbor is None:
@@ -606,8 +627,8 @@ class Bank:
                 neighbor_parity = self._neighbor_parity(physical_row,
                                                         direction)
                 neighbor_cells = np.concatenate([neighbor, neighbor_parity])
-                coupling = np.where(neighbor_cells != cells, 1.0,
-                                    profile.same_bit_coupling)
+                coupling = np.where(neighbor_cells[index] != cells[index],
+                                    1.0, profile.same_bit_coupling)
             effective += amount * coupling
         return effective
 

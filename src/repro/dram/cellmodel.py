@@ -16,18 +16,48 @@ repetitions, as silicon does):
 
 A row's ground truth covers its 8,192 data cells plus 1,024 on-die-ECC
 parity cells (one 8-bit parity word per 64 data bits).
+
+Only a row's few weak cells can ever flip, so a sampled row is stored
+sparsely.  Its orientation is kept for every cell, packed eight to a
+byte (a never-written row powers up to its discharged values).  Its
+thresholds and retention times are kept only for the cells at or below
+a *cutoff*, sorted ascending, in two :class:`CellPrefix` objects.
+This is exact:
+
+* a cell flips by hammer iff it holds its charged value and
+  ``below·cb + above·ca (+ direct) >= th·h·t·v``, with aggressor-data
+  coupling ``cb, ca <= 1``, the intra-row penalty ``h >= 1`` and the
+  temperature and voltage scales ``t, v > 0``; so no cell whose base
+  threshold ``th`` exceeds ``(below + above + direct) / (t·v)`` can
+  flip.  The bank asks for twice that bound, its *reach*, which
+  absorbs any float reordering;
+* a cell loses its charge by retention iff ``elapsed >= ret·rscale``,
+  so no cell with ``ret > elapsed / rscale`` can; again the bank asks
+  for twice that.
+
+A restore slices each prefix at its reach and compares only those
+cells.  When a reach passes a row's cutoff, :meth:`GroundTruthProvider.row`
+re-samples the row at a wider cutoff (at least double, at least the
+reach) — sampling is keyed by the cell's coordinates, so the widened
+row holds the same cells and more.  The initial cutoffs come from the
+profile: twice the weak population's median threshold (the paper's
+256K-hammer budget reaches 1.25x it on the hbm2 profile), and the
+retention time three sigma below the median.  A stored hbm2 row takes
+3.5–7.5 KB (the channel's weak-cell density sets it), against 81 KB for
+every cell's properties.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.dram.calibration import CalibrationProfile
 from repro.dram.geometry import Geometry
 from repro.dram.subarrays import SubarrayLayout
+from repro.obs import get_metrics
 from repro.rng import generator_for, normal_hash
 
 #: ECC granularity: one parity byte per this many data bits.
@@ -35,47 +65,84 @@ ECC_WORD_BITS = 64
 #: Parity bits stored per ECC word.
 ECC_PARITY_BITS = 8
 
+#: Initial hammer cutoff, in multiples of the weak population's median
+#: threshold.
+CUTOFF_WEAK_MEDIANS = 2.0
+#: Initial retention cutoff, in retention sigmas below the median.
+RETENTION_CUTOFF_SIGMAS = 3.0
+
+
+@dataclass(frozen=True)
+class CellPrefix:
+    """The cells of one row whose key (base threshold or retention time)
+    is at or below ``cutoff``, in ascending key order."""
+
+    #: Largest key a kept cell may have; every cell above it is absent.
+    cutoff: float
+    #: Index of each kept cell in the row (data cells, then parity).
+    cells: np.ndarray
+    #: Each kept cell's key (float32), ascending.
+    keys: np.ndarray
+    #: Each kept cell's charged logical value (uint8 0/1).
+    charged: np.ndarray
+
+    def upto(self, bound: float) -> int:
+        """How many leading cells have a key at or below ``bound``."""
+        return int(self.keys.searchsorted(bound, side="right"))
+
 
 @dataclass(frozen=True)
 class RowGroundTruth:
-    """Immutable physical properties of one row's cells.
+    """Immutable physical properties of one row's cells, stored sparsely
+    (see the module docstring)."""
 
-    Arrays cover data cells followed by parity cells:
-    ``thresholds[:row_bits]`` are the data cells, the rest are parity.
-    """
-
-    #: Base RowHammer threshold per cell (disturbance units), before
+    #: Orientation of every cell, packed (``np.packbits`` of true-cell
+    #: flags over data cells followed by parity cells).
+    orientation: np.ndarray
+    #: Cells by base RowHammer threshold (disturbance units), before
     #: data-pattern coupling multipliers and temperature scaling.
-    thresholds: np.ndarray
-    #: True where the cell is a true cell (charged == logical 1).
-    true_cell: np.ndarray
-    #: Retention time per cell at the reference temperature, seconds.
-    retention_s: np.ndarray
+    hammer: CellPrefix
+    #: Cells by retention time at the reference temperature, seconds.
+    retention: CellPrefix
 
-    @property
-    def charged_values(self) -> np.ndarray:
-        """Logical value at which each cell is charged (uint8 0/1)."""
-        return self.true_cell.astype(np.uint8)
+
+def _prefix(keys: np.ndarray, true_cell: np.ndarray, cutoff: float,
+            index_type: np.dtype) -> CellPrefix:
+    """The cells whose key is at or below ``cutoff``, sorted by key."""
+    kept = np.flatnonzero(keys <= cutoff)
+    kept = kept[np.argsort(keys[kept], kind="stable")]
+    prefix = CellPrefix(cutoff=cutoff, cells=kept.astype(index_type),
+                        keys=keys[kept],
+                        charged=true_cell[kept].astype(np.uint8))
+    for array in (prefix.cells, prefix.keys, prefix.charged):
+        array.setflags(write=False)
+    return prefix
+
+
+def _wider(cutoff: float, reach: float) -> float:
+    """``cutoff``, or a cutoff at least double it that covers ``reach``."""
+    return cutoff if reach <= cutoff else max(2.0 * cutoff, reach)
 
 
 class GroundTruthProvider:
-    """Samples and caches per-row ground truth for one device.
+    """Samples and keeps per-row ground truth for one device.
 
     The provider is shared by every bank of the device; rows are keyed by
-    (channel, pseudo channel, bank, physical row).  A bounded LRU cache
-    keeps memory flat during full-bank sweeps.
+    (channel, pseudo channel, bank, physical row), and every row sampled
+    is kept for the device's lifetime (a stored row is a few KB).
     """
 
     def __init__(self, geometry: Geometry, profile: CalibrationProfile,
-                 layout: SubarrayLayout, seed: int,
-                 cache_rows: int = 768) -> None:
+                 layout: SubarrayLayout, seed: int) -> None:
         self._geometry = geometry
         self._profile = profile
         self._layout = layout
         self._seed = seed
-        self._cache: "OrderedDict[Tuple[int, int, int, int], RowGroundTruth]" = \
-            OrderedDict()
-        self._cache_rows = cache_rows
+        self._rows: Dict[Tuple[int, int, int, int], RowGroundTruth] = {}
+        self._cutoff = CUTOFF_WEAK_MEDIANS * profile.weak_median
+        self._retention_cutoff = profile.retention_median_s * float(
+            np.exp(-RETENTION_CUTOFF_SIGMAS * profile.retention_sigma))
+        self._index_type = np.min_scalar_type(self.cells_per_row - 1)
 
     @property
     def cells_per_row(self) -> int:
@@ -85,17 +152,26 @@ class GroundTruthProvider:
         return data_bits + words * ECC_PARITY_BITS
 
     def row(self, channel: int, pseudo_channel: int, bank: int,
-            physical_row: int) -> RowGroundTruth:
-        """Ground truth for one physical row (cached)."""
+            physical_row: int, reach: float = 0.0,
+            retention_reach: float = 0.0) -> RowGroundTruth:
+        """Ground truth for one physical row, holding every cell whose
+        base threshold is at or below ``reach`` and whose retention time
+        is at or below ``retention_reach`` (kept; widened when a reach
+        passes the row's cutoff)."""
         key = (channel, pseudo_channel, bank, physical_row)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        truth = self._sample_row(channel, pseudo_channel, bank, physical_row)
-        self._cache[key] = truth
-        if len(self._cache) > self._cache_rows:
-            self._cache.popitem(last=False)
+        truth = self._rows.get(key)
+        if truth is None:
+            cutoffs = (self._cutoff, self._retention_cutoff)
+        else:
+            cutoffs = (truth.hammer.cutoff, truth.retention.cutoff)
+            if reach <= cutoffs[0] and retention_reach <= cutoffs[1]:
+                return truth
+        wide = (_wider(cutoffs[0], reach), _wider(cutoffs[1], retention_reach))
+        if wide != cutoffs:
+            get_metrics().counter("dram.truth.widened").inc()
+        truth = self._sample_row(channel, pseudo_channel, bank, physical_row,
+                                 *wide)
+        self._rows[key] = truth
         return truth
 
     # ------------------------------------------------------------------
@@ -116,7 +192,10 @@ class GroundTruthProvider:
         return scale
 
     def _sample_row(self, channel: int, pseudo_channel: int, bank: int,
-                    physical_row: int) -> RowGroundTruth:
+                    physical_row: int, cutoff: float,
+                    retention_cutoff: float) -> RowGroundTruth:
+        """Sample one row, keeping the cells at or below the cutoffs
+        (``np.inf`` keeps every cell)."""
         profile = self._profile
         cells = self.cells_per_row
         rng = generator_for(
@@ -145,11 +224,13 @@ class GroundTruthProvider:
             rng.standard_normal(cells) * profile.retention_sigma)
         ).astype(np.float32)
 
-        thresholds.setflags(write=False)
-        true_cell.setflags(write=False)
-        retention.setflags(write=False)
-        return RowGroundTruth(thresholds=thresholds, true_cell=true_cell,
-                              retention_s=retention)
+        orientation = np.packbits(true_cell)
+        orientation.setflags(write=False)
+        return RowGroundTruth(
+            orientation=orientation,
+            hammer=_prefix(thresholds, true_cell, cutoff, self._index_type),
+            retention=_prefix(retention, true_cell, retention_cutoff,
+                              self._index_type))
 
     def powerup_cells(self, channel: int, pseudo_channel: int, bank: int,
                       physical_row: int) -> np.ndarray:
@@ -161,4 +242,4 @@ class GroundTruthProvider:
         never gain RowHammer or retention flips (nothing is charged).
         """
         truth = self.row(channel, pseudo_channel, bank, physical_row)
-        return (1 - truth.charged_values).astype(np.uint8)
+        return 1 - np.unpackbits(truth.orientation, count=self.cells_per_row)

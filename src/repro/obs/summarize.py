@@ -209,6 +209,8 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
                         ("bitflips.observed", "bitflips observed"),
                         ("trr.preventive_refreshes",
                          "TRR preventive refreshes"),
+                        ("dram.truth.widened",
+                         "cell ground-truth rows widened"),
                         ("sweep.shard_retries", "shard retries"),
                         ("sweep.shard_timeouts", "shard timeouts"),
                         ("sweep.shard_failures", "shard failures"),

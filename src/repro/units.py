@@ -34,21 +34,6 @@ def ms(value: float) -> float:
     return value / MS_PER_S
 
 
-def seconds_to_ns(value: float) -> float:
-    """Convert a value in seconds to nanoseconds."""
-    return value * NS_PER_S
-
-
-def seconds_to_us(value: float) -> float:
-    """Convert a value in seconds to microseconds."""
-    return value * US_PER_S
-
-
-def seconds_to_ms(value: float) -> float:
-    """Convert a value in seconds to milliseconds."""
-    return value * MS_PER_S
-
-
 def cycles_for_time(time_s: float, frequency_hz: float) -> int:
     """Number of whole clock cycles needed to cover ``time_s`` seconds.
 

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.stats import (
     box_stats,
     coefficient_of_variation,
-    geometric_mean,
     quartiles,
     relative_difference,
 )
@@ -96,16 +95,3 @@ class TestRelativeDifference:
     def test_zero_reference_raises(self):
         with pytest.raises(AnalysisError):
             relative_difference(0.0, 0.0)
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(AnalysisError):
-            geometric_mean([1.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            geometric_mean([])

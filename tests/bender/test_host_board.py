@@ -8,6 +8,7 @@ from repro.dram.address import DramAddress
 from repro.errors import ProgramError
 
 from tests.conftest import make_vulnerable_device
+from tests.dram.dense_truth import dense_row
 
 
 @pytest.fixture
@@ -87,6 +88,6 @@ class TestBoard:
     def test_different_seeds_are_different_chips(self):
         chip_a = make_paper_setup(seed=1, settle_thermals=False)
         chip_b = make_paper_setup(seed=2, settle_thermals=False)
-        truth_a = chip_a.device._truth.row(0, 0, 0, 0)
-        truth_b = chip_b.device._truth.row(0, 0, 0, 0)
+        truth_a = dense_row(chip_a.device._truth, 0, 0, 0, 0)
+        truth_b = dense_row(chip_b.device._truth, 0, 0, 0, 0)
         assert not np.array_equal(truth_a.thresholds, truth_b.thresholds)

@@ -12,7 +12,6 @@ from repro.core.patterns import (
     SOLID1,
     STANDARD_PATTERNS,
     pattern_by_name,
-    random_pattern,
 )
 from repro.dram.address import DramAddress
 
@@ -31,14 +30,6 @@ class TestPatternDefinitions:
     def test_extended_patterns_resolvable_by_name(self):
         for pattern in EXTENDED_PATTERNS:
             assert pattern_by_name(pattern.name) is pattern
-
-    def test_random_pattern_is_deterministic(self):
-        assert random_pattern(7) == random_pattern(7)
-        assert random_pattern(7) != random_pattern(8)
-
-    def test_random_pattern_surround_matches_victim(self):
-        pattern = random_pattern(3)
-        assert pattern.surround_byte == pattern.victim_byte
 
 
 class TestControlGroupBehaviour:

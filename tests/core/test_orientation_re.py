@@ -10,6 +10,8 @@ from repro.core.orientation_re import (
 from repro.dram.address import DramAddress
 from repro.errors import AnalysisError, ExperimentError
 
+from tests.dram.dense_truth import dense_row
+
 VICTIM = DramAddress(0, 0, 0, 20)
 
 
@@ -34,10 +36,10 @@ class TestFlipDirections:
         observation = analysis.observe_row(VICTIM)
         device = vulnerable_board.device
         physical = device.mapper.logical_to_physical(VICTIM.row)
-        truth = device._truth.row(0, 0, 0, physical)
+        true_cell = dense_row(device._truth, 0, 0, 0, physical).true_cell
         n = device.geometry.row_bits
-        anti_cells = int((~truth.true_cell[:n]).sum())
-        true_cells = int(truth.true_cell[:n].sum())
+        anti_cells = int((~true_cell[:n]).sum())
+        true_cells = int(true_cell[:n].sum())
         assert observation.anti_flips <= anti_cells
         assert observation.true_flips <= true_cells
 

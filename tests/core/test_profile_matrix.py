@@ -38,6 +38,14 @@ HBM2_REFERENCE_FINGERPRINT = "b53f07cb36c5ee9e7b716bb3be36cfee"
 
 SMOKE_SEED = 3
 
+#: Fast-path smoke-sweep fingerprints (``SMOKE_SEED``) of the non-hbm2
+#: families, pinned so a change to the device model that drifts them by
+#: one byte fails here.
+SMOKE_FINGERPRINTS = {
+    "ddr4": "c3e4592eb898585a9266249d24f60b16",
+    "ddr5": "51e39029323c5e577e84231eecb32c33",
+}
+
 
 def smoke_config(profile, jobs=1):
     return SweepConfig(
@@ -106,6 +114,12 @@ class TestProfileMatrix:
         assert dataset.ber_records
         assert dataset.hcfirst_records
         assert dataset.metadata["profile"] == profile
+
+    @pytest.mark.parametrize("profile", sorted(SMOKE_FINGERPRINTS))
+    def test_smoke_sweep_fingerprint_is_pinned(self, profile,
+                                               fast_datasets):
+        assert (fast_datasets[profile].fingerprint()
+                == SMOKE_FINGERPRINTS[profile])
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_fastpath_matches_interpreted_execution(

@@ -38,7 +38,6 @@ class TestRowBuffer:
         bank, __ = make_bank()
         bank.activate(10, 0)
         assert bank.is_open
-        assert bank.open_physical_row == 10
 
     def test_activate_while_open_raises(self):
         bank, __ = make_bank()

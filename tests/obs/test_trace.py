@@ -277,6 +277,15 @@ class TestSummarize:
         assert ("program cache: 1,195 hits, 5 misses of which 2 count "
                 "widenings (99.6% hit rate)") in text
 
+    def test_render_metrics_reports_truth_widenings(self):
+        from repro.obs.summarize import _render_metrics
+
+        text = _render_metrics(
+            {"counters": {"dram.truth.widened": 1_024}}, wall=1.0)
+        assert "cell ground-truth rows widened: 1,024" in text
+        assert "widened" not in _render_metrics(
+            {"counters": {"hammer.pairs": 7}}, wall=1.0)
+
     def test_render_metrics_silent_without_fastpath(self):
         from repro.obs.summarize import _render_metrics
 

@@ -12,9 +12,6 @@ class TestUnits:
         assert units.ns(1_000_000_000) == 1.0
         assert units.us(1_000_000) == 1.0
         assert units.ms(1_000) == 1.0
-        assert units.seconds_to_ns(1.0) == 1e9
-        assert units.seconds_to_us(1.0) == 1e6
-        assert units.seconds_to_ms(1.0) == 1e3
 
     def test_cycles_round_up(self):
         # 48 ns at 600 MHz = 28.8 cycles -> 29 (timing minimums).

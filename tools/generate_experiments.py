@@ -106,6 +106,11 @@ def discover_subarray_sizes(board, dataset, count=3):
     return boundaries
 
 
+#: Heading of the section this script carries over unchanged: timings
+#: and peak RSS measured by hand, which depend on the host.
+HAND_RECORDED = "## Performance (recorded by hand)"
+
+
 def main() -> None:
     output = Path(sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md")
     seed = env_int("REPRO_CHIP_SEED", 2023)
@@ -468,6 +473,12 @@ def main() -> None:
         f"detector firing on a hypothetical-coupling chip)",
     ]
     sections.append("")
+    # Hand-recorded measurements (host-dependent timings) are carried
+    # over from the file being replaced.
+    previous = output.read_text() if output.exists() else ""
+    if HAND_RECORDED in previous:
+        sections.append(previous[previous.index(HAND_RECORDED):].rstrip())
+        sections.append("")
 
     output.write_text("\n".join(sections))
     log(f"wrote {output} "
