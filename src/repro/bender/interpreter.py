@@ -110,33 +110,30 @@ class Interpreter:
         """
         self._device = device
         self._trace = trace
-        #: Row-payload lowering cache (None = disabled).  Enabled by the
-        #: engine's fast-path backend: maps WRROW payload bytes to their
-        #: (unpacked bits, ECC parity) — both pure functions of the
-        #: payload — so repeated data fills skip the unpack and encode.
-        self.payload_cache: Optional[
-            Dict[bytes, Tuple[np.ndarray, np.ndarray]]] = None
+        #: Row-payload lowering cache: WRROW payload bytes -> their
+        #: (unpacked bits, ECC parity), both pure functions of the
+        #: payload, so repeated data fills skip the unpack and encode.
+        self.payload_cache: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def trace_enabled(self) -> bool:
         return self._trace
 
-    def enable_payload_cache(self) -> None:
-        """Memoize WRROW payload lowering (the engine backend calls this)."""
-        if self.payload_cache is None:
-            self.payload_cache = {}
-
     def lower_payload(self, data: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        """The cached (bits, parity) lowering of one WRROW payload."""
-        cache = self.payload_cache
-        if cache is None:
-            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-            return bits, encode_words(bits)
-        lowered = cache.get(data)
+        """The memoized (bits, parity) lowering of one WRROW payload.
+
+        Both arrays are read-only: rows written analytically adopt
+        them as shared storage (:meth:`~repro.dram.bank.Bank.
+        store_full_row`), so a write that skipped the bank's
+        copy-on-write would raise rather than change other rows.
+        """
+        lowered = self.payload_cache.get(data)
         if lowered is None:
             bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-            lowered = (bits, encode_words(bits))
-            cache[data] = lowered
+            parity = encode_words(bits)
+            bits.setflags(write=False)
+            parity.setflags(write=False)
+            lowered = self.payload_cache[data] = (bits, parity)
         return lowered
 
     def run(self, program: Program) -> ExecutionResult:
@@ -184,17 +181,10 @@ class Interpreter:
                                      instruction.pseudo_channel,
                                      instruction.bank))
         elif isinstance(instruction, isa.WrRow):
-            if self.payload_cache is not None:
-                bits, parity = self.lower_payload(instruction.data)
-                device.write_open_row(instruction.channel,
-                                      instruction.pseudo_channel,
-                                      instruction.bank, bits, parity=parity)
-            else:
-                bits = np.unpackbits(
-                    np.frombuffer(instruction.data, dtype=np.uint8))
-                device.write_open_row(instruction.channel,
-                                      instruction.pseudo_channel,
-                                      instruction.bank, bits)
+            bits, parity = self.lower_payload(instruction.data)
+            device.write_open_row(instruction.channel,
+                                  instruction.pseudo_channel,
+                                  instruction.bank, bits, parity=parity)
         elif isinstance(instruction, isa.Ref):
             device.refresh(instruction.channel, instruction.pseudo_channel)
         elif isinstance(instruction, isa.Wait):

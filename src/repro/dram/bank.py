@@ -11,6 +11,12 @@ the stored data, and the disturbance/retention clocks restart.
 A row that has never been written holds no charge (all cells read as
 their discharged value), so it can neither gain RowHammer nor retention
 flips — which keeps untouched rows free.
+
+Every row materializes through one path, however it was written: only
+the cells within a restore's reach are compared, and the aggressor-data
+coupling and the intra-row penalty are computed at those cells alone.
+A full-row store adopts the lowered payload arrays themselves, shared
+read-only between rows, and a row copies them before its first change.
 """
 
 from __future__ import annotations
@@ -36,30 +42,14 @@ BankKey = Tuple[int, int, int]
 
 
 class DeviceEnvironment:
-    """Mutable ambient state shared by every bank of a device."""
+    """Mutable ambient state shared by every bank of a device: the
+    temperature and wordline voltage that scale every cell's flip
+    threshold and retention time."""
 
     def __init__(self, temperature_c: float,
                  wordline_voltage_v: float = 2.5) -> None:
         self.temperature_c = temperature_c
         self.wordline_voltage_v = wordline_voltage_v
-        # Payload-pattern caches for the analytic write path, shared
-        # device-wide (the arrays depend only on payload bytes and
-        # geometry, never on row or bank).  A row is *tagged* with its
-        # payload while its stored data is provably the pristine
-        # lowered payload — tagged only by ``store_full_row`` (which
-        # only the engine fast path calls) and untagged on any partial
-        # write or materialized flip — so interpreted execution never
-        # reads or populates these caches.  Cached arrays are the
-        # results of the exact expressions `_materialize` would
-        # recompute, so cache hits are value-identical; they are
-        # treated as immutable (copy-on-write before any flip
-        # writeback).
-        #: payload tag -> concat(stored bits, parity) cell array.
-        self.pattern_cells: Dict[bytes, np.ndarray] = {}
-        #: (victim tag, neighbour tag) -> aggressor-data coupling.
-        self.pattern_coupling: Dict[Tuple[bytes, bytes], np.ndarray] = {}
-        #: payload tag -> intra-row (bitline neighbour) penalty.
-        self.pattern_horizontal: Dict[bytes, np.ndarray] = {}
 
 
 class Bank:
@@ -87,13 +77,9 @@ class Bank:
         #: Most recent RowPress amplification per physical row; the
         #: bulk-loop fast path replays these for skipped iterations.
         self._last_open_factor: Dict[int, float] = {}
-        #: Physical row -> payload tag, maintained while the row's
-        #: stored data is exactly the pristine lowered payload (see
-        #: :class:`DeviceEnvironment` pattern caches).
-        self._payload_tags: Dict[int, bytes] = {}
-        #: Rows whose bits/parity arrays are adopted payload-cache
-        #: arrays, shared read-only; every mutation path must call
-        #: :meth:`_own_row` first (copy-on-write).
+        #: Rows whose bits/parity arrays are adopted lowered payloads
+        #: (:meth:`store_full_row`), shared read-only; every mutation
+        #: path must call :meth:`_own_row` first (copy-on-write).
         self._shared_rows: set = set()
 
         # Cheap guards that skip materialization when no flip is possible.
@@ -190,7 +176,6 @@ class Bank:
             raise CommandError(
                 f"WR data must be {self._geometry.column_bytes} bytes, "
                 f"got {len(data)}")
-        self._payload_tags.pop(self._open_physical, None)
         self._own_row(self._open_physical)
         bits = self._row_bits(self._open_physical)
         bit_start = column * self._geometry.column_bytes * 8
@@ -224,7 +209,6 @@ class Bank:
             raise CommandError(
                 f"row write needs {self._geometry.row_bits} bits, "
                 f"got shape {bits.shape}")
-        self._payload_tags.pop(self._open_physical, None)
         self._own_row(self._open_physical)
         stored = self._row_bits(self._open_physical)
         stored[:] = bits & 1
@@ -234,8 +218,7 @@ class Bank:
             self._parity[self._open_physical] = parity.copy()
 
     def store_full_row(self, physical_row: int, bits: np.ndarray,
-                       parity: np.ndarray, cycle: int,
-                       tag: Optional[bytes] = None) -> None:
+                       parity: np.ndarray, cycle: int) -> None:
         """Analytic ACT + full-row WRROW: overwrite a closed row's data.
 
         State-identical to ``activate()`` followed by
@@ -247,6 +230,13 @@ class Bank:
         retention clock and accumulated-disturbance reset — is applied
         directly.  The caller owns timing, TRR observation, and the
         close-of-row accounting (:meth:`note_closed_activation`).
+
+        ``bits`` (0/1 values) and ``parity`` (``encode_words(bits)``)
+        are a lowered payload (:meth:`~repro.bender.interpreter.
+        Interpreter.lower_payload`): the row adopts the arrays
+        themselves as shared read-only storage, content-identical to a
+        copy, and every mutation path runs :meth:`_own_row`
+        (copy-on-write) first.
         """
         if self._open_physical is not None:
             raise CommandError(
@@ -257,29 +247,9 @@ class Bank:
             raise CommandError(
                 f"row store needs {self._geometry.row_bits} bits, "
                 f"got shape {bits.shape}")
-        if tag is not None:
-            # Tagged store: ``bits``/``parity`` are the pristine lowered
-            # payload (0/1 values), so the arrays are adopted wholesale
-            # as shared read-only storage instead of being copied in —
-            # content-identical to a copy, and every mutation path runs
-            # :meth:`_own_row` (copy-on-write) first.
-            self._bits[physical_row] = bits
-            self._parity[physical_row] = parity
-            self._shared_rows.add(physical_row)
-            self._payload_tags[physical_row] = tag
-        else:
-            self._payload_tags.pop(physical_row, None)
-            stored = self._bits.get(physical_row)
-            if stored is None or physical_row in self._shared_rows:
-                # First touch (the write defines the row; a fresh array
-                # — never the caller's — replaces the power-up sample an
-                # ACT would take) or a previously shared array that must
-                # not be written through.
-                self._shared_rows.discard(physical_row)
-                self._bits[physical_row] = (bits & 1).astype(np.uint8)
-            else:
-                stored[:] = bits & 1
-            self._parity[physical_row] = parity.copy()
+        self._bits[physical_row] = bits
+        self._parity[physical_row] = parity
+        self._shared_rows.add(physical_row)
         self._last_restore[physical_row] = cycle
         self.disturbance.reset(physical_row)
 
@@ -412,7 +382,6 @@ class Bank:
         """
         self._bits.clear()
         self._parity.clear()
-        self._payload_tags.clear()
         self._shared_rows.clear()
         self.disturbance.reset_range(0, self._geometry.rows)
 
@@ -427,7 +396,7 @@ class Bank:
     # ------------------------------------------------------------------
     def _own_row(self, physical_row: int) -> None:
         """Copy-on-write: give a row private bits/parity arrays when its
-        storage is an adopted (shared, read-only) payload-cache array."""
+        storage is an adopted (shared, read-only) lowered payload."""
         if physical_row in self._shared_rows:
             self._bits[physical_row] = self._bits[physical_row].copy()
             self._parity[physical_row] = self._parity[physical_row].copy()
@@ -530,39 +499,21 @@ class Bank:
             return
 
         data_bits = self._geometry.row_bits
-        parity = self._parity[physical_row]
-        # A tagged row's stored data is exactly the pristine lowered
-        # payload, so the payload-keyed arrays below are value-identical
-        # to recomputation; untagged rows (all interpreted execution)
-        # take the compute branches unconditionally.
-        tag = self._payload_tags.get(physical_row)
-        cells = None
-        if tag is not None:
-            cells = environment.pattern_cells.get(tag)
-        if cells is None:
-            cells = np.concatenate([stored, parity])
-            if tag is not None:
-                environment.pattern_cells[tag] = cells
+        cells = np.concatenate([stored, self._parity[physical_row]])
 
         flipped = []
         if hammer:
             index = truth.hammer.cells[:hammer].astype(np.intp)
             vulnerable = cells[index] == truth.hammer.charged[:hammer]
             effective = self._effective_disturbance(
-                physical_row, cells, index, below, above, tag)
+                physical_row, cells, index, below, above)
             if direct > 0.0:
                 # Cross-channel leakage couples through the stack, not
                 # through in-die wordline fields: no neighbour-data
                 # weighting applies.
                 effective = effective + direct
-            horizontal = None
-            if tag is not None:
-                horizontal = environment.pattern_horizontal.get(tag)
-            if horizontal is None:
-                horizontal = self._horizontal_penalty(cells, data_bits)
-                if tag is not None:
-                    environment.pattern_horizontal[tag] = horizontal
-            thresholds = (truth.hammer.keys[:hammer] * horizontal[index] *
+            thresholds = (truth.hammer.keys[:hammer] *
+                          self._horizontal_penalty(cells, index, data_bits) *
                           temp_scale * voltage_scale)
             flipped.append(index[vulnerable & (effective >= thresholds)])
         if retention:
@@ -574,11 +525,6 @@ class Bank:
 
         flips = np.concatenate(flipped)
         if flips.size:
-            if tag is not None:
-                # The cached array is shared; flips belong to this row
-                # only, and the row's data is no longer the payload.
-                cells = cells.copy()
-                self._payload_tags.pop(physical_row, None)
             self._own_row(physical_row)
             stored = self._bits[physical_row]
             parity = self._parity[physical_row]
@@ -590,45 +536,20 @@ class Bank:
 
     def _effective_disturbance(self, physical_row: int, cells: np.ndarray,
                                index: np.ndarray, below: float,
-                               above: float,
-                               victim_tag: Optional[bytes] = None
-                               ) -> np.ndarray:
+                               above: float) -> np.ndarray:
         """Disturbance at the cells ``index``, weighted by aggressor-data
         coupling."""
-        profile = self._profile
         effective = np.zeros(index.shape[0], dtype=np.float64)
         for amount, direction in ((below, -1), (above, +1)):
             if amount <= 0.0:
                 continue
-            coupling = None
-            if victim_tag is not None:
-                neighbor_row = physical_row + direction
-                if (0 <= neighbor_row < self._geometry.rows and
-                        self._layout.same_subarray(physical_row,
-                                                   neighbor_row)):
-                    neighbor_tag = self._payload_tags.get(neighbor_row)
-                    if neighbor_tag is not None:
-                        cache_key = (victim_tag, neighbor_tag)
-                        cache = self._environment.pattern_coupling
-                        coupling = cache.get(cache_key)
-                        if coupling is None:
-                            neighbor_cells = np.concatenate(
-                                [self._bits[neighbor_row],
-                                 self._parity[neighbor_row]])
-                            coupling = np.where(
-                                neighbor_cells != cells, 1.0,
-                                profile.same_bit_coupling)
-                            cache[cache_key] = coupling
-                        coupling = coupling[index]
-            if coupling is None:
-                neighbor = self._neighbor_bits(physical_row, direction)
-                if neighbor is None:
-                    continue
-                neighbor_parity = self._neighbor_parity(physical_row,
-                                                        direction)
-                neighbor_cells = np.concatenate([neighbor, neighbor_parity])
-                coupling = np.where(neighbor_cells[index] != cells[index],
-                                    1.0, profile.same_bit_coupling)
+            neighbor = self._neighbor_bits(physical_row, direction)
+            if neighbor is None:
+                continue
+            neighbor_cells = np.concatenate(
+                [neighbor, self._neighbor_parity(physical_row, direction)])
+            coupling = np.where(neighbor_cells[index] != cells[index],
+                                1.0, self._profile.same_bit_coupling)
             effective += amount * coupling
         return effective
 
@@ -642,23 +563,26 @@ class Bank:
             0, min(neighbor, self._geometry.rows - 1)))
         return cells[self._geometry.row_bits:]
 
-    def _horizontal_penalty(self, cells: np.ndarray,
+    def _horizontal_penalty(self, cells: np.ndarray, index: np.ndarray,
                             data_bits: int) -> np.ndarray:
-        """1 + penalty * (fraction of differing horizontal neighbours).
+        """1 + penalty * (fraction of differing horizontal neighbours),
+        at the cells ``index``.
 
         Cells whose left/right bitline neighbours store the opposite value
         are slightly harder to flip (checkered patterns pay this relative
-        to rowstripe patterns).  Row-edge cells see only one neighbour.
+        to rowstripe patterns).  Data and parity cells are separate
+        bitline runs, and a cell at either end of its run sees only one
+        neighbour.  ``edges[i]`` says whether cell ``i`` differs from
+        cell ``i - 1`` within a run, so a cell's count of differing
+        neighbours is ``edges[i] + edges[i + 1]``: 0, 1 or 2, exact as
+        a float, so each value equals the whole-row formula's.
         """
         penalty = self._profile.intra_row_penalty
         if penalty == 0.0:
-            return np.ones(cells.shape[0], dtype=np.float64)
-        diff_count = np.zeros(cells.shape[0], dtype=np.float64)
-        data = cells[:data_bits]
-        diff_count[1:data_bits] += data[1:] != data[:-1]
-        diff_count[:data_bits - 1] += data[:-1] != data[1:]
-        parity = cells[data_bits:]
-        if parity.size > 1:
-            diff_count[data_bits + 1:] += parity[1:] != parity[:-1]
-            diff_count[data_bits:-1] += parity[:-1] != parity[1:]
+            return np.ones(index.shape[0], dtype=np.float64)
+        edges = np.zeros(cells.shape[0] + 1, dtype=bool)
+        edges[1:-1] = cells[1:] != cells[:-1]
+        edges[data_bits] = False
+        diff_count = edges[index].astype(np.float64)
+        diff_count += edges[index + 1]
         return 1.0 + penalty * (diff_count / 2.0)

@@ -318,25 +318,6 @@ def default_profile() -> CalibrationProfile:
     return CalibrationProfile()
 
 
-def uniform_profile() -> CalibrationProfile:
-    """A variation-free profile (all channels/banks/rows identical).
-
-    Useful in tests that need to isolate one mechanism: any measured
-    spatial difference under this profile is a bug.
-    """
-    return CalibrationProfile(
-        weak_fraction=(0.06,) * 8,
-        channel_scales=(1.0,) * 8,
-        true_cell_fraction=(0.5, 0.5, 0.5, 0.5),
-        true_cell_scale=(1.0, 1.0, 1.0, 1.0),
-        anti_cell_scale=(1.0, 1.0, 1.0, 1.0),
-        subarray_edge_droop=0.0,
-        last_subarray_scale=1.0,
-        bank_sigma=1e-9,
-        row_sigma=1e-9,
-    )
-
-
 def ddr4_calibration() -> CalibrationProfile:
     """Plausible ground truth for a two-channel DDR4 module.
 

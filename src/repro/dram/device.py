@@ -347,8 +347,8 @@ class Device:
         self._count("WR", self.geometry.columns)
 
     def apply_row_write(self, channel: int, pseudo_channel: int, bank: int,
-                        row: int, bits: np.ndarray, parity: np.ndarray,
-                        tag: Optional[bytes] = None) -> None:
+                        row: int, bits: np.ndarray,
+                        parity: np.ndarray) -> None:
         """Analytic ACT / WRROW / PRE: fill one row with a known payload.
 
         The execution engine's fast path uses this for summarized
@@ -374,7 +374,7 @@ class Device:
 
         wr_cycle = self._timing_checker.earliest_rdwr(key, self.now)
         self._timing_checker.record_rdwr(key, wr_cycle, is_write=True)
-        target.store_full_row(physical, bits, parity, act_cycle, tag=tag)
+        target.store_full_row(physical, bits, parity, act_cycle)
         self.now = wr_cycle + self.geometry.columns * self.timing.ccd_cycles
         self._count("WR", self.geometry.columns)
 
@@ -393,20 +393,20 @@ class Device:
     def apply_row_writes(self, channel: int, pseudo_channel: int,
                          bank: int,
                          writes: Sequence[Tuple[int, np.ndarray,
-                                                np.ndarray,
-                                                Optional[bytes]]]
-                         ) -> None:
+                                                np.ndarray]]) -> None:
         """Analytic batch of full-row writes to one bank.
 
-        ``writes`` is a sequence of ``(logical row, bits, parity,
-        payload tag)``; cycle- and state-identical to one
-        :meth:`apply_row_write` per entry, in order.  The batch's
-        :class:`Schedule` is memoized under (bank key, batch length),
-        its rows named by their position in the batch, so any later
-        batch of that bank and length replays it when it enters with
-        the same signature (:meth:`apply_hammer_steps` has the
-        argument); otherwise the batch is stepped, one
-        :meth:`apply_row_write` per entry, and recorded.
+        ``writes`` is a sequence of ``(logical row, bits, parity)``, each
+        ``(bits, parity)`` a lowered payload the written row adopts
+        (:meth:`~repro.dram.bank.Bank.store_full_row`); cycle- and
+        state-identical to one :meth:`apply_row_write` per entry, in
+        order.  The batch's :class:`Schedule` is memoized under (bank
+        key, batch length), its rows named by their position in the
+        batch, so any later batch of that bank and length replays it
+        when it enters with the same signature
+        (:meth:`apply_hammer_steps` has the argument); otherwise the
+        batch is stepped, one :meth:`apply_row_write` per entry, and
+        recorded.
         """
         key: BankKey = (channel, pseudo_channel, bank)
         shape = (key, len(writes))
@@ -418,9 +418,9 @@ class Device:
             return
 
         def run() -> None:
-            for row, bits, parity, tag in writes:
+            for row, bits, parity in writes:
                 self.apply_row_write(channel, pseudo_channel, bank, row,
-                                     bits, parity, tag=tag)
+                                     bits, parity)
 
         slots = {(key, self.mapper.logical_to_physical(row)): index
                  for index, row in enumerate(rows)}
@@ -557,9 +557,8 @@ class Device:
                 if kind == "act":
                     bank_obj.replay_activate(physical, value)
                 else:
-                    _, bits, parity, tag = writes[slot]
-                    bank_obj.store_full_row(physical, bits, parity, value,
-                                            tag=tag)
+                    _, bits, parity = writes[slot]
+                    bank_obj.store_full_row(physical, bits, parity, value)
                 run.append((key, physical))
             if trace is not None:
                 trace.append((kind, key, physical, value))

@@ -16,7 +16,7 @@ declares, canonicalizes it into a row-free template, lowers its
 row-write payloads (a WRROW's ``np.unpackbits`` expansion and its ECC
 parity words are pure functions of the payload bytes, memoized on the
 interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
-enable_payload_cache`), and runs the effect-summary analysis
+lower_payload`), and runs the effect-summary analysis
 (:func:`repro.verify.summarize_program`) on the template, from that
 one verification report.  ``execute`` applies a summarized program's
 effect ops directly against the device — the same ACT counts, timing
@@ -193,7 +193,6 @@ class FastPathBackend:
         # only the cyclic collector frees, piling up dead stations'
         # device state between collections.  Callers keep the host.
         self._host_ref = weakref.ref(host)
-        host.interpreter.enable_payload_cache()
         # Programs are immutable, so an instantiation — a template with
         # one concrete row binding patched in — can be reused verbatim
         # whenever the same rows are interpreted again, skipping the
@@ -341,8 +340,7 @@ class FastPathBackend:
                 # batched form replays the batch's memoized schedule.
                 bank_key = (op.channel, op.pseudo_channel, op.bank)
                 writes = [(rows[op.row],) +
-                          interpreter.lower_payload(op.data) +
-                          (op.data,)]
+                          interpreter.lower_payload(op.data)]
                 while index < total:
                     peek = ops[index]
                     if not (isinstance(peek, RowWriteOp) and
@@ -350,14 +348,11 @@ class FastPathBackend:
                              peek.bank) == bank_key):
                         break
                     writes.append((rows[peek.row],) +
-                                  interpreter.lower_payload(peek.data) +
-                                  (peek.data,))
+                                  interpreter.lower_payload(peek.data))
                     index += 1
                 if len(writes) == 1:
-                    row, bits, parity, tag = writes[0]
                     device.apply_row_write(op.channel, op.pseudo_channel,
-                                           op.bank, row, bits, parity,
-                                           tag=tag)
+                                           op.bank, *writes[0])
                 else:
                     device.apply_row_writes(op.channel, op.pseudo_channel,
                                             op.bank, writes)

@@ -5,7 +5,6 @@ import pytest
 from repro.dram.calibration import (
     CalibrationProfile,
     default_profile,
-    uniform_profile,
 )
 from repro.errors import CalibrationError
 
@@ -131,10 +130,3 @@ class TestOverridesAndUniform:
         modified = profile.with_overrides(threshold_floor=1000.0)
         assert modified.threshold_floor == 1000.0
         assert profile.threshold_floor != 1000.0
-
-    def test_uniform_profile_has_no_spatial_structure(self):
-        profile = uniform_profile()
-        assert len(set(profile.weak_fraction)) == 1
-        assert len(set(profile.channel_scales)) == 1
-        assert profile.subarray_edge_droop == 0.0
-        assert profile.last_subarray_scale == 1.0

@@ -22,6 +22,7 @@ from repro.core.hammer import DoubleSidedHammer
 from repro.core.patterns import CHECKERED0, ROWSTRIPE0
 from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.dram.address import DramAddress
+from repro.dram.ecc import encode_words
 from repro.engine.backend import FastPathBackend
 from repro.engine.cache import ProgramCache
 from repro.engine.session import EngineSession
@@ -57,8 +58,8 @@ def mini_campaign(board: BenderBoard):
     Deliberately covers every fast-path machinery layer: the
     neighbourhood fill exercises the batched write path and its
     memoized schedule, repeated hammers exercise the warm/bulk/trail
-    split and the hammer-iteration schedules, pattern fills exercise the
-    payload-tag caches, and flipped victims exercise the shared-row
+    split and the hammer-iteration schedules, pattern fills store the
+    shared lowered payloads, and flipped victims exercise the shared-row
     copy-on-write.
     """
     hammer = DoubleSidedHammer(board.host, board.device.mapper)
@@ -107,6 +108,20 @@ class TestInterpreterEquivalence:
             np.testing.assert_array_equal(
                 fast_board.host.read_row(address),
                 slow_board.host.read_row(address))
+
+    def test_lowered_payloads_stay_read_only_and_pristine(self):
+        """Rows written by the fast path adopt the lowered payload
+        arrays, so flips sensed into those rows must not reach them."""
+        board = make_station(fastpath=True)
+        assert any(count > 0 for count in mini_campaign(board))
+        lowered = board.host.interpreter.payload_cache
+        assert lowered
+        for data, (bits, parity) in lowered.items():
+            assert not bits.flags.writeable
+            assert not parity.flags.writeable
+            fresh = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+            np.testing.assert_array_equal(bits, fresh)
+            np.testing.assert_array_equal(parity, encode_words(fresh))
 
 
 class TestDispatchTriage:
@@ -201,14 +216,13 @@ class TestEnvironmentGating:
         assert isinstance(host.program_cache, ProgramCache)
 
     def test_fastpath_env_off_installs_no_engine(self, monkeypatch):
-        # The oracle: no backend, no program cache, no payload cache —
-        # every program is built, verified and interpreted per call.
+        # The oracle: no backend, no program cache — every program is
+        # built, verified and interpreted per call.
         monkeypatch.setenv(FASTPATH_VAR, "0")
         board = BenderBoard(make_vulnerable_device(seed=5))
         host = EngineSession(board=board).board.host
         assert host.engine_backend is None
         assert host.program_cache is None
-        assert host.interpreter.payload_cache is None
         registry = MetricsRegistry()
         with use_metrics(registry):
             hammer = DoubleSidedHammer(host, board.device.mapper)

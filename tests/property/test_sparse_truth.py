@@ -7,12 +7,13 @@ within a restore's reach, widening the row when a reach passes its
 cutoff.  The oracle here is the dense arithmetic: every cell of the row,
 sampled with no cutoff, compared the way the bank compared them before
 the store went sparse.  Generated restores straddle both cutoffs, over
-the three device families, tagged, untagged and column-written victims
-beside tagged, untagged and never-written neighbours, cross-channel
-dose, temperatures down to the threshold-scale floor and under-volted
-wordlines; the stored bits, parity and payload tag must match the
-oracle's bit for bit.  A pinned multi-million-hammer run must widen
-and still match.
+the three device families, stored and column-written victims beside
+stored and never-written neighbours, cross-channel dose, temperatures
+down to the threshold-scale floor and under-volted wordlines; the
+stored bits and parity must match the oracle's bit for bit.  The
+intra-row penalty, which the bank computes only at the sliced cells,
+must equal the whole-row formula at every cell.  A pinned
+multi-million-hammer run must widen and still match.
 """
 
 import numpy as np
@@ -25,7 +26,11 @@ from repro.core.hammer import build_hammer_program, prepare_neighborhood
 from repro.core.patterns import ROWSTRIPE0
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.dram.bank import Bank, DeviceEnvironment
-from repro.dram.cellmodel import GroundTruthProvider
+from repro.dram.cellmodel import (
+    ECC_PARITY_BITS,
+    ECC_WORD_BITS,
+    GroundTruthProvider,
+)
 from repro.dram.device import Device
 from repro.dram.disturb import SIDE_ABOVE, SIDE_BELOW
 from repro.dram.ecc import encode_words
@@ -107,7 +112,6 @@ def dense_materialize(bank, physical_row, cycle):
         flips |= vulnerable & (elapsed_s >= truth.retention_s *
                                retention_scale)
     if flips.any():
-        bank._payload_tags.pop(physical_row, None)
         bank._own_row(physical_row)
         cells[flips] ^= 1
         bank._bits[physical_row][:] = cells[:data_bits]
@@ -129,8 +133,9 @@ def payload_bits(byte):
 
 
 def write(bank, row, kind, byte):
-    """Write ``row`` the way ``kind`` names: a tagged or untagged
-    full-row store, or one column over the power-up content."""
+    """Write ``row`` the way ``kind`` names: a full-row store of a
+    lowered (read-only) payload, or one column over the power-up
+    content."""
     if kind == "never":
         return
     if kind == "columns":
@@ -139,16 +144,18 @@ def write(bank, row, kind, byte):
         bank.precharge(2)
         return
     bits = payload_bits(byte)
-    tag = bytes([byte]) if kind == "tagged" else None
-    bank.store_full_row(row, bits, encode_words(bits), 0, tag=tag)
+    parity = encode_words(bits)
+    bits.setflags(write=False)
+    parity.setflags(write=False)
+    bank.store_full_row(row, bits, parity, 0)
 
 
 restores = st.fixed_dictionaries({
     "profile": st.sampled_from(PROFILES),
     "seed": st.integers(0, 2**16),
-    "victim": st.sampled_from(["tagged", "untagged", "columns"]),
-    "below": st.sampled_from(["tagged", "untagged", "never"]),
-    "above": st.sampled_from(["tagged", "untagged", "never"]),
+    "victim": st.sampled_from(["stored", "columns"]),
+    "below": st.sampled_from(["stored", "never"]),
+    "above": st.sampled_from(["stored", "never"]),
     "bytes": st.tuples(*(st.integers(0, 255) for _ in range(3))),
     # The restore's reach, in multiples of the initial hammer cutoff,
     # split over the two sides and the cross-channel dose.
@@ -210,7 +217,38 @@ def test_sparse_restore_matches_the_dense_oracle(case):
         if row in bank._bits:
             assert np.array_equal(bank._bits[row], oracle._bits[row]), row
             assert np.array_equal(bank._parity[row], oracle._parity[row])
-        assert bank._payload_tags.get(row) == oracle._payload_tags.get(row)
+
+
+@pytest.mark.parametrize("penalty", [0.0, 0.22])
+@pytest.mark.parametrize("profile_name", PROFILES)
+def test_sliced_horizontal_penalty_equals_the_whole_row_formula(
+        profile_name, penalty):
+    """At every cell of a full-size row, the run ends included (the
+    first and last data cell, the first and last parity cell), on
+    random and on constant rows."""
+    profile = get_profile(profile_name)
+    geometry = profile.geometry
+    calibration = profile.calibration.with_overrides(
+        intra_row_penalty=penalty)
+    layout = SubarrayLayout.paper_default(geometry.rows)
+    bank = Bank(KEY, geometry, calibration, layout,
+                GroundTruthProvider(geometry, calibration, layout, 0),
+                profile.timing, DeviceEnvironment(85.0))
+    data_bits = geometry.row_bits
+    n = data_bits + data_bits // ECC_WORD_BITS * ECC_PARITY_BITS
+    rng = np.random.default_rng(7)
+    rows = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(4)]
+    rows += [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)]
+    index = np.arange(n)
+    for cells in rows:
+        sliced = bank._horizontal_penalty(cells, index, data_bits)
+        dense = dense_horizontal_penalty(calibration, cells, data_bits)
+        assert sliced.dtype == dense.dtype
+        assert np.array_equal(sliced, dense)
+        ends = [0, data_bits - 1, data_bits, n - 1]
+        assert np.array_equal(
+            bank._horizontal_penalty(cells, np.array(ends), data_bits),
+            dense[ends])
 
 
 def test_generated_restores_flip_and_widen():

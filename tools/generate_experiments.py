@@ -201,8 +201,14 @@ def main() -> None:
 
     log("running the TRR-bypass extension ...")
     from repro.attacks.trrespass import TrrBypassAttack
-    bypass = TrrBypassAttack(board.host, board.device.mapper).compare(
-        DramAddress(7, 0, 0, 5000), hammer_count=400_000)
+    # A fresh station: the RowPress run above has just hammered this
+    # victim, and the comparison should not depend on what the earlier
+    # experiments leave behind on the board.
+    bypass_board = spec.build()
+    bypass_board.host.set_ecc_enabled(False)
+    bypass = TrrBypassAttack(
+        bypass_board.host, bypass_board.device.mapper).compare(
+            DramAddress(7, 0, 0, 5000), hammer_count=400_000)
 
     log("running the orientation analysis ...")
     from repro.core.orientation_re import (
