@@ -92,8 +92,9 @@ class HostInterface:
         ``key`` identifies the program *shape* (everything but the ACT
         row operands and the count); ``rows`` is the row binding, in
         first-ACT order.  ``count`` is the count binding of a program
-        that is one hammer loop — its iteration count — so one shape
-        serves every count (see :mod:`repro.engine.cache`).  ``checks``
+        whose one hammer loop sits between a LOOP-free prefix and
+        suffix — the loop's iteration count — so one shape serves every
+        count (see :mod:`repro.engine.cache`).  ``checks``
         returns the :class:`~repro.verify.VerifyContext` the built
         program must pass before it runs (a violation raises
         :class:`~repro.errors.VerificationError`); like ``build``, it is

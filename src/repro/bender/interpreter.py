@@ -82,6 +82,9 @@ class ExecutionResult:
         column_reads: data of each RD, in program order.
         row_reads: unpacked bit arrays of each RDROW, in program order.
         start_cycle / end_cycle: device clock at program entry and exit.
+        loop_cycles: device cycles spent inside the program's top-level
+            loops — the hammer section of a program that writes a
+            neighbourhood, hammers it and reads it back.
         trace: per-instruction log lines when tracing is enabled
             (bulk-applied loop iterations appear as one summary line).
     """
@@ -90,6 +93,7 @@ class ExecutionResult:
     row_reads: List[np.ndarray] = field(default_factory=list)
     start_cycle: int = 0
     end_cycle: int = 0
+    loop_cycles: int = 0
     trace: List[str] = field(default_factory=list)
 
     @property
@@ -139,9 +143,16 @@ class Interpreter:
     def run(self, program: Program) -> ExecutionResult:
         """Execute ``program``; returns the readback stream."""
         get_metrics().counter("bender.programs").inc()
-        result = ExecutionResult(start_cycle=self._device.now)
-        self._run_sequence(program.instructions, result)
-        result.end_cycle = self._device.now
+        device = self._device
+        result = ExecutionResult(start_cycle=device.now)
+        for instruction in program.instructions:
+            if isinstance(instruction, isa.Loop):
+                entry = device.now
+                self._run_loop(instruction, result)
+                result.loop_cycles += device.now - entry
+            else:
+                self._run_one(instruction, result)
+        result.end_cycle = device.now
         return result
 
     # ------------------------------------------------------------------

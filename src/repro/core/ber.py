@@ -18,6 +18,7 @@ from repro.bender.program import ProgramBuilder
 from repro.core.experiment import ExperimentConfig, check_time_budget
 from repro.core.hammer import (
     DoubleSidedHammer,
+    HammerOutcome,
     hammer_checks,
     prepare_neighborhood,
 )
@@ -127,7 +128,6 @@ class BerExperiment:
         report = flip_report(read_bits, expected)
 
         # Package into the same outcome shape the refresh-free path uses.
-        from repro.core.hammer import HammerOutcome
         return HammerOutcome(victim=victim, pattern=pattern,
                              hammer_count=config.ber_hammer_count,
                              report=report, duration_s=duration_s)

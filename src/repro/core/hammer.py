@@ -6,22 +6,28 @@ One *hammer* is one pair of activations (one per aggressor).  The paper
 also uses **single-sided** hammering — repeatedly activating one row — to
 reverse-engineer subarray boundaries (footnote 3).
 
-Both primitives are built from the same ingredients:
+Both primitives run one test program per hammer test, as DRAM Bender
+runs the paper's (:func:`build_probe_program`):
 
 1. *Prepare*: write the data pattern into the victim, the aggressors, and
    the surrounding rows (V±[2:8], Table 1), addressing *physical*
-   neighbourhoods through the reverse-engineered row mapping.
-2. *Hammer*: a test program that loops ACT/PRE over the aggressor(s).
-3. *Readback*: read the victim row(s) and count flips.
+   neighbourhoods through the reverse-engineered row mapping;
+2. *Hammer*: loop ACT/PRE over the aggressor(s);
+3. *Readback*: read the victim row(s), whose flips the host counts.
+
+The neighbourhood's rows and payloads are bound once per victim and
+pattern (:class:`HammerProbe`), so an HC_first search probing one
+victim at many hammer counts reruns the same program shape with only
+the loop count changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bender.host import HostInterface
+from repro.bender.interpreter import ExecutionResult
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.patterns import DataPattern
 from repro.core.rowdata import FlipReport, byte_fill_bits, flip_report
@@ -107,62 +113,120 @@ def prepare_neighborhood(host: HostInterface, mapper: RowAddressMapper,
     return neighborhood
 
 
-def build_hammer_program(victim: DramAddress, aggressor_rows: Sequence[int],
-                         hammer_count: int) -> Program:
-    """LOOP hammer_count { ACT/PRE each aggressor } as a test program."""
+def build_probe_program(site: DramAddress,
+                        writes: Sequence[Tuple[int, bytes]],
+                        aggressor_rows: Sequence[int], hammer_count: int,
+                        reads: Sequence[int]) -> Program:
+    """One hammer test on ``site``'s bank as a single test program.
+
+    ACT/WRROW/PRE per (logical row, payload) of ``writes``, then
+    ``LOOP hammer_count { ACT/PRE each aggressor }`` (no loop at count
+    0), then ACT/RDROW/PRE per row of ``reads``, in order.
+    """
     if hammer_count < 0:
         raise ExperimentError(f"hammer_count must be >= 0, got {hammer_count}")
     if not aggressor_rows:
         raise ExperimentError("need at least one aggressor row")
+    channel, pseudo_channel, bank = (site.channel, site.pseudo_channel,
+                                     site.bank)
     builder = ProgramBuilder()
+    for row, data in writes:
+        builder.act(channel, pseudo_channel, bank, row)
+        builder.wr_row(channel, pseudo_channel, bank, data)
+        builder.pre(channel, pseudo_channel, bank)
     if hammer_count > 0:
         with builder.loop(hammer_count):
             for row in aggressor_rows:
-                builder.act(victim.channel, victim.pseudo_channel,
-                            victim.bank, row)
-                builder.pre(victim.channel, victim.pseudo_channel,
-                            victim.bank)
+                builder.act(channel, pseudo_channel, bank, row)
+                builder.pre(channel, pseudo_channel, bank)
+    for row in reads:
+        builder.act(channel, pseudo_channel, bank, row)
+        builder.rd_row(channel, pseudo_channel, bank)
+        builder.pre(channel, pseudo_channel, bank)
     return builder.build()
+
+
+def build_hammer_program(victim: DramAddress, aggressor_rows: Sequence[int],
+                         hammer_count: int) -> Program:
+    """LOOP hammer_count { ACT/PRE each aggressor } as a test program."""
+    return build_probe_program(victim, (), aggressor_rows, hammer_count, ())
 
 
 def hammer_checks(host: HostInterface, victim: DramAddress,
                   aggressor_rows: Sequence[int], hammer_count: int,
-                  **overrides) -> VerifyContext:
+                  accesses: int = 0, **overrides) -> VerifyContext:
     """The static checks a hammer payload declares before it runs.
 
     DRAM protocol and timing against the host's parameters and — the
     property dynamic execution cannot check — that every declared
-    aggressor row is activated exactly ``hammer_count`` times, so BER
-    and HC_first are attributed to the hammer count the experiment
-    records.  ``overrides`` go to :meth:`VerifyContext.for_host`.
+    aggressor row is activated exactly ``hammer_count`` times by the
+    hammering plus ``accesses`` times outside it (its row writes and
+    reads), so BER and HC_first are attributed to the hammer count the
+    experiment records.  ``overrides`` go to
+    :meth:`VerifyContext.for_host`.
     """
     expected = {(victim.channel, victim.pseudo_channel, victim.bank, row):
-                hammer_count for row in aggressor_rows}
+                hammer_count + accesses for row in aggressor_rows}
     return VerifyContext.for_host(host, expected_hammers=expected,
                                   **overrides)
 
 
-def _run_hammer(host: HostInterface, victim: DramAddress,
-                aggressor_rows: Sequence[int], hammer_count: int):
-    """Run :func:`build_hammer_program` through the host's shape cache.
+class HammerProbe:
+    """One hammer test bound to its rows: the neighbourhood fill, the
+    aggressors and the rows read back, on ``site``'s bank.
 
-    The shape is keyed by the bank and the number of aggressors; the
-    rows and the hammer count are its row and count bindings, and the
-    declared per-aggressor count is the count binding itself, so a
-    verdict at the largest count carries to every smaller one.  Count 0
-    builds an empty program, its own row-free shape.
+    The payloads, the row binding and the shape key are computed once;
+    :meth:`run` issues :func:`build_probe_program` at any hammer count
+    through the host's shape cache, whose one shape serves every count
+    (the count is its count binding, see :mod:`repro.engine.cache`).
+    ``fills`` lists (logical row, fill byte) in write order; every
+    aggressor must be among them, written once.
     """
-    key = ("hammer", victim.channel, victim.pseudo_channel, victim.bank,
-           len(aggressor_rows))
-    if hammer_count:
-        rows, count = tuple(aggressor_rows), hammer_count
-    else:
-        key, rows, count = key + (0,), (), None
-    return host.cached_run(
-        key, rows,
-        lambda: build_hammer_program(victim, aggressor_rows, hammer_count),
-        lambda: hammer_checks(host, victim, aggressor_rows, hammer_count),
-        count)
+
+    def __init__(self, host: HostInterface, site: DramAddress,
+                 fills: Sequence[Tuple[int, int]],
+                 aggressor_rows: Sequence[int],
+                 read_rows: Sequence[int]) -> None:
+        row_bytes = host.device.geometry.row_bytes
+        self._host = host
+        self._site = site
+        self._writes = tuple((row, _fill_row(fill, row_bytes))
+                             for row, fill in fills)
+        self._aggressors = tuple(aggressor_rows)
+        self._reads = tuple(read_rows)
+        # The row binding: distinct ACT rows in first-ACT order.
+        self._rows = tuple(dict.fromkeys(
+            [row for row, _ in fills] + list(aggressor_rows)
+            + list(read_rows)))
+        slot = {row: index for index, row in enumerate(self._rows)}
+        self._key = ("hammer", site.channel, site.pseudo_channel, site.bank,
+                     tuple(fill for _, fill in fills),
+                     tuple(slot[row] for row in aggressor_rows),
+                     tuple(slot[row] for row in read_rows))
+
+    def run(self, hammer_count: int) -> ExecutionResult:
+        """Write, hammer ``hammer_count`` times, read back: one program.
+
+        The result's ``row_reads`` are the read rows in order and its
+        ``loop_cycles`` the hammering's duration.  Count 0 builds the
+        program without its loop, its own count-free shape.
+        """
+        if hammer_count < 0:
+            raise ExperimentError(
+                f"hammer_count must be >= 0, got {hammer_count}")
+        host = self._host
+        site, writes = self._site, self._writes
+        aggressors, reads = self._aggressors, self._reads
+        key, count = self._key, hammer_count
+        if not hammer_count:
+            key, count = key + (0,), None
+        return host.cached_run(
+            key, self._rows,
+            lambda: build_probe_program(site, writes, aggressors,
+                                        hammer_count, reads),
+            lambda: hammer_checks(host, site, aggressors, hammer_count,
+                                  accesses=1),
+            count)
 
 
 class DoubleSidedHammer:
@@ -176,49 +240,63 @@ class DoubleSidedHammer:
         """Logical rows physically adjacent to the victim."""
         return list(self._mapper.physical_neighbors(victim.row))
 
+    def bind(self, victim: DramAddress, pattern: DataPattern
+             ) -> Callable[[int], HammerOutcome]:
+        """The victim's hammer test under ``pattern``, bound once.
+
+        Returns a function that runs the test at a hammer count: it
+        fills the victim's physical neighbourhood with the pattern,
+        hammers ``hammer_count`` pairs (one ACT per aggressor each) and
+        reads the victim back, as one program.  An HC_first search
+        binds once and probes many counts.
+        """
+        host = self._host
+        geometry = host.device.geometry
+        timing = host.device.timing
+        with get_tracer().span("prepare"):
+            aggressors = self.aggressors_of(victim)
+            if len(aggressors) < 2:
+                raise ExperimentError(
+                    f"victim {victim} has {len(aggressors)} physical "
+                    "neighbour(s); double-sided hammering needs two")
+            neighborhood = physical_neighborhood(self._mapper, victim.row,
+                                                 geometry.rows)
+            probe = HammerProbe(
+                host, victim,
+                [(row, pattern.byte_for_offset(offset))
+                 for offset, row in sorted(neighborhood.items())],
+                aggressors, [victim.row])
+            expected = byte_fill_bits(pattern.victim_byte,
+                                      geometry.row_bytes)
+
+        def run(hammer_count: int) -> HammerOutcome:
+            tracer = get_tracer()
+            with tracer.span("hammer", hammers=hammer_count):
+                execution = probe.run(hammer_count)
+            with tracer.span("readback"):
+                report = flip_report(execution.row_reads[0], expected)
+            metrics = get_metrics()
+            metrics.counter("hammer.double_sided").inc()
+            metrics.counter("hammer.pairs").inc(hammer_count)
+            metrics.counter("bitflips.observed").inc(report.flips)
+            return HammerOutcome(
+                victim=victim, pattern=pattern, hammer_count=hammer_count,
+                report=report,
+                duration_s=timing.seconds(execution.loop_cycles))
+
+        return run
+
     def run(self, victim: DramAddress, pattern: DataPattern,
-            hammer_count: int, prepare: bool = True) -> HammerOutcome:
-        """Prepare, hammer ``hammer_count`` pairs, read back the victim.
+            hammer_count: int) -> HammerOutcome:
+        """Prepare, hammer ``hammer_count`` pairs, read back the victim
+        (:meth:`bind`, run once).
 
         Args:
             victim: the victim row (logical address).
             pattern: Table 1 data pattern for the neighbourhood fill.
             hammer_count: activation pairs (one ACT per aggressor each).
-            prepare: skip the data-fill step when False (caller already
-                initialized the neighbourhood — used by search loops that
-                restore state themselves).
         """
-        host = self._host
-        geometry = host.device.geometry
-        tracer = get_tracer()
-        metrics = get_metrics()
-        if prepare:
-            with tracer.span("prepare"):
-                prepare_neighborhood(host, self._mapper, victim, pattern)
-        aggressors = self.aggressors_of(victim)
-        if len(aggressors) < 2:
-            raise ExperimentError(
-                f"victim {victim} has {len(aggressors)} physical "
-                "neighbour(s); double-sided hammering needs two")
-        with tracer.span("hammer", hammers=hammer_count):
-            # Through the engine: the program *shape* (everything but
-            # the aggressor rows and the hammer count) is assembled and
-            # verified once, then re-instantiated per victim and count
-            # by patching the ACT rows and the loop count.
-            execution = _run_hammer(host, victim, aggressors, hammer_count)
-        duration_s = host.device.timing.seconds(execution.duration_cycles)
-
-        with tracer.span("readback"):
-            read_bits = host.read_row(victim)
-            expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
-            report = flip_report(read_bits, expected)
-        metrics.counter("hammer.double_sided").inc()
-        metrics.counter("hammer.pairs").inc(hammer_count)
-        metrics.counter("bitflips.observed").inc(report.flips)
-        return HammerOutcome(victim=victim, pattern=pattern,
-                             hammer_count=hammer_count,
-                             report=report,
-                             duration_s=duration_s)
+        return self.bind(victim, pattern)(hammer_count)
 
 
 class SingleSidedHammer:
@@ -234,8 +312,7 @@ class SingleSidedHammer:
         self._mapper = mapper
 
     def run(self, aggressor: DramAddress, pattern: DataPattern,
-            hammer_count: int,
-            prepare: bool = True) -> Dict[int, FlipReport]:
+            hammer_count: int) -> Dict[int, FlipReport]:
         """Hammer one aggressor; read back both potential victims.
 
         Returns a dict keyed by physical offset (-1 and/or +1) with the
@@ -243,41 +320,26 @@ class SingleSidedHammer:
         """
         host = self._host
         geometry = host.device.geometry
-        mapper = self._mapper
-        if prepare:
-            # Around a single-sided aggressor, the "victims" are at ±1;
-            # fill them with the victim byte and everything else per the
-            # same convention, centered on the aggressor.
-            physical_aggressor = mapper.logical_to_physical(aggressor.row)
-            for offset in range(-NEIGHBORHOOD_RADIUS,
-                                NEIGHBORHOOD_RADIUS + 1):
-                physical = physical_aggressor + offset
-                if not 0 <= physical < geometry.rows:
-                    continue
-                logical = mapper.physical_to_logical(physical)
-                if offset == 0:
-                    fill = pattern.aggressor_byte
-                elif abs(offset) == 1:
-                    fill = pattern.victim_byte
-                else:
-                    fill = pattern.surround_byte
-                host.write_row(aggressor.with_row(logical),
-                               bytes([fill]) * geometry.row_bytes)
-
+        neighborhood = physical_neighborhood(self._mapper, aggressor.row,
+                                             geometry.rows)
+        # Around a single-sided aggressor, the "victims" are at ±1;
+        # fill them with the victim byte and everything else per the
+        # same convention, centered on the aggressor.
+        fills = [(row, pattern.aggressor_byte if offset == 0
+                  else pattern.victim_byte if abs(offset) == 1
+                  else pattern.surround_byte)
+                 for offset, row in sorted(neighborhood.items())]
+        victims = [offset for offset in (-1, +1) if offset in neighborhood]
+        probe = HammerProbe(host, aggressor, fills, [aggressor.row],
+                            [neighborhood[offset] for offset in victims])
         with get_tracer().span("hammer", hammers=hammer_count,
                                single_sided=True):
-            _run_hammer(host, aggressor, [aggressor.row], hammer_count)
+            execution = probe.run(hammer_count)
 
         expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
-        physical_aggressor = mapper.logical_to_physical(aggressor.row)
-        reports: Dict[int, FlipReport] = {}
-        for offset in (-1, +1):
-            physical = physical_aggressor + offset
-            if not 0 <= physical < geometry.rows:
-                continue
-            logical = mapper.physical_to_logical(physical)
-            read_bits = host.read_row(aggressor.with_row(logical))
-            reports[offset] = flip_report(read_bits, expected)
+        reports = {offset: flip_report(read_bits, expected)
+                   for offset, read_bits in zip(victims,
+                                                execution.row_reads)}
         metrics = get_metrics()
         metrics.counter("hammer.single_sided").inc()
         metrics.counter("hammer.pairs").inc(hammer_count)

@@ -54,21 +54,22 @@ class HcFirstSearch:
         self._hammer = DoubleSidedHammer(host, mapper)
         self._start = start_hammers
 
-    def _probe(self, victim: DramAddress, pattern: DataPattern,
-               hammers: int) -> int:
-        """Run one fully-prepared hammering test; returns the flip count."""
-        outcome = self._hammer.run(victim, pattern, hammers)
-        check_time_budget(outcome.duration_s, self._config.controls,
-                          what=f"HC_first probe of {victim}")
-        return outcome.report.flips
-
     def search(self, victim: DramAddress,
                pattern: DataPattern) -> HcFirstOutcome:
         """Find the exact HC_first of one victim under one pattern."""
         maximum = self._config.hcfirst_max_hammers
+        controls = self._config.controls
+        test = self._hammer.bind(victim, pattern)
         probes = 0
 
-        flips_at_max = self._probe(victim, pattern, maximum)
+        def probe(hammers: int) -> int:
+            """Run one fully-prepared hammering test; the flip count."""
+            outcome = test(hammers)
+            check_time_budget(outcome.duration_s, controls,
+                              what=f"HC_first probe of {victim}")
+            return outcome.report.flips
+
+        flips_at_max = probe(maximum)
         probes += 1
         if flips_at_max == 0:
             return HcFirstOutcome(hc_first=None, probes=probes,
@@ -79,7 +80,7 @@ class HcFirstSearch:
         high = maximum  # lowest hammer count observed flipping
         hammers = min(self._start, maximum)
         while hammers < maximum:
-            flips = self._probe(victim, pattern, hammers)
+            flips = probe(hammers)
             probes += 1
             if flips > 0:
                 high = hammers
@@ -90,7 +91,7 @@ class HcFirstSearch:
         # Binary search in (low, high].
         while high - low > 1:
             middle = (low + high) // 2
-            flips = self._probe(victim, pattern, middle)
+            flips = probe(middle)
             probes += 1
             if flips > 0:
                 high = middle

@@ -228,8 +228,9 @@ class Bank:
         and sample power-up values for never-written rows that are
         likewise replaced.  The restore bookkeeping an ACT performs —
         retention clock and accumulated-disturbance reset — is applied
-        directly.  The caller owns timing, TRR observation, and the
-        close-of-row accounting (:meth:`note_closed_activation`).
+        directly, and so is the ACT's open-time stamp.  The caller owns
+        timing, TRR observation, and the close-of-row accounting
+        (:meth:`note_closed_activation`).
 
         ``bits`` (0/1 values) and ``parity`` (``encode_words(bits)``)
         are a lowered payload (:meth:`~repro.bender.interpreter.
@@ -251,6 +252,7 @@ class Bank:
         self._parity[physical_row] = parity
         self._shared_rows.add(physical_row)
         self._last_restore[physical_row] = cycle
+        self._open_since = cycle
         self.disturbance.reset(physical_row)
 
     def note_closed_activation(self, physical_row: int,

@@ -22,11 +22,15 @@ The engine's analytic paths repeat command streams through one
 mechanism, the :class:`Schedule`: the cycle offsets, RowPress factors,
 exit timing state, clock advance and command counts of one stream,
 recorded while it is stepped through the per-command methods
-(:meth:`Device._record`) under its entry timing signature.  Hammer
-iterations (:meth:`Device.apply_hammer_steps`) and batched row writes
-(:meth:`Device.apply_row_writes`) memoize theirs by row-free stream
-shape and replay it, rows bound, whenever the signature recurs
-(:meth:`Device._replay`).  A REF-bounded burst's schedule, measured by
+(:meth:`Device._record`) under its entry timing signature.
+:meth:`Device.apply_stream` memoizes a stream's schedule by row-free
+stream shape and replays it, rows bound, whenever the signature recurs
+(:meth:`Device._replay`): hammer iterations
+(:meth:`Device.apply_hammer_steps`), batched row writes
+(:meth:`Device.apply_row_writes`), and the two streams of a hammer test
+around its bulk-applied loop (the neighbourhood writes with the warm-up
+iterations, then the trailing iteration with the read-back).  A
+REF-bounded burst's schedule, measured by
 :meth:`Device.measure_burst`, yields the closed form
 :meth:`Device.apply_bursts` repeats between events (TRR fires, REFs
 that reach a live row), and through whole fire cycles when the TRR
@@ -325,6 +329,8 @@ class Device:
         self._timing_checker.record_rdwr(key, cycle, is_write=False)
         bits = self.bank(channel, pseudo_channel, bank).read_open_row_bits(
             cycle, self.mode_registers(channel).ecc_enabled)
+        if self._trace is not None:
+            self._trace.append(("rd", key, None, cycle))
         self.now = cycle + self.geometry.columns * self.timing.ccd_cycles
         self._count("RD", self.geometry.columns)
         return bits
@@ -400,34 +406,15 @@ class Device:
         ``(bits, parity)`` a lowered payload the written row adopts
         (:meth:`~repro.dram.bank.Bank.store_full_row`); cycle- and
         state-identical to one :meth:`apply_row_write` per entry, in
-        order.  The batch's :class:`Schedule` is memoized under (bank
-        key, batch length), its rows named by their position in the
-        batch, so any later batch of that bank and length replays it
-        when it enters with the same signature
-        (:meth:`apply_hammer_steps` has the argument); otherwise the
-        batch is stepped, one :meth:`apply_row_write` per entry, and
-        recorded.
+        order.  One :meth:`apply_stream` under (bank key, batch length),
+        its rows named by their position in the batch.
         """
         key: BankKey = (channel, pseudo_channel, bank)
-        shape = (key, len(writes))
-        rows = [write[0] for write in writes]
-        schedule = self._schedules.get(shape)
-        if schedule is not None and \
-                self._signature(schedule.banks) == schedule.signature:
-            self._replay(schedule, rows, writes)
-            return
-
-        def run() -> None:
-            for row, bits, parity in writes:
-                self.apply_row_write(channel, pseudo_channel, bank, row,
-                                     bits, parity)
-
-        slots = {(key, self.mapper.logical_to_physical(row)): index
-                 for index, row in enumerate(rows)}
-        schedule = self._record((key,), (), run, slots)
-        # A row written twice would name two positions by one slot.
-        if len(slots) == len(writes):
-            self._schedules[shape] = schedule
+        self.apply_stream(
+            (key, len(writes)),
+            tuple(("wr",) + key + (index,) for index in range(len(writes))),
+            [write[0] for write in writes],
+            [write[1:] for write in writes])
 
     def apply_hammer_steps(self, steps: tuple, rows: Sequence[int]) -> None:
         """Analytic single hammer iteration: ACT/PRE/Wait steps.
@@ -436,43 +423,79 @@ class Device:
         ``("pre", ch, pc, bank)`` and ``("wait", cycles)`` tuples — one
         loop iteration, as :class:`~repro.verify.effects.HammerOp`
         holds it — and ``rows[slot]`` is the logical row of an ACT.
-        Cycle- and state-identical to issuing each step through
-        :meth:`activate` / :meth:`precharge` / :meth:`wait`, and the
-        first execution does exactly that, recording its
-        :class:`Schedule` under ``steps``.  A later iteration of the
-        same steps, whatever its rows, replays the recording when it
-        enters with the same signature: scheduling is a pure function
-        of the clamped-relative entry state (per key, and the
-        interleaving across keys is fixed by step order), so the cycles
-        and open times are provably identical, and only the bank
-        physics — row restore, TRR observation, neighbour disturbance,
-        cross-channel routing — re-executes, on the bound rows, in
-        step order, with the same float operations.
+        One :meth:`apply_stream` under ``steps``.
         """
-        schedule = self._schedules.get(steps)
+        self.apply_stream(steps, steps, rows)
+
+    def apply_stream(self, shape, steps: tuple, rows: Sequence[int],
+                     payloads: Sequence[tuple] = ()
+                     ) -> Tuple[List[np.ndarray], Tuple[int, ...]]:
+        """Analytic command stream of row writes, hammer steps and row
+        reads; returns the reads' bits and the stream's marks.
+
+        ``steps`` holds :meth:`apply_hammer_steps`' ``act``, ``pre`` and
+        ``wait`` steps plus ``("wr", ch, pc, bank, slot)`` — ACT / WRROW
+        / PRE of ``rows[slot]`` with the lowered payload
+        ``payloads[slot]`` as (bits, parity), applied as
+        :meth:`apply_row_write` — ``("rd", ch, pc, bank, slot)`` — ACT /
+        RDROW / PRE of ``rows[slot]`` — and ``("mark",)``, which issues
+        nothing and returns the clock's offset from the stream's entry
+        at that point.  Cycle- and state-identical to issuing the
+        commands one by one, and the first execution does exactly that,
+        recording its :class:`Schedule` under ``shape`` (any hashable
+        that determines ``steps``).  A later stream of that shape,
+        whatever its rows, replays the recording when it enters with
+        the same signature: scheduling is a pure function of the
+        clamped-relative entry state (per key, and the interleaving
+        across keys is fixed by step order), so the cycles and open
+        times are provably identical, and only the bank physics — row
+        restore or store, row read, TRR observation, neighbour
+        disturbance, cross-channel routing — re-executes, on the bound
+        rows, in step order, with the same float operations.
+        """
+        schedule = self._schedules.get(shape)
         if schedule is not None and \
                 self._signature(schedule.banks) == schedule.signature:
-            self._replay(schedule, rows)
-            return
+            return self._replay(schedule, rows, payloads), schedule.marks
+
+        entry = self.now
+        reads: List[np.ndarray] = []
+        marks: List[int] = []
 
         def run() -> None:
             for step in steps:
-                if step[0] == "act":
+                kind = step[0]
+                if kind == "act":
                     self.activate(step[1], step[2], step[3], rows[step[4]])
-                elif step[0] == "pre":
+                elif kind == "pre":
                     self.precharge(step[1], step[2], step[3])
-                else:
+                elif kind == "wr":
+                    self.apply_row_write(step[1], step[2], step[3],
+                                         rows[step[4]], *payloads[step[4]])
+                elif kind == "rd":
+                    self.activate(step[1], step[2], step[3], rows[step[4]])
+                    reads.append(self.read_open_row(step[1], step[2],
+                                                    step[3]))
+                    self.precharge(step[1], step[2], step[3])
+                elif kind == "wait":
                     self.wait(step[1])
+                else:
+                    marks.append(self.now - entry)
 
         banks = tuple(dict.fromkeys(step[1:4] for step in steps
-                                    if step[0] != "wait"))
+                                    if step[0] not in ("wait", "mark")))
+        used = {step[4] for step in steps if step[0] in _ROW_STEPS}
         slots = {(step[1:4], self.mapper.logical_to_physical(rows[step[4]])):
-                 step[4] for step in steps if step[0] == "act"}
-        schedule = self._record(banks, (), run, slots)
-        # A bank open at entry closes a row whose open time, and so
-        # RowPress factor, the signature does not hold.
-        if not any(signature[3] for signature in schedule.signature):
-            self._schedules[steps] = schedule
+                 step[4] for step in steps if step[0] in _ROW_STEPS}
+        schedule = self._record(banks, (), run, slots)._replace(
+            marks=tuple(marks))
+        # Two slots on one row would name one row by two slots; a bank
+        # open at entry closes a row whose open time, and so RowPress
+        # factor, the signature does not hold.
+        if len(slots) == len(used) and \
+                not any(signature[3] for signature in schedule.signature):
+            self._schedules[shape] = schedule
+        return reads, schedule.marks
 
     # ------------------------------------------------------------------
     # Schedule record and replay
@@ -526,16 +549,17 @@ class Device:
                          if count != before.get(name, 0)))
 
     def _replay(self, schedule: "Schedule", rows: Sequence[int],
-                writes: Sequence[tuple] = ()) -> None:
-        """Install a memoized :class:`Schedule` with ``rows`` bound.
+                payloads: Sequence[tuple] = ()) -> List[np.ndarray]:
+        """Install a memoized :class:`Schedule` with ``rows`` bound;
+        returns the bits of its row reads, in order.
 
         ``rows[slot]`` is the logical row of the events naming ``slot``
-        (``writes[slot]`` its payload, for a write).  The bank physics
-        runs per event at the recorded cycles and RowPress factors; the
-        checker exit state, the clock and the command counts are
-        installed from the recording.  Each pseudo channel's TRR sampler
-        takes the ACTs in one ``observe_run``, exactly as it would one
-        at a time (no REF interleaves).
+        (``payloads[slot]`` its lowered (bits, parity), for a write).
+        The bank physics runs per event at the recorded cycles and
+        RowPress factors; the checker exit state, the clock and the
+        command counts are installed from the recording.  Each pseudo
+        channel's TRR sampler takes the ACTs in one ``observe_run``,
+        exactly as it would one at a time (no REF interleaves).
         """
         entry = self.now
         mapper = self.mapper
@@ -544,12 +568,18 @@ class Device:
                    for key in schedule.banks}
         trace = self._trace
         opened: Dict[BankKey, int] = {}
+        reads: List[np.ndarray] = []
         for kind, key, slot, value in schedule.events:
             bank_obj, run = targets[key]
             if kind == "pre":
                 physical = opened[key]
                 bank_obj.replay_precharge(physical, value)
                 self._route_cross_channel(key, physical, value)
+            elif kind == "rd":
+                physical = opened[key]
+                value += entry
+                reads.append(bank_obj.read_open_row_bits(
+                    value, self.mode_registers(key[0]).ecc_enabled))
             else:
                 physical = opened[key] = mapper.logical_to_physical(
                     rows[slot])
@@ -557,7 +587,7 @@ class Device:
                 if kind == "act":
                     bank_obj.replay_activate(physical, value)
                 else:
-                    _, bits, parity = writes[slot]
+                    bits, parity = payloads[slot]
                     bank_obj.store_full_row(physical, bits, parity, value)
                 run.append((key, physical))
             if trace is not None:
@@ -570,6 +600,7 @@ class Device:
         self.now = entry + schedule.advance
         for name, count in schedule.counts:
             self._count(name, count)
+        return reads
 
     # ------------------------------------------------------------------
     # Generic dispatch for Command objects
@@ -1041,8 +1072,11 @@ class Device:
                 self._count(name, total)
 
 
+#: :meth:`Device.apply_stream` steps that name a row slot.
+_ROW_STEPS = ("act", "wr", "rd")
+
 #: Event kinds whose value is a cycle (offset, in a :class:`Schedule`).
-_TIMED = ("act", "wr", "restore", "ref")
+_TIMED = ("act", "wr", "rd", "restore", "ref")
 
 
 class Schedule(NamedTuple):
@@ -1055,6 +1089,8 @@ class Schedule(NamedTuple):
 
     * ``act`` — ACT on bank ``key``; value: its cycle offset;
     * ``wr`` — an analytic ACT + full-row write; value: its cycle offset;
+    * ``rd`` — a full-row read of bank ``key``'s open row (row None);
+      value: its cycle offset;
     * ``pre`` — the PRE closing ``row``; value: its RowPress factor;
     * ``bulk`` — one ACT of a bulk-applied loop body; value: (its dose,
       the body's rows on that bank);
@@ -1081,6 +1117,8 @@ class Schedule(NamedTuple):
     advance: int
     #: Command-count increments.
     counts: Tuple[Tuple[str, int], ...]
+    #: Clock offsets of the stream's marks (:meth:`Device.apply_stream`).
+    marks: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,19 @@ two-call protocol::
 
 A hammer loop's iteration count may be bound the same way as its rows
 (``compile(..., count=N)``, then ``execute(handle, rows, n)`` for any
-``n <= N``; see :mod:`repro.engine.cache`).
+``n <= N``; see :mod:`repro.engine.cache`).  Such a program is a whole
+hammer test: a prefix (the neighbourhood's row writes), the hammer
+loop, and a suffix (the victims' row reads).
 
 :class:`FastPathBackend` is the station's one production backend.
 ``compile`` verifies the program once, against the checks its driver
-declares, canonicalizes it into a row-free template, lowers its
-row-write payloads (a WRROW's ``np.unpackbits`` expansion and its ECC
+declares, canonicalizes it into a row-free template, and runs the
+effect-summary analysis (:func:`repro.verify.summarize_program`) on
+the template, from that one verification report.  Row-write payloads
+are applied lowered (a WRROW's ``np.unpackbits`` expansion and its ECC
 parity words are pure functions of the payload bytes, memoized on the
 interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
-lower_payload`), and runs the effect-summary analysis
-(:func:`repro.verify.summarize_program`) on the template, from that
-one verification report.  ``execute`` applies a summarized program's
+lower_payload`); a count-bound handle holds its own.  ``execute`` applies a summarized program's
 effect ops directly against the device — the same ACT counts, timing
 stamps, TRR observations, disturbance doses and command counts the
 interpreter would produce, without walking the command stream.  Programs whose effects cannot be proven
@@ -28,8 +30,19 @@ program on the host's interpreter instead.
 
 Loops are split, not unrolled.  A hammer op runs through the
 interpreter's own loop policy (:func:`~repro.bender.interpreter.
-run_loop`).  A burst op — REF-bounded hammer bursts, TRRespass rounds —
-is split one level up:
+run_loop`).  A count-bound handle whose prefix and suffix are row
+writes, row reads and bare ACT/WAIT/PRE groups — every hammer test —
+applies that split as one stream per side of the bulk-applied
+iterations (:meth:`~repro.dram.device.Device.apply_stream`): the
+prefix with the two warm-up iterations, then
+:meth:`~repro.dram.device.Device.bulk_activations`, then the trailing
+iteration with the suffix, each replayed from the device's one
+:class:`~repro.dram.device.Schedule` memo once recorded, with the
+handle's write payloads lowered at compile time.  Below the bulk
+threshold the whole program is one stream.  Either way the result
+reports the loop's cycles (``ExecutionResult.loop_cycles``) exactly
+as the interpreter measures them.  A burst op — REF-bounded hammer
+bursts, TRRespass rounds — is split one level up:
 
 * **warm-up**: bursts are stepped singly through the per-iteration path
   while :meth:`~repro.dram.device.Device.measure_burst` records the
@@ -76,16 +89,22 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
-from repro.bender import isa
-from repro.bender.interpreter import ExecutionResult, run_loop
+from repro.bender.interpreter import (
+    BULK_LOOP_THRESHOLD,
+    ExecutionResult,
+    run_loop,
+)
 from repro.bender.program import Program
 from repro.dram.device import BurstBody
 from repro.engine.cache import (
     RowBinding,
     SlotBanks,
     canonicalize,
+    check_declared_counts,
+    count_loop_index,
     shape_digest,
     substitute,
 )
@@ -103,6 +122,7 @@ from repro.verify.effects import (
     RowReadOp,
     RowWriteOp,
     Unsummarizable,
+    loop_op_positions,
     summarize_program,
 )
 
@@ -120,13 +140,20 @@ class CompiledProgram:
     binding — the same renaming rule row substitution uses — so one
     analysis serves every execution of the shape.
 
-    ``count`` is set on a count-bound shape (one hammer loop, see
-    :mod:`repro.engine.cache`): the loop count the shape was verified
-    and summarized at, which the template keeps.  Any count binding
-    from 1 to ``count`` executes the handle — the summary's one
-    :class:`~repro.verify.effects.HammerOp` then runs that many
+    ``count`` is set on a count-bound shape (a prefix, one hammer loop
+    and a suffix, see :mod:`repro.engine.cache`): the loop count the
+    shape was verified and summarized at, which the template keeps.
+    Any count binding from 1 to ``count`` executes the handle — the
+    loop's :class:`~repro.verify.effects.HammerOp` then runs that many
     iterations — because every count-dependent verdict is monotone in
     the count (the argument is in the cache module's docstring).
+
+    ``loop_ops`` are the positions in ``summary.ops`` of the ops the
+    template's top-level loops make (the count loop's, on a
+    count-bound shape), whose cycles the result reports.  ``stream``
+    is a count-bound shape's :class:`ProbeStream`, when its prefix and
+    suffix are ones :meth:`~repro.dram.device.Device.apply_stream`
+    takes.
     """
 
     template: Program
@@ -136,24 +163,84 @@ class CompiledProgram:
     summary: Optional[EffectSummary] = None
     unsummarizable: Optional[Unsummarizable] = None
     count: Optional[int] = None
+    loop_ops: Tuple[int, ...] = ()
+    stream: Optional["ProbeStream"] = None
 
     @property
     def slots(self) -> int:
         return len(self.slot_banks)
 
 
-def _wrrow_payloads(program: Program) -> Tuple[bytes, ...]:
-    payloads: List[bytes] = []
+#: The stream step that marks a clock offset
+#: (:meth:`~repro.dram.device.Device.apply_stream`).
+MARK = ("mark",)
 
-    def walk(instructions) -> None:
-        for instruction in instructions:
-            if isinstance(instruction, isa.Loop):
-                walk(instruction.body)
-            elif isinstance(instruction, isa.WrRow):
-                payloads.append(instruction.data)
 
-    walk(program.instructions)
-    return tuple(payloads)
+@dataclass(frozen=True)
+class ProbeStream:
+    """A count-bound shape as :meth:`~repro.dram.device.Device.
+    apply_stream` steps: the prefix, one loop iteration and the suffix,
+    rows named by slot, plus the lowered payload of each written slot.
+    """
+
+    prefix: tuple
+    body: tuple
+    suffix: tuple
+    #: Per slot, the (bits, parity) its write stores (None: unwritten).
+    payloads: tuple
+
+    @cached_property
+    def head(self) -> tuple:
+        """Prefix and the two warm-up iterations, marking where the
+        loop and its second iteration start."""
+        return self.prefix + (MARK,) + self.body + (MARK,) + self.body
+
+    @cached_property
+    def tail(self) -> tuple:
+        """The trailing iteration and the suffix, marking the loop's
+        end."""
+        return self.body + (MARK,) + self.suffix
+
+    def whole(self, count: int) -> tuple:
+        """The program at ``count`` iterations, marking the loop."""
+        return (self.prefix + (MARK,) + self.body * count + (MARK,)
+                + self.suffix)
+
+
+def _probe_stream(ops, loop_op: int, slots: int,
+                  lower) -> Optional[ProbeStream]:
+    """The :class:`ProbeStream` of a count-bound summary whose loop's
+    op is ``ops[loop_op]``, or None when its prefix or suffix holds an
+    op a stream cannot (REF) or writes one slot two payloads."""
+    written = {}
+
+    def steps(segment) -> Optional[tuple]:
+        out = []
+        for op in segment:
+            if isinstance(op, RowWriteOp):
+                if written.setdefault(op.row, op.data) != op.data:
+                    return None
+                out.append(("wr", op.channel, op.pseudo_channel, op.bank,
+                            op.row))
+            elif isinstance(op, RowReadOp):
+                out.append(("rd", op.channel, op.pseudo_channel, op.bank,
+                            op.row))
+            elif isinstance(op, HammerOp):
+                out.extend(op.steps)  # a bare ACT[/WAIT]/PRE group
+            elif isinstance(op, IdleOp):
+                out.append(("wait", op.cycles))
+            else:
+                return None
+        return tuple(out)
+
+    prefix = steps(ops[:loop_op])
+    suffix = steps(ops[loop_op + 1:])
+    if prefix is None or suffix is None:
+        return None
+    return ProbeStream(
+        prefix=prefix, body=ops[loop_op].steps, suffix=suffix,
+        payloads=tuple(lower(written[slot]) if slot in written else None
+                       for slot in range(slots)))
 
 
 class FastPathBackend:
@@ -239,21 +326,33 @@ class FastPathBackend:
         and a clean report under declared checks carries the default
         one's truncation and TRR-window facts.  ``count`` makes the
         handle count-bound at that count (:func:`~repro.engine.cache.
-        canonicalize`): the program must be one hammer loop of exactly
-        ``count`` iterations, and the verdict holds for every smaller
-        count.
+        canonicalize`): the program must be a prefix, a hammer loop of
+        exactly ``count`` iterations that activates every declared row
+        once per iteration (:func:`~repro.engine.cache.
+        check_declared_counts`), and a suffix, whose verdicts hold
+        under the scheduling policy only; the verdict then holds for
+        every smaller count.
         """
         host = self._host
         context = checks if checks is not None else \
             VerifyContext.for_host(host, allow_retention_decay=True)
+        if count is not None:
+            index = count_loop_index(program)
+            if context.expected_hammers:
+                check_declared_counts(program, context.expected_hammers)
+            if (index + 1 < len(program.instructions)
+                    and not context.assume_scheduler):
+                raise EngineError(
+                    f"{what}: a count binding carries a suffix's "
+                    "verdicts under the scheduling policy only")
         report = verifier.verify_program(program, context)
         if checks is not None:
             verifier.raise_on_violations(report, what)
         template, binding, slot_banks = canonicalize(program, count)
-        for payload in _wrrow_payloads(template):
-            host.interpreter.lower_payload(payload)
         outcome = summarize_program(template, context, report=report)
         summarized = isinstance(outcome, EffectSummary)
+        loop_ops = (loop_op_positions(template.instructions)
+                    if summarized else ())
         return CompiledProgram(
             template=template, slot_banks=slot_banks,
             source_binding=binding,
@@ -262,7 +361,11 @@ class FastPathBackend:
                                 counted=count is not None),
             summary=outcome if summarized else None,
             unsummarizable=None if summarized else outcome,
-            count=count)
+            count=count, loop_ops=loop_ops,
+            stream=(_probe_stream(outcome.ops, loop_ops[0],
+                                  len(slot_banks),
+                                  host.interpreter.lower_payload)
+                    if summarized and count is not None else None))
 
     def execute(self, handle: CompiledProgram, binding: RowBinding = (),
                 count: Optional[int] = None) -> ExecutionResult:
@@ -320,12 +423,56 @@ class FastPathBackend:
         device = self._host.device
         result = ExecutionResult(start_cycle=device.now)
         if count is None:
-            self._apply_ops(handle.summary.ops, rows, device, result)
+            count = handle.count
+        if handle.stream is not None:
+            self._apply_stream(handle, rows, count, device, result)
         else:
-            # A count-bound shape summarizes to its one hammer op.
-            self._apply_hammer(handle.summary.ops[0], rows, device, count)
+            ops = handle.summary.ops
+            start = 0
+            for index in handle.loop_ops:
+                self._apply_ops(ops[start:index], rows, device, result)
+                entry = device.now
+                if count is None:
+                    self._apply_ops(ops[index:index + 1], rows, device,
+                                    result)
+                else:
+                    self._apply_hammer(ops[index], rows, device, count)
+                result.loop_cycles += device.now - entry
+                start = index + 1
+            self._apply_ops(ops[start:], rows, device, result)
         result.end_cycle = device.now
         return result
+
+    def _apply_stream(self, handle: CompiledProgram, rows: RowBinding,
+                      count: int, device, result: ExecutionResult) -> None:
+        """A count-bound handle's :class:`ProbeStream` at ``count``:
+        the interpreter's loop split (:func:`~repro.bender.interpreter.
+        run_loop`) with the prefix joining the warm-up iterations and
+        the suffix the trailing one, each side one device stream."""
+        stream = handle.stream
+        payloads = stream.payloads
+        entry = device.now
+        if count < BULK_LOOP_THRESHOLD:
+            reads, marks = device.apply_stream(
+                (handle.digest, count), stream.whole(count), rows,
+                payloads)
+            result.loop_cycles = marks[1] - marks[0]
+        else:
+            reads, marks = device.apply_stream(
+                (handle.digest, "head"), stream.head, rows, payloads)
+            loop_start = entry + marks[0]
+            period = device.now - (entry + marks[1])
+            remaining = count - 3
+            device.bulk_activations(
+                ((step[1], step[2], step[3], rows[step[4]])
+                 for step in stream.body if step[0] == "act"),
+                remaining, remaining * period)
+            tail_entry = device.now
+            tail_reads, marks = device.apply_stream(
+                (handle.digest, "tail"), stream.tail, rows, payloads)
+            reads += tail_reads
+            result.loop_cycles = tail_entry + marks[0] - loop_start
+        result.row_reads.extend(reads)
 
     def _apply_ops(self, ops, rows: RowBinding, device,
                    result: ExecutionResult) -> None:

@@ -24,46 +24,67 @@ substitution keeps distinct slots distinct within each bank, which
 one row raises :class:`~repro.errors.EngineError` instead of executing
 with silently merged activation counts.
 
-A count binding is narrower.  Only a program that is exactly one
-``LOOP n`` over ACT/PRE/WAIT (with at least one ACT) takes one — the
-shape of :func:`repro.core.hammer.build_hammer_program` — and a shape is
-verified at the largest count ``N`` it has been bound to; a binding
-``n <= N`` runs the verified handle, a binding ``n > N`` rebuilds and
-re-verifies the shape at ``n`` (a *widening*).  That is sound because
-the verifier's run over ``LOOP n {B}`` is the first ``n`` iterations of
-its run over ``LOOP N {B}``: the commands and the abstract state after
-each iteration are the same (steady-state extrapolation reaches the
-state stepping would), so every verdict that depends on the count is
-monotone in it and a clean verdict at ``N`` is clean at every ``n``:
+A count binding is narrower.  Only a program of the shape *prefix,
+loop, suffix* takes one: a LOOP-free prefix, one ``LOOP n`` over
+ACT/PRE/WAIT (with at least one ACT), and a LOOP-free suffix without
+REF — the one program of a hammer test
+(:func:`repro.core.hammer.build_probe_program`: write the
+neighbourhood, hammer, read the victim).  A shape is verified at the
+largest count ``N`` it has been bound to; a binding ``n <= N`` runs the
+verified handle, a binding ``n > N`` rebuilds and re-verifies the shape
+at ``n`` (a *widening*).  That is sound because the verifier's run over
+``P; LOOP n {B}; S`` is, up to the suffix, the first ``n`` iterations of
+its run over ``P; LOOP N {B}; S``: the prefix runs from the same state,
+and the commands and the abstract state after each iteration are the
+same (steady-state extrapolation reaches the state stepping would).  So
+every verdict that depends on the count is monotone in it and a clean
+verdict at ``N`` is clean at every ``n``:
 
-* *protocol and timing violations* are raised at a command from the
-  state before it, and ``n``'s commands and states are a prefix of
-  ``N``'s;
-* *hammer-count exactness*: a row activated ``a`` times per iteration
-  gets ``n * a`` ACTs, and the declared count is the count variable
-  itself (:func:`repro.core.hammer.hammer_checks` declares ``n`` per
-  aggressor), so exact at ``N`` means ``a == 1``, exact at every ``n``
-  — the same holds for any declared ``c * n``, never for a constant;
-* *refresh starvation*: the REF gaps of ``n``'s run are gaps of
-  ``N``'s, and the tail after the last REF (with no REF in the body,
-  the whole scheduled duration) only grows with the iterations after
-  it;
+* *protocol and timing violations* in the prefix and the loop are
+  raised at a command from the state before it, and ``n``'s commands
+  and states are a prefix of ``N``'s.  The suffix starts from the
+  loop's exit state, whose *timing* part ``n = 1`` (cold first
+  iteration) and short loops need not share with ``N``.  Its
+  open/closed part they do share: a clean run at ``N`` leaves every
+  bank the body touches in the state its last body command sets, after
+  every iteration.  The suffix's verdicts therefore carry only under
+  the scheduling policy (``assume_scheduler``), where no command can
+  violate timing; strict-policy checks refuse a suffix;
+* *hammer-count exactness*: a declared row gets ``p + a * n`` ACTs, ``p``
+  from the prefix and suffix and ``a`` per iteration.  A verdict at ``N``
+  alone cannot tell ``p + a * N`` from the declared count's own split —
+  a prefix activating a row ``N + 1`` times with ``a == 0`` matches a
+  declared ``N + 1`` — so the count binding is the hammer count by
+  contract: every declared row must be activated exactly once per
+  iteration (:func:`check_declared_counts`, refused otherwise).  The
+  declared count is then ``n`` plus the row's accesses outside the loop
+  (:func:`repro.core.hammer.hammer_checks`), exact at ``N`` means ``p``
+  equals those accesses, and so exact at every ``n``;
+* *refresh starvation*: the REF gaps before the suffix of ``n``'s run
+  are gaps of ``N``'s, and the tail after the last REF only grows with
+  the iterations after it (earliest-legal scheduling is monotone in
+  the timing stamps, which only move later with more iterations); the
+  suffix holds no REF, so it has no gap of its own;
 * *the TRR-window warning* fires when a pseudo channel's REF count
-  reaches the sampler period, and that count, ``n`` times the body's
-  REFs (zero for a hammer body), only grows;
+  reaches the sampler period, and that count, the prefix's REFs plus
+  ``n`` times the body's (zero for a hammer body), only grows;
 * *step-budget truncation*: a loop of at most ``FULL_UNROLL_LIMIT``
   dynamic commands costs at most that many steps, a longer one
   ``min(n, k)`` body passes where ``k`` is the iteration that reaches
-  steady state (``n`` when none does), so ``steps(n) <= max(steps(N),
-  FULL_UNROLL_LIMIT)`` and the default budget cannot truncate at ``n``
-  what it did not truncate at ``N``.  Truncation is a warning anyway:
-  it only withholds a summary, never blocks a run.
+  steady state (``n`` when none does), so the loop's ``steps(n) <=
+  max(steps(N), FULL_UNROLL_LIMIT)``, and the prefix and suffix cost
+  the same at every count; the default budget cannot truncate at ``n``
+  what it did not truncate at ``N`` unless the prefix and suffix alone
+  come within ``FULL_UNROLL_LIMIT`` of it.  Truncation is a warning
+  anyway: it only withholds a summary, never blocks a run.
 
-The effect summary transfers the same way: the effect grammar maps
-``LOOP n {B}`` to ``HammerOp(n, steps(B))`` for every ``n >= 1``, so the
-handle's one op with its iteration count read from the binding is the
-summary of the program built at ``n``.  Count 0 builds an empty program
-and is its own (row-free, count-free) shape.
+The effect summary transfers the same way: the effect grammar maps the
+prefix and the suffix to the same ops at every count and ``LOOP n {B}``
+to ``HammerOp(n, steps(B))`` for every ``n >= 1``, so the handle's ops
+with the loop's op (at :attr:`~repro.engine.backend.CompiledProgram.
+loop_ops`, by position) reading its iteration count from the binding
+are the summary of the program built at ``n``.  Count 0 builds a
+program without the loop and is its own count-free shape.
 ``tests/property/test_count_binding.py`` checks all of this against
 programs built and verified at each ``n``, and the oracle.
 
@@ -112,25 +133,56 @@ DEFAULT_MAX_ENTRIES = 4096
 _HAMMER_BODY = (isa.Act, isa.Pre, isa.Wait)
 
 
-def _count_loop(program: Program) -> isa.Loop:
-    """The loop whose iteration count a count binding sets.
+def count_loop_index(program: Program) -> int:
+    """Position of the loop a count binding sets, among the program's
+    top-level instructions.
 
-    A count-bound program is exactly one ``LOOP`` over ACT/PRE/WAIT
-    with at least one ACT (module docstring); anything else raises
+    A count-bound program is a LOOP-free prefix, one ``LOOP`` over
+    ACT/PRE/WAIT with at least one ACT, and a LOOP-free suffix without
+    REF (module docstring); anything else raises
     :class:`~repro.errors.EngineError`.
     """
     instructions = program.instructions
-    if len(instructions) == 1 and isinstance(instructions[0], isa.Loop):
-        loop = instructions[0]
-        body = loop.body
+    loops = [index for index, instruction in enumerate(instructions)
+             if isinstance(instruction, isa.Loop)]
+    if len(loops) == 1:
+        (index,) = loops
+        body = instructions[index].body
         if (all(isinstance(instruction, _HAMMER_BODY)
                 for instruction in body)
                 and any(isinstance(instruction, isa.Act)
-                        for instruction in body)):
-            return loop
+                        for instruction in body)
+                and not any(isinstance(instruction, isa.Ref)
+                            for instruction in instructions[index + 1:])):
+            return index
     raise EngineError(
-        "a count binding needs a program that is one LOOP over "
-        "ACT/PRE/WAIT")
+        "a count binding needs a program that is a LOOP-free prefix, one "
+        "LOOP over ACT/PRE/WAIT, and a LOOP-free suffix without REF")
+
+
+def check_declared_counts(program: Program, expected) -> None:
+    """Refuse a count-bound program whose declared rows are not
+    activated exactly once per iteration of its count loop.
+
+    ``expected`` is the declared per-row ACT count (``VerifyContext.
+    expected_hammers``).  The verifier checks each row's total at the
+    verified count only; once per iteration is what makes that total
+    exact at every smaller count too (module docstring).
+    """
+    loop = program.instructions[count_loop_index(program)]
+    per_iteration: Dict[Tuple[int, int, int, int], int] = {}
+    for instruction in loop.body:
+        if isinstance(instruction, isa.Act):
+            key = (instruction.channel, instruction.pseudo_channel,
+                   instruction.bank, instruction.row)
+            per_iteration[key] = per_iteration.get(key, 0) + 1
+    for key in sorted(expected):
+        if per_iteration.get(key, 0) != 1:
+            raise EngineError(
+                f"declared row {key} is activated "
+                f"{per_iteration.get(key, 0)} time(s) per iteration of "
+                "the count loop; a count binding is the hammer count, so "
+                "every declared row needs exactly one ACT per iteration")
 
 
 def canonicalize(program: Program, count: Optional[int] = None
@@ -142,13 +194,13 @@ def canonicalize(program: Program, count: Optional[int] = None
     carries the ordinal in place of the row.  Returns the template, the
     binding (original row per slot), and each slot's bank coordinate.
 
-    With ``count``, the program is count-bound: it must be one hammer
-    loop (:func:`_count_loop`) of exactly ``count`` iterations.  Its
-    template keeps that count, the one it is verified at, and
+    With ``count``, the program is count-bound: its count loop
+    (:func:`count_loop_index`) must run exactly ``count`` iterations.
+    Its template keeps that count, the one it is verified at, and
     :func:`substitute` and :func:`shape_digest` treat it as the slot.
     """
     if count is not None:
-        built = _count_loop(program).count
+        built = program.instructions[count_loop_index(program)].count
         if not 0 < count == built:
             raise EngineError(
                 f"count binding {count} does not match the program's "
@@ -219,10 +271,12 @@ def substitute(template: Program, slot_banks: SlotBanks,
 
     instructions = walk(template.instructions)
     if count is not None:
-        _count_loop(template)
+        index = count_loop_index(template)
         if count < 1:
             raise EngineError(f"count binding must be positive, got {count}")
-        instructions = (isa.Loop(count, instructions[0].body),)
+        instructions = (instructions[:index]
+                        + (isa.Loop(count, instructions[index].body),)
+                        + instructions[index + 1:])
     return Program(instructions)
 
 
@@ -237,13 +291,15 @@ def shape_digest(template: Program, timing, device_identity: str = "",
     happen to share an assembly text and timing table: a verdict is only
     transferable to the device it was verified against.
 
-    ``counted`` marks a count-bound template: its loop header reads
+    ``counted`` marks a count-bound template: its count loop's header
+    (the only ``LOOP`` line: the prefix and suffix are LOOP-free) reads
     ``LOOP count``, text no real program assembles to, so the digest
     carries no count and never aliases a count-free shape.
     """
     text = disassemble(template)
     if counted:
-        text = "LOOP count" + text[text.index("\n"):]
+        loop = template.instructions[count_loop_index(template)]
+        text = text.replace(f"LOOP {loop.count}\n", "LOOP count\n", 1)
     payload = (text.encode("ascii")
                + b"\x00" + repr(timing).encode("ascii")
                + b"\x00" + device_identity.encode("ascii"))
@@ -305,7 +361,7 @@ class ProgramCache:
                 insert-time verdict by the substitution argument in the
                 module docstring.
             count: the count binding of a count-bound shape (the
-                iteration count of its one hammer loop; see the module
+                iteration count of its hammer loop; see the module
                 docstring), passed on every call of its key; ``build``
                 and ``checks`` describe the program at this count.  A
                 count above the entry's verified count rebuilds and

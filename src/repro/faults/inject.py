@@ -103,6 +103,7 @@ def _corrupt_readback(result: ExecutionResult) -> ExecutionResult:
         row_reads=list(result.row_reads),
         start_cycle=result.start_cycle,
         end_cycle=result.end_cycle,
+        loop_cycles=result.loop_cycles,
         trace=list(result.trace),
     )
     if corrupted.row_reads:

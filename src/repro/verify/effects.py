@@ -97,6 +97,7 @@ __all__ = [
     "RowWriteOp",
     "Unsummarizable",
     "VICTIM_OFFSETS",
+    "loop_op_positions",
     "summarize_program",
 ]
 
@@ -698,6 +699,29 @@ def summarize_program(program, context: Optional[VerifyContext] = None,
         reads=tuple(sorted(reads.items())),
         duration_cycles=duration,
     )
+
+
+def loop_op_positions(instructions) -> Tuple[int, ...]:
+    """Positions, among the ops :func:`summarize_program` makes of the
+    summarizable top-level ``instructions``, of the ops their top-level
+    loops make (a loop of count 0 makes none).
+
+    Each top-level loop makes exactly one op, and the row groups
+    between loops never straddle one (an ACT whose group a LOOP cuts
+    is left open, which does not summarize), so the ops before a loop
+    are those of the instructions before it.
+    """
+    positions: List[int] = []
+    position = start = 0
+    for index, instruction in enumerate(instructions):
+        if isinstance(instruction, isa.Loop):
+            position += len(_scan_sequence(instructions[start:index],
+                                           "instructions"))
+            start = index + 1
+            if instruction.count > 0:
+                positions.append(position)
+                position += 1
+    return tuple(positions)
 
 
 def _count_refs(ops, multiplier, refs) -> None:

@@ -95,7 +95,7 @@ class TestHbm2ByteIdentity:
         assert counters["sweep.ber_records"] == 48
         assert counters["sweep.hcfirst_records"] == 24
         if fastpath_enabled():
-            assert counters["engine.fastpath.hits"] == 1_794
+            assert counters["engine.fastpath.hits"] == 598
             assert counters.get("engine.fastpath.fallbacks", 0) == 0
             assert counters.get("engine.fastpath.bypasses", 0) == 0
 

@@ -55,11 +55,11 @@ def make_station(fastpath: bool, seed: int = 5) -> BenderBoard:
 def mini_campaign(board: BenderBoard):
     """A miniature Fig. 3 slice: fill, hammer, read, per victim/pattern.
 
-    Deliberately covers every fast-path machinery layer: the
-    neighbourhood fill exercises the batched write path and its
-    memoized schedule, repeated hammers exercise the warm/bulk/trail
-    split and the hammer-iteration schedules, pattern fills store the
-    shared lowered payloads, and flipped victims exercise the shared-row
+    Deliberately covers every fast-path machinery layer: each test is
+    one program whose neighbourhood fill and warm-up iterations, then
+    trailing iteration and read-back, replay as memoized device
+    streams around the bulk split, pattern fills store the shared
+    lowered payloads, and flipped victims exercise the shared-row
     copy-on-write.
     """
     hammer = DoubleSidedHammer(board.host, board.device.mapper)

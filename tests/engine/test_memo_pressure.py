@@ -8,8 +8,9 @@ verified and interpreted per call) and its full device state.  The
 calibration is fragile enough that HC_first lands in the hundreds:
 BER hammers 7 times, below the bulk-loop threshold, and each binary
 search probes counts on both sides of the verifier's full-unroll limit
-(512 iterations of a double-sided body), all through one hammer shape
-per bank that BER first compiles at 7.
+(512 iterations of a double-sided body), all through one probe shape
+per bank and pattern (write the neighbourhood, hammer, read back) that
+BER first compiles at 7.
 """
 
 import pytest
@@ -74,14 +75,16 @@ def test_squeezed_cache_matches_the_oracle(monkeypatch, oracle,
     # Not vacuous: searches end below the unroll limit and above it...
     found = [count for count in oracle_hc_first if count is not None]
     assert min(found) < 512 < max(found)
-    if max_entries < 3:
-        # ...each probe's fill, hammer and readback keys take turns
-        # evicting each other, so every call compiles...
-        assert "engine.cache.hits" not in counters
+    assert counters["engine.cache.hits"] > 0
+    if max_entries == 1:
+        # ...the two patterns' probe shapes evict each other at every
+        # switch, so at least each search of both arms starts with a
+        # compile, and no shape survives to widen...
+        assert counters["engine.cache.misses"] >= 2 * len(hc_first)
+        assert "engine.cache.widened" not in counters
     else:
-        # ...or hits bind counts up to the verified one, and a hammer
-        # shape evicted and re-admitted at BER's 7 widens.
-        assert counters["engine.cache.hits"] > 0
+        # ...or both stay, hits bind counts up to the verified one, and
+        # a shape BER compiled at 7 widens.
         assert counters["engine.cache.widened"] > 0
     assert fingerprints == oracle_fingerprints
     assert hc_first == oracle_hc_first

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.bender.host import HostInterface
 from repro.bender.interpreter import BULK_LOOP_THRESHOLD, Interpreter
+from repro.bender.program import ProgramBuilder
 from repro.core.hammer import build_hammer_program, hammer_checks
 from repro.dram.address import DramAddress
 from repro.engine.backend import FastPathBackend
@@ -174,3 +175,200 @@ def test_count_binding_needs_one_hammer_loop_of_that_count():
         backend.execute(handle, tuple(AGGRESSORS), 101)
     with pytest.raises(EngineError, match="outside"):
         backend.execute(handle, tuple(AGGRESSORS), 0)
+
+
+# -- prefix, loop, suffix ---------------------------------------------------
+#: The count a generated probe shape is compiled at: large enough for
+#: the bulk loop and the verifier's steady-state extrapolation, small
+#: enough that a WAIT-paced body stays inside tREFW.
+PROBE_CAP = 4096
+PROBE_PINNED = (1, 2, BULK_LOOP_THRESHOLD - 1, BULK_LOOP_THRESHOLD,
+                BULK_LOOP_THRESHOLD + 1, UNROLLED_ITERATIONS - 1,
+                UNROLLED_ITERATIONS, UNROLLED_ITERATIONS + 1, PROBE_CAP)
+BANK = (0, 0, 0)
+#: Rows of the generated shapes: physical 26..36, around VICTIM.
+NEAR_ROWS = [MAPPER.physical_to_logical(row) for row in range(26, 37)]
+
+
+def emit(builder, element) -> None:
+    kind = element[0]
+    if kind == "write":
+        builder.act(*BANK, element[1])
+        builder.wr_row(*BANK, bytes([element[2]]) * ROW_BYTES)
+        builder.pre(*BANK)
+    elif kind == "read":
+        builder.act(*BANK, element[1])
+        builder.rd_row(*BANK)
+        builder.pre(*BANK)
+    elif kind == "act-pre":
+        builder.act(*BANK, element[1])
+        builder.pre(*BANK)
+    elif kind == "wait":
+        builder.wait(element[1])
+    else:
+        builder.ref(*BANK[:2])
+
+
+def probe_at(shape, count):
+    """``shape``'s program at ``count`` (no loop at 0)."""
+    prefix, aggressors, body_wait, suffix = shape
+    builder = ProgramBuilder()
+    for element in prefix:
+        emit(builder, element)
+    if count:
+        with builder.loop(count):
+            for row in aggressors:
+                builder.act(*BANK, row)
+                if body_wait:
+                    builder.wait(body_wait)
+                builder.pre(*BANK)
+    for element in suffix:
+        emit(builder, element)
+    return builder.build()
+
+
+def probe_checks(host, shape, count):
+    """Each aggressor declared at ``count`` plus its ACTs outside the
+    loop, as :func:`~repro.core.hammer.hammer_checks` declares."""
+    prefix, aggressors, _, suffix = shape
+    outside = [element[1] for element in prefix + suffix
+               if element[0] in ("write", "read", "act-pre")]
+    return VerifyContext.for_host(host, expected_hammers={
+        BANK + (row,): count + outside.count(row) for row in aggressors})
+
+
+def group(rows, refs):
+    kinds = ["write", "read", "act-pre", "wait"] + (["ref"] if refs else [])
+    return st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(rows),
+                  st.sampled_from([0x00, 0xFF, 0x55])),
+        st.tuples(st.sampled_from(["read", "act-pre"]),
+                  st.sampled_from(rows)),
+        st.tuples(st.just("wait"), st.integers(1, 400)),
+        *([st.tuples(st.just("ref"))] if "ref" in kinds else []))
+
+
+@st.composite
+def probe_shapes(draw):
+    """A prefix (writes, reads, bare ACT/PRE, WAITs, REFs), a loop over
+    one or two aggressors, and a suffix without REF."""
+    aggressors = tuple(draw(st.lists(st.sampled_from(NEAR_ROWS),
+                                     min_size=1, max_size=2, unique=True)))
+    prefix = tuple(draw(st.lists(group(NEAR_ROWS, refs=True), max_size=6)))
+    suffix = tuple(draw(st.lists(group(NEAR_ROWS, refs=False),
+                                 max_size=4)))
+    return prefix, aggressors, draw(st.sampled_from([0, 0, 7])), suffix
+
+
+def probe_station(profile, trace=False) -> HostInterface:
+    device = make_device(profile, seed=2)
+    return HostInterface(device, interpreter=Interpreter(device,
+                                                         trace=trace))
+
+
+#: A whole hammer test: the neighbourhood written, the victim read back.
+FILL_HAMMER_READ = (
+    tuple(("write", row, 0xFF if index % 2 else 0x00)
+          for index, row in enumerate(NEAR_ROWS[2:9])),
+    (AGGRESSORS[0], AGGRESSORS[1]), 0, (("read", VICTIM.row),))
+#: A bare ACT/PRE and a REF ahead of the loop: the loop's op is not
+#: the summary's first hammer op, and the stream path steps aside.
+REF_LED = ((("act-pre", AGGRESSORS[1]), ("ref",),
+            ("write", VICTIM.row, 0x55)),
+           (AGGRESSORS[0],), 7, (("wait", 40), ("read", VICTIM.row)))
+
+
+def probe_pinned(test):
+    for index, count in enumerate(PROBE_PINNED):
+        shape = (FILL_HAMMER_READ, REF_LED)[index % 2]
+        test = example(shape=shape, count=count,
+                       profile=PROFILES[index % len(PROFILES)])(test)
+    return test
+
+
+@given(shape=probe_shapes(), count=st.integers(1, PROBE_CAP),
+       profile=st.sampled_from(PROFILES))
+@probe_pinned
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_prefix_loop_suffix_binding_equals_the_program_built_at_n(
+        shape, count, profile):
+    host = probe_station(profile)
+    backend = FastPathBackend(host)
+    handle = backend.compile(probe_at(shape, PROBE_CAP),
+                             probe_checks(host, shape, PROBE_CAP),
+                             count=PROBE_CAP)
+    built = probe_at(shape, count)
+
+    # The verdicts at n are the handle's: clean under the checks the
+    # driver declares at n, and the same shape.
+    checks = probe_checks(host, shape, count)
+    assert verify_program(built, checks).violations == []
+    assert backend.compile(built, checks, count=count).digest == \
+        handle.digest
+
+    # The bound summary is the summary of the program built at n.
+    template, rows, _ = canonicalize(built, count)
+    default = VerifyContext.for_host(host, allow_retention_decay=True)
+    (loop_op,) = handle.loop_ops
+    ops = list(handle.summary.ops)
+    ops[loop_op] = replace(ops[loop_op], iterations=count)
+    assert tuple(ops) == summarize_program(template, default).ops
+
+    # Fast path and traced bypass, at the cap and then at n on one
+    # station, leave the oracle's device state, reads and loop cycles.
+    oracle = probe_station(profile)
+    oracle.run(probe_at(shape, PROBE_CAP))
+    expected = oracle.run(built)
+    for trace in (False, True):
+        production = probe_station(profile, trace=trace)
+        backend = FastPathBackend(production)
+        handle = backend.compile(probe_at(shape, PROBE_CAP),
+                                 count=PROBE_CAP)
+        backend.execute(handle, rows, PROBE_CAP)
+        result = backend.execute(handle, rows, count)
+        assert result.loop_cycles == expected.loop_cycles > 0
+        assert_same_state(result, production.device, expected,
+                          oracle.device, exact_accumulators=True)
+
+
+def test_prefix_activations_do_not_stand_in_for_the_loop():
+    """A prefix that activates an aggressor N + 1 times around a loop
+    that never does passes the verifier's total count at N, but the
+    count would not carry to any n < N: the count binding refuses it."""
+    host = probe_station("hbm2")
+    lone, other = AGGRESSORS
+    cap = 16
+
+    def program(count):
+        builder = ProgramBuilder()
+        for _ in range(cap + 1):
+            builder.act(*BANK, lone)
+            builder.pre(*BANK)
+        builder.act(*BANK, other)
+        builder.wr_row(*BANK, bytes(ROW_BYTES))
+        builder.pre(*BANK)
+        with builder.loop(count):
+            builder.act(*BANK, other)
+            builder.pre(*BANK)
+        return builder.build()
+
+    def checks(count):
+        return VerifyContext.for_host(host, expected_hammers={
+            BANK + (lone,): count + 1, BANK + (other,): count + 1})
+
+    assert verify_program(program(cap), checks(cap)).violations == []
+    assert verify_program(program(cap - 1), checks(cap - 1)).violations
+    with pytest.raises(EngineError, match="once per iteration|exactly one"):
+        FastPathBackend(host).compile(program(cap), checks(cap), count=cap)
+
+
+def test_count_binding_refuses_a_suffix_with_ref_or_strict_checks():
+    host = probe_station("hbm2")
+    backend = FastPathBackend(host)
+    shape = (FILL_HAMMER_READ[0], FILL_HAMMER_READ[1], 0, (("ref",),))
+    with pytest.raises(EngineError, match="without REF"):
+        backend.compile(probe_at(shape, 64), count=64)
+    strict = replace(probe_checks(host, FILL_HAMMER_READ, 64),
+                     assume_scheduler=False)
+    with pytest.raises(EngineError, match="scheduling policy"):
+        backend.compile(probe_at(FILL_HAMMER_READ, 64), strict, count=64)
