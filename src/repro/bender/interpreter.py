@@ -15,7 +15,8 @@ steady-state rate), measures the steady-state iteration period, applies
 :meth:`~repro.dram.device.Device.bulk_activations` — whose semantics are
 defined to match the unrolled loop — and runs the last iteration one by
 one.  The engine's analytic fast path applies its hammer ops through the
-same function.  Tests obtain the unrolled oracle by expanding every
+same function, and its fused hammer tests through the function's warm-up
+and trailing hooks.  Tests obtain the unrolled oracle by expanding every
 ``Loop`` of a program (see ``tests/bender/test_interpreter.py``).
 """
 
@@ -41,36 +42,50 @@ BULK_LOOP_THRESHOLD = 8
 
 
 def run_loop(device: Device, iterations: int,
-             run_iteration: Callable[[], None],
+             run_iterations: Callable[[int], None],
              body_acts: Iterable[Tuple[int, int, int, int]],
-             on_bulk: Optional[Callable[[int, int], None]] = None) -> bool:
+             on_bulk: Optional[Callable[[int, int], None]] = None,
+             run_warmups: Optional[Callable[[], int]] = None,
+             run_trailing: Optional[Callable[[], None]] = None) -> bool:
     """Run ``iterations`` of an ACT/PRE/PREA/WAIT loop body; True if bulk.
 
     Below :data:`BULK_LOOP_THRESHOLD` every iteration runs through
-    ``run_iteration``.  Otherwise two warm-up iterations run (the first
-    may pay cold timing such as a pending tRP; the second runs at steady
-    state) and measure the steady-state period, ``iterations - 3`` are
-    applied by :meth:`~repro.dram.device.Device.bulk_activations`, and
-    one trailing iteration runs so the bank timing state (e.g. the
-    trailing tRC window) is exactly what the unrolled loop leaves.
+    ``run_iterations(iterations)``.  Otherwise two warm-up iterations
+    run (the first may pay cold timing such as a pending tRP; the second
+    runs at steady state) and measure the steady-state period,
+    ``iterations - 3`` are applied by
+    :meth:`~repro.dram.device.Device.bulk_activations`, and one trailing
+    iteration runs so the bank timing state (e.g. the trailing tRC
+    window) is exactly what the unrolled loop leaves.
 
-    ``body_acts`` lists the body's ACT targets as (channel, pseudo
-    channel, bank, logical row) and is consumed only when the loop is
-    bulk-applied; ``on_bulk(remaining, period)`` is called just before.
+    ``run_iterations(n)`` runs ``n`` iterations one by one.  By default
+    the warm-up and trailing iterations run through it too;
+    ``run_warmups()`` instead runs the two warm-ups and returns the
+    clock at the second one's start, and ``run_trailing()`` runs the
+    trailing iteration — so a caller can fold work before and after
+    the loop into them.  ``body_acts`` lists the body's ACT targets as
+    (channel, pseudo channel, bank, logical row) and is consumed only
+    when the loop is bulk-applied; ``on_bulk(remaining, period)`` is
+    called just before.
     """
     if iterations < BULK_LOOP_THRESHOLD:
-        for _ in range(iterations):
-            run_iteration()
+        run_iterations(iterations)
         return False
-    run_iteration()
-    before_second = device.now
-    run_iteration()
+    if run_warmups is None:
+        run_iterations(1)
+        before_second = device.now
+        run_iterations(1)
+    else:
+        before_second = run_warmups()
     period = device.now - before_second
     remaining = iterations - 3
     if on_bulk is not None:
         on_bulk(remaining, period)
     device.bulk_activations(body_acts, remaining, remaining * period)
-    run_iteration()
+    if run_trailing is None:
+        run_iterations(1)
+    else:
+        run_trailing()
     return True
 
 
@@ -145,21 +160,21 @@ class Interpreter:
         get_metrics().counter("bender.programs").inc()
         device = self._device
         result = ExecutionResult(start_cycle=device.now)
-        for instruction in program.instructions:
-            if isinstance(instruction, isa.Loop):
-                entry = device.now
-                self._run_loop(instruction, result)
-                result.loop_cycles += device.now - entry
-            else:
-                self._run_one(instruction, result)
+        self._run_sequence(program.instructions, result, timed=True)
         result.end_cycle = device.now
         return result
 
     # ------------------------------------------------------------------
-    def _run_sequence(self, instructions, result: ExecutionResult) -> None:
+    def _run_sequence(self, instructions, result: ExecutionResult,
+                      timed: bool = False) -> None:
+        """Run ``instructions``; ``timed`` adds each loop's cycles to
+        ``result.loop_cycles`` (a program's top-level loops)."""
         for instruction in instructions:
             if isinstance(instruction, isa.Loop):
+                entry = self._device.now
                 self._run_loop(instruction, result)
+                if timed:
+                    result.loop_cycles += self._device.now - entry
             else:
                 self._run_one(instruction, result)
 
@@ -205,15 +220,15 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     def _run_loop(self, loop: isa.Loop, result: ExecutionResult) -> None:
-        def run_iteration() -> None:
-            self._run_sequence(loop.body, result)
+        def run_iterations(count: int) -> None:
+            for _ in range(count):
+                self._run_sequence(loop.body, result)
 
         if not all(isinstance(instruction, isa.FAST_LOOP_TYPES)
                    for instruction in loop.body):
             get_metrics().counter("bender.loop_iterations.slow").inc(
                 loop.count)
-            for _ in range(loop.count):
-                run_iteration()
+            run_iterations(loop.count)
             return
 
         on_bulk = None
@@ -227,7 +242,7 @@ class Interpreter:
                       instruction.bank, instruction.row)
                      for instruction in loop.body
                      if isinstance(instruction, isa.Act))
-        bulk = run_loop(self._device, loop.count, run_iteration, body_acts,
+        bulk = run_loop(self._device, loop.count, run_iterations, body_acts,
                         on_bulk)
         get_metrics().counter(
             "bender.loop_iterations.fast" if bulk

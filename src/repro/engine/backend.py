@@ -20,29 +20,32 @@ the template, from that one verification report.  Row-write payloads
 are applied lowered (a WRROW's ``np.unpackbits`` expansion and its ECC
 parity words are pure functions of the payload bytes, memoized on the
 interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
-lower_payload`); a count-bound handle holds its own.  ``execute`` applies a summarized program's
-effect ops directly against the device — the same ACT counts, timing
-stamps, TRR observations, disturbance doses and command counts the
-interpreter would produce, without walking the command stream.  Programs whose effects cannot be proven
+lower_payload`); a count-bound handle holds its own.  ``execute``
+applies a summarized program's effect ops directly against the device
+— the same ACT counts, timing stamps, TRR observations, disturbance
+doses and command counts the interpreter would produce, without
+walking the command stream.  Programs whose effects cannot be proven
 (:class:`~repro.verify.Unsummarizable`) and stations the fast path must
 step aside for (an installed transport, tracing) run the instantiated
 program on the host's interpreter instead.
 
 Loops are split, not unrolled.  A hammer op runs through the
 interpreter's own loop policy (:func:`~repro.bender.interpreter.
-run_loop`).  A count-bound handle whose prefix and suffix are row
-writes, row reads and bare ACT/WAIT/PRE groups — every hammer test —
-applies that split as one stream per side of the bulk-applied
-iterations (:meth:`~repro.dram.device.Device.apply_stream`): the
-prefix with the two warm-up iterations, then
-:meth:`~repro.dram.device.Device.bulk_activations`, then the trailing
-iteration with the suffix, each replayed from the device's one
-:class:`~repro.dram.device.Schedule` memo once recorded, with the
-handle's write payloads lowered at compile time.  Below the bulk
-threshold the whole program is one stream.  Either way the result
-reports the loop's cycles (``ExecutionResult.loop_cycles``) exactly
-as the interpreter measures them.  A burst op — REF-bounded hammer
-bursts, TRRespass rounds — is split one level up:
+run_loop`).  A count-bound handle — every hammer test, whose prefix
+and suffix are row writes, row reads and bare ACT/WAIT/PRE groups —
+takes that split through the policy's warm-up and trailing hooks, as
+one stream per side of the bulk-applied iterations
+(:meth:`~repro.dram.device.Device.apply_stream`): the prefix with the
+two warm-up iterations, then :meth:`~repro.dram.device.Device.
+bulk_activations`, then the trailing iteration with the suffix, each
+replayed from the device's one :class:`~repro.dram.device.Schedule`
+memo once recorded, with the handle's write payloads lowered at
+compile time.  Below the bulk threshold the whole program is one
+stream.  The streams are keyed by a digest of their steps, shared by
+every fill pattern of a shape.  Either way the result reports the loop's cycles
+(``ExecutionResult.loop_cycles``) exactly as the interpreter measures
+them.  A burst op — REF-bounded hammer bursts, TRRespass rounds — is
+split one level up:
 
 * **warm-up**: bursts are stepped singly through the per-iteration path
   while :meth:`~repro.dram.device.Device.measure_burst` records the
@@ -87,16 +90,13 @@ each run a session of their own.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.bender.interpreter import (
-    BULK_LOOP_THRESHOLD,
-    ExecutionResult,
-    run_loop,
-)
+from repro.bender.interpreter import ExecutionResult, run_loop
 from repro.bender.program import Program
 from repro.dram.device import BurstBody
 from repro.engine.cache import (
@@ -150,10 +150,10 @@ class CompiledProgram:
 
     ``loop_ops`` are the positions in ``summary.ops`` of the ops the
     template's top-level loops make (the count loop's, on a
-    count-bound shape), whose cycles the result reports.  ``stream``
-    is a count-bound shape's :class:`ProbeStream`, when its prefix and
-    suffix are ones :meth:`~repro.dram.device.Device.apply_stream`
-    takes.
+    count-bound shape), whose cycles the result reports.  A summarized
+    count-bound shape also holds its :class:`ProbeStream` and
+    ``payloads``, per slot the lowered (bits, parity) its writes store
+    (None: unwritten).
     """
 
     template: Program
@@ -165,6 +165,7 @@ class CompiledProgram:
     count: Optional[int] = None
     loop_ops: Tuple[int, ...] = ()
     stream: Optional["ProbeStream"] = None
+    payloads: tuple = ()
 
     @property
     def slots(self) -> int:
@@ -180,14 +181,24 @@ MARK = ("mark",)
 class ProbeStream:
     """A count-bound shape as :meth:`~repro.dram.device.Device.
     apply_stream` steps: the prefix, one loop iteration and the suffix,
-    rows named by slot, plus the lowered payload of each written slot.
+    rows named by slot.
+
+    Shapes that differ only in their write payloads — a pattern's
+    probes — have equal steps: a backend holds one stream per distinct
+    steps, and the device's schedule memo keys them by :attr:`key`.
     """
 
     prefix: tuple
     body: tuple
     suffix: tuple
-    #: Per slot, the (bits, parity) its write stores (None: unwritten).
-    payloads: tuple
+
+    @cached_property
+    def key(self) -> str:
+        """blake2b over the steps: equal for equal steps, on any
+        backend, and cheap to hash once built."""
+        text = repr((self.prefix, self.body, self.suffix))
+        return hashlib.blake2b(text.encode("ascii"),
+                               digest_size=16).hexdigest()
 
     @cached_property
     def head(self) -> tuple:
@@ -207,19 +218,22 @@ class ProbeStream:
                 + self.suffix)
 
 
-def _probe_stream(ops, loop_op: int, slots: int,
-                  lower) -> Optional[ProbeStream]:
-    """The :class:`ProbeStream` of a count-bound summary whose loop's
-    op is ``ops[loop_op]``, or None when its prefix or suffix holds an
-    op a stream cannot (REF) or writes one slot two payloads."""
+def _probe_steps(ops, loop_op: int, slots: int,
+                 lower) -> Tuple[Tuple[tuple, tuple, tuple], tuple]:
+    """The (prefix, body, suffix) steps of a count-bound summary whose
+    loop's op is ``ops[loop_op]``, and per slot the lowered payload its
+    writes store (None: unwritten).  The count binding admits no REF
+    outside the loop and one payload per written row
+    (:func:`~repro.engine.cache.count_loop_index`), so every op there
+    is a row write, a row read, a bare ACT[/WAIT]/PRE group or a WAIT.
+    """
     written = {}
 
-    def steps(segment) -> Optional[tuple]:
+    def steps(segment) -> tuple:
         out = []
         for op in segment:
             if isinstance(op, RowWriteOp):
-                if written.setdefault(op.row, op.data) != op.data:
-                    return None
+                written[op.row] = op.data
                 out.append(("wr", op.channel, op.pseudo_channel, op.bank,
                             op.row))
             elif isinstance(op, RowReadOp):
@@ -230,17 +244,15 @@ def _probe_stream(ops, loop_op: int, slots: int,
             elif isinstance(op, IdleOp):
                 out.append(("wait", op.cycles))
             else:
-                return None
+                raise EngineError(
+                    f"a count-bound shape holds {op!r} outside its loop")
         return tuple(out)
 
     prefix = steps(ops[:loop_op])
     suffix = steps(ops[loop_op + 1:])
-    if prefix is None or suffix is None:
-        return None
-    return ProbeStream(
-        prefix=prefix, body=ops[loop_op].steps, suffix=suffix,
-        payloads=tuple(lower(written[slot]) if slot in written else None
-                       for slot in range(slots)))
+    return ((prefix, ops[loop_op].steps, suffix),
+            tuple(lower(written[slot]) if slot in written else None
+                  for slot in range(slots)))
 
 
 class FastPathBackend:
@@ -285,6 +297,8 @@ class FastPathBackend:
         # whenever the same rows are interpreted again, skipping the
         # substitution walk.
         self._instantiations: dict = {}
+        # One ProbeStream per distinct (prefix, body, suffix) steps.
+        self._streams: Dict[tuple, ProbeStream] = {}
 
     @property
     def _host(self):
@@ -330,8 +344,10 @@ class FastPathBackend:
         exactly ``count`` iterations that activates every declared row
         once per iteration (:func:`~repro.engine.cache.
         check_declared_counts`), and a suffix, whose verdicts hold
-        under the scheduling policy only; the verdict then holds for
-        every smaller count.
+        under the scheduling policy only, with no REF outside the loop
+        and no row written two payloads (:func:`~repro.engine.cache.
+        count_loop_index`); the verdict then holds for every smaller
+        count.
         """
         host = self._host
         context = checks if checks is not None else \
@@ -353,6 +369,12 @@ class FastPathBackend:
         summarized = isinstance(outcome, EffectSummary)
         loop_ops = (loop_op_positions(template.instructions)
                     if summarized else ())
+        stream, payloads = None, ()
+        if summarized and count is not None:
+            steps, payloads = _probe_steps(outcome.ops, loop_ops[0],
+                                           len(slot_banks),
+                                           host.interpreter.lower_payload)
+            stream = self._streams.setdefault(steps, ProbeStream(*steps))
         return CompiledProgram(
             template=template, slot_banks=slot_banks,
             source_binding=binding,
@@ -361,11 +383,8 @@ class FastPathBackend:
                                 counted=count is not None),
             summary=outcome if summarized else None,
             unsummarizable=None if summarized else outcome,
-            count=count, loop_ops=loop_ops,
-            stream=(_probe_stream(outcome.ops, loop_ops[0],
-                                  len(slot_banks),
-                                  host.interpreter.lower_payload)
-                    if summarized and count is not None else None))
+            count=count, loop_ops=loop_ops, stream=stream,
+            payloads=payloads)
 
     def execute(self, handle: CompiledProgram, binding: RowBinding = (),
                 count: Optional[int] = None) -> ExecutionResult:
@@ -422,21 +441,17 @@ class FastPathBackend:
         get_metrics().counter("bender.programs").inc()
         device = self._host.device
         result = ExecutionResult(start_cycle=device.now)
-        if count is None:
-            count = handle.count
         if handle.stream is not None:
-            self._apply_stream(handle, rows, count, device, result)
+            self._apply_stream(handle, rows,
+                               handle.count if count is None else count,
+                               device, result)
         else:
             ops = handle.summary.ops
             start = 0
             for index in handle.loop_ops:
                 self._apply_ops(ops[start:index], rows, device, result)
                 entry = device.now
-                if count is None:
-                    self._apply_ops(ops[index:index + 1], rows, device,
-                                    result)
-                else:
-                    self._apply_hammer(ops[index], rows, device, count)
+                self._apply_ops(ops[index:index + 1], rows, device, result)
                 result.loop_cycles += device.now - entry
                 start = index + 1
             self._apply_ops(ops[start:], rows, device, result)
@@ -445,34 +460,38 @@ class FastPathBackend:
 
     def _apply_stream(self, handle: CompiledProgram, rows: RowBinding,
                       count: int, device, result: ExecutionResult) -> None:
-        """A count-bound handle's :class:`ProbeStream` at ``count``:
-        the interpreter's loop split (:func:`~repro.bender.interpreter.
-        run_loop`) with the prefix joining the warm-up iterations and
-        the suffix the trailing one, each side one device stream."""
+        """A count-bound handle's :class:`ProbeStream` at ``count``,
+        through the interpreter's loop policy (:func:`~repro.bender.
+        interpreter.run_loop`): the prefix joins the warm-up iterations
+        and the suffix the trailing one, each side one device stream
+        (below the bulk threshold, the whole program is one)."""
         stream = handle.stream
-        payloads = stream.payloads
-        entry = device.now
-        if count < BULK_LOOP_THRESHOLD:
-            reads, marks = device.apply_stream(
-                (handle.digest, count), stream.whole(count), rows,
-                payloads)
-            result.loop_cycles = marks[1] - marks[0]
-        else:
-            reads, marks = device.apply_stream(
-                (handle.digest, "head"), stream.head, rows, payloads)
-            loop_start = entry + marks[0]
-            period = device.now - (entry + marks[1])
-            remaining = count - 3
-            device.bulk_activations(
-                ((step[1], step[2], step[3], rows[step[4]])
-                 for step in stream.body if step[0] == "act"),
-                remaining, remaining * period)
-            tail_entry = device.now
-            tail_reads, marks = device.apply_stream(
-                (handle.digest, "tail"), stream.tail, rows, payloads)
-            reads += tail_reads
-            result.loop_cycles = tail_entry + marks[0] - loop_start
-        result.row_reads.extend(reads)
+        key = stream.key
+        payloads = handle.payloads
+        loop: List[int] = []  # the clock at the loop's entry and exit
+
+        def replay(shape, steps) -> List[int]:
+            entry = device.now
+            reads, marks = device.apply_stream(shape, steps, rows, payloads)
+            result.row_reads.extend(reads)
+            return [entry + mark for mark in marks]
+
+        def run_iterations(iterations: int) -> None:
+            loop[:] = replay((key, iterations), stream.whole(iterations))
+
+        def run_warmups() -> int:
+            start, second = replay((key, "head"), stream.head)
+            loop.append(start)
+            return second
+
+        def run_trailing() -> None:
+            loop.append(replay((key, "tail"), stream.tail)[0])
+
+        run_loop(device, count, run_iterations,
+                 ((step[1], step[2], step[3], rows[step[4]])
+                  for step in stream.body if step[0] == "act"),
+                 run_warmups=run_warmups, run_trailing=run_trailing)
+        result.loop_cycles = loop[1] - loop[0]
 
     def _apply_ops(self, ops, rows: RowBinding, device,
                    result: ExecutionResult) -> None:
@@ -504,7 +523,7 @@ class FastPathBackend:
                     device.apply_row_writes(op.channel, op.pseudo_channel,
                                             op.bank, writes)
             elif isinstance(op, HammerOp):
-                self._apply_hammer(op, rows, device, op.iterations)
+                self._apply_hammer(op, rows, device)
             elif isinstance(op, RowReadOp):
                 device.activate(op.channel, op.pseudo_channel, op.bank,
                                 rows[op.row])
@@ -583,16 +602,15 @@ class FastPathBackend:
                 step()
             remaining -= 1
 
-    def _apply_hammer(self, op: HammerOp, rows: RowBinding, device,
-                      iterations: int) -> None:
-        """One hammer op through the interpreter's loop policy, for
-        ``iterations`` (the op's own count, or a count binding)."""
+    def _apply_hammer(self, op: HammerOp, rows: RowBinding, device) -> None:
+        """One hammer op through the interpreter's loop policy."""
         steps = op.steps
 
-        def run_iteration() -> None:
-            device.apply_hammer_steps(steps, rows)
+        def run_iterations(iterations: int) -> None:
+            for _ in range(iterations):
+                device.apply_hammer_steps(steps, rows)
 
-        run_loop(device, iterations, run_iteration,
+        run_loop(device, op.iterations, run_iterations,
                  ((step[1], step[2], step[3], rows[step[4]])
                   for step in steps if step[0] == "act"))
 

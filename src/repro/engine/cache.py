@@ -25,20 +25,22 @@ one row raises :class:`~repro.errors.EngineError` instead of executing
 with silently merged activation counts.
 
 A count binding is narrower.  Only a program of the shape *prefix,
-loop, suffix* takes one: a LOOP-free prefix, one ``LOOP n`` over
-ACT/PRE/WAIT (with at least one ACT), and a LOOP-free suffix without
-REF — the one program of a hammer test
-(:func:`repro.core.hammer.build_probe_program`: write the
-neighbourhood, hammer, read the victim).  A shape is verified at the
-largest count ``N`` it has been bound to; a binding ``n <= N`` runs the
-verified handle, a binding ``n > N`` rebuilds and re-verifies the shape
-at ``n`` (a *widening*).  That is sound because the verifier's run over
-``P; LOOP n {B}; S`` is, up to the suffix, the first ``n`` iterations of
-its run over ``P; LOOP N {B}; S``: the prefix runs from the same state,
-and the commands and the abstract state after each iteration are the
-same (steady-state extrapolation reaches the state stepping would).  So
-every verdict that depends on the count is monotone in it and a clean
-verdict at ``N`` is clean at every ``n``:
+loop, suffix* takes one: a prefix, one ``LOOP n`` over ACT/PRE/WAIT
+(with at least one ACT), and a suffix, neither holding a LOOP or a
+REF, and no row written two payloads — the one program of a hammer
+test (:func:`repro.core.hammer.build_probe_program`: write the
+neighbourhood, hammer, read the victim).  The fast path applies such
+a shape as device streams that issue no REF and bind one payload per
+written row (:class:`repro.engine.backend.ProbeStream`).  A shape is
+verified at the largest count ``N`` it has been bound to; a binding
+``n <= N`` runs the verified handle, a binding ``n > N`` rebuilds and
+re-verifies the shape at ``n`` (a *widening*).  That is sound because
+the verifier's run over ``P; LOOP n {B}; S`` is, up to the suffix, the
+first ``n`` iterations of its run over ``P; LOOP N {B}; S``: the prefix
+runs from the same state, and the commands and the abstract state after
+each iteration are the same (steady-state extrapolation reaches the
+state stepping would).  So every verdict that depends on the count is
+monotone in it and a clean verdict at ``N`` is clean at every ``n``:
 
 * *protocol and timing violations* in the prefix and the loop are
   raised at a command from the state before it, and ``n``'s commands
@@ -60,14 +62,14 @@ verdict at ``N`` is clean at every ``n``:
   declared count is then ``n`` plus the row's accesses outside the loop
   (:func:`repro.core.hammer.hammer_checks`), exact at ``N`` means ``p``
   equals those accesses, and so exact at every ``n``;
-* *refresh starvation*: the REF gaps before the suffix of ``n``'s run
-  are gaps of ``N``'s, and the tail after the last REF only grows with
-  the iterations after it (earliest-legal scheduling is monotone in
-  the timing stamps, which only move later with more iterations); the
-  suffix holds no REF, so it has no gap of its own;
+* *refresh starvation*: the program issues no REF, so a pseudo
+  channel's one gap runs to the program's last command, and every
+  command runs no later at ``n`` than at ``N`` (earliest-legal
+  scheduling is monotone in the timing stamps, which only move later
+  with more iterations);
 * *the TRR-window warning* fires when a pseudo channel's REF count
-  reaches the sampler period, and that count, the prefix's REFs plus
-  ``n`` times the body's (zero for a hammer body), only grows;
+  reaches the sampler period, and the program issues no REF at any
+  count;
 * *step-budget truncation*: a loop of at most ``FULL_UNROLL_LIMIT``
   dynamic commands costs at most that many steps, a longer one
   ``min(n, k)`` body passes where ``k`` is the iteration that reaches
@@ -137,10 +139,10 @@ def count_loop_index(program: Program) -> int:
     """Position of the loop a count binding sets, among the program's
     top-level instructions.
 
-    A count-bound program is a LOOP-free prefix, one ``LOOP`` over
-    ACT/PRE/WAIT with at least one ACT, and a LOOP-free suffix without
-    REF (module docstring); anything else raises
-    :class:`~repro.errors.EngineError`.
+    A count-bound program is a prefix, one ``LOOP`` over ACT/PRE/WAIT
+    with at least one ACT, and a suffix, the prefix and suffix free of
+    LOOP and REF and writing each row one payload (module docstring);
+    anything else raises :class:`~repro.errors.EngineError`.
     """
     instructions = program.instructions
     loops = [index for index, instruction in enumerate(instructions)
@@ -153,11 +155,30 @@ def count_loop_index(program: Program) -> int:
                 and any(isinstance(instruction, isa.Act)
                         for instruction in body)
                 and not any(isinstance(instruction, isa.Ref)
-                            for instruction in instructions[index + 1:])):
+                            for instruction in instructions)
+                and _one_payload_per_row(instructions)):
             return index
     raise EngineError(
-        "a count binding needs a program that is a LOOP-free prefix, one "
-        "LOOP over ACT/PRE/WAIT, and a LOOP-free suffix without REF")
+        "a count binding needs a program that is a prefix, one LOOP over "
+        "ACT/PRE/WAIT, and a suffix, without REF and writing each row "
+        "one payload")
+
+
+def _one_payload_per_row(instructions) -> bool:
+    """True when no row is written two payloads by the top-level
+    WRROWs (each writes the row its bank's last ACT opened)."""
+    opened: Dict[Tuple[int, int, int], int] = {}
+    written: Dict[Tuple[int, int, int, int], bytes] = {}
+    for instruction in instructions:
+        if isinstance(instruction, (isa.Act, isa.WrRow)):
+            bank = (instruction.channel, instruction.pseudo_channel,
+                    instruction.bank)
+            if isinstance(instruction, isa.Act):
+                opened[bank] = instruction.row
+            elif written.setdefault(bank + (opened.get(bank),),
+                                    instruction.data) != instruction.data:
+                return False
+    return True
 
 
 def check_declared_counts(program: Program, expected) -> None:

@@ -237,26 +237,30 @@ def probe_checks(host, shape, count):
         BANK + (row,): count + outside.count(row) for row in aggressors})
 
 
-def group(rows, refs):
-    kinds = ["write", "read", "act-pre", "wait"] + (["ref"] if refs else [])
-    return st.one_of(
-        st.tuples(st.just("write"), st.sampled_from(rows),
-                  st.sampled_from([0x00, 0xFF, 0x55])),
-        st.tuples(st.sampled_from(["read", "act-pre"]),
-                  st.sampled_from(rows)),
-        st.tuples(st.just("wait"), st.integers(1, 400)),
-        *([st.tuples(st.just("ref"))] if "ref" in kinds else []))
+GROUPS = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(NEAR_ROWS),
+              st.sampled_from([0x00, 0xFF, 0x55])),
+    st.tuples(st.sampled_from(["read", "act-pre"]),
+              st.sampled_from(NEAR_ROWS)),
+    st.tuples(st.just("wait"), st.integers(1, 400)))
 
 
 @st.composite
 def probe_shapes(draw):
-    """A prefix (writes, reads, bare ACT/PRE, WAITs, REFs), a loop over
-    one or two aggressors, and a suffix without REF."""
+    """A prefix and a suffix (writes, reads, bare ACT/PRE, WAITs) around
+    a loop over one or two aggressors; a row written twice is written
+    its first payload again, as a count binding requires."""
     aggressors = tuple(draw(st.lists(st.sampled_from(NEAR_ROWS),
                                      min_size=1, max_size=2, unique=True)))
-    prefix = tuple(draw(st.lists(group(NEAR_ROWS, refs=True), max_size=6)))
-    suffix = tuple(draw(st.lists(group(NEAR_ROWS, refs=False),
-                                 max_size=4)))
+    prefix = draw(st.lists(GROUPS, max_size=6))
+    suffix = draw(st.lists(GROUPS, max_size=4))
+    payloads = {}
+    prefix, suffix = (
+        tuple(("write", element[1],
+               payloads.setdefault(element[1], element[2]))
+              if element[0] == "write" else element
+              for element in segment)
+        for segment in (prefix, suffix))
     return prefix, aggressors, draw(st.sampled_from([0, 0, 7])), suffix
 
 
@@ -271,16 +275,15 @@ FILL_HAMMER_READ = (
     tuple(("write", row, 0xFF if index % 2 else 0x00)
           for index, row in enumerate(NEAR_ROWS[2:9])),
     (AGGRESSORS[0], AGGRESSORS[1]), 0, (("read", VICTIM.row),))
-#: A bare ACT/PRE and a REF ahead of the loop: the loop's op is not
-#: the summary's first hammer op, and the stream path steps aside.
-REF_LED = ((("act-pre", AGGRESSORS[1]), ("ref",),
-            ("write", VICTIM.row, 0x55)),
+#: A bare ACT/PRE ahead of the loop: the loop's op is not the
+#: summary's first hammer op.
+ACT_LED = ((("act-pre", AGGRESSORS[1]), ("write", VICTIM.row, 0x55)),
            (AGGRESSORS[0],), 7, (("wait", 40), ("read", VICTIM.row)))
 
 
 def probe_pinned(test):
     for index, count in enumerate(PROBE_PINNED):
-        shape = (FILL_HAMMER_READ, REF_LED)[index % 2]
+        shape = (FILL_HAMMER_READ, ACT_LED)[index % 2]
         test = example(shape=shape, count=count,
                        profile=PROFILES[index % len(PROFILES)])(test)
     return test
@@ -362,12 +365,20 @@ def test_prefix_activations_do_not_stand_in_for_the_loop():
         FastPathBackend(host).compile(program(cap), checks(cap), count=cap)
 
 
-def test_count_binding_refuses_a_suffix_with_ref_or_strict_checks():
+def test_count_binding_refuses_refs_two_payloads_and_strict_suffixes():
     host = probe_station("hbm2")
     backend = FastPathBackend(host)
-    shape = (FILL_HAMMER_READ[0], FILL_HAMMER_READ[1], 0, (("ref",),))
-    with pytest.raises(EngineError, match="without REF"):
-        backend.compile(probe_at(shape, 64), count=64)
+    prefix, aggressors, _, suffix = FILL_HAMMER_READ
+    rewritten = ("write",) + prefix[0][1:2] + (0x55,)
+    for shape in ((prefix + (("ref",),), aggressors, 0, suffix),
+                  (prefix, aggressors, 0, suffix + (("ref",),)),
+                  (prefix + (rewritten,), aggressors, 0, suffix),
+                  (prefix, aggressors, 0, suffix + (rewritten,))):
+        program = probe_at(shape, 64)
+        assert verify_program(program, probe_checks(host, shape, 64)
+                              ).violations == []
+        with pytest.raises(EngineError, match="without REF"):
+            backend.compile(program, count=64)
     strict = replace(probe_checks(host, FILL_HAMMER_READ, 64),
                      assume_scheduler=False)
     with pytest.raises(EngineError, match="scheduling policy"):

@@ -12,7 +12,7 @@ collected, or when the named tests fail on the unmutated copy (run
 first, as the baseline).  A new differential or property test adds the
 mutant it exists to catch.
 
-    PYTHONPATH=src python tools/mutants.py [--list] [--only NAME]...
+    PYTHONPATH=src python tools/mutants.py [--list]
 
 Plain Python: no mutation-testing package.
 """
@@ -28,7 +28,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 #: What a mutant's copy holds, relative to the repository root.
@@ -36,6 +36,8 @@ COPIED = ("src", "tests", "pyproject.toml")
 #: pytest exits 1 when a collected test failed: the mutant is killed.
 #: Anything else but 0 (collection or usage errors) is a broken row.
 KILLED = 1
+#: Seconds one mutant's tests may run (the slowest row takes ~10 s).
+TIMEOUT_S = 240
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,15 @@ FUSED = "tests/core/test_fused_probes.py"
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
-        name="count-blind-apply-hammer",
+        name="count-blind-stream",
         path="src/repro/engine/backend.py",
-        old="        run_loop(device, iterations, run_iteration,",
-        new="        run_loop(device, op.iterations, run_iteration,",
+        old="                               handle.count if count is None "
+            "else count,",
+        new="                               handle.count,",
         tests=(f"{COUNT_BINDING}::"
                "test_prefix_loop_suffix_binding_equals_the_program_built_at_n",),
-        claim="a count-bound hammer op runs the bound count, not the "
-              "count its shape was verified at"),
+        claim="a count-bound probe runs the bound count, not the count "
+              "its shape was verified at"),
     Mutant(
         name="instantiation-key-without-count",
         path="src/repro/engine/backend.py",
@@ -87,31 +90,28 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="loop-cycles-over-whole-program",
         path="src/repro/engine/backend.py",
-        old="            result.loop_cycles = tail_entry + marks[0] - "
-            "loop_start",
-        new="            result.loop_cycles = device.now - entry",
+        old="        result.loop_cycles = loop[1] - loop[0]",
+        new="        result.loop_cycles = device.now - result.start_cycle",
         tests=(FUSED,),
         claim="a hammer test's duration is its loop's cycles, as the "
               "interpreter times them, not the whole program's"),
     Mutant(
         name="suffix-from-pre-loop-timing",
         path="src/repro/engine/backend.py",
-        old="            device.bulk_activations(\n"
-            "                ((step[1], step[2], step[3], rows[step[4]])\n"
-            "                 for step in stream.body if step[0] == \"act\"),\n"
-            "                remaining, remaining * period)\n"
-            "            tail_entry = device.now\n"
-            "            tail_reads, marks = device.apply_stream(\n"
-            "                (handle.digest, \"tail\"), stream.tail, rows, "
-            "payloads)\n",
-        new="            tail_entry = device.now\n"
-            "            tail_reads, marks = device.apply_stream(\n"
-            "                (handle.digest, \"tail\"), stream.tail, rows, "
-            "payloads)\n"
-            "            device.bulk_activations(\n"
-            "                ((step[1], step[2], step[3], rows[step[4]])\n"
-            "                 for step in stream.body if step[0] == \"act\"),\n"
-            "                remaining, remaining * period)\n",
+        old="            loop.append(start)\n"
+            "            return second\n"
+            "\n"
+            "        def run_trailing() -> None:\n"
+            "            loop.append(replay((key, \"tail\"), "
+            "stream.tail)[0])\n",
+        new="            loop.append(start)\n"
+            "            period = device.now - second\n"
+            "            loop.append(replay((key, \"tail\"), "
+            "stream.tail)[0])\n"
+            "            return device.now - period\n"
+            "\n"
+            "        def run_trailing() -> None:\n"
+            "            pass\n",
         tests=(FUSED,),
         claim="the trailing iteration and the read-back run after the "
               "bulk-applied iterations, from the loop's exit state"),
@@ -127,7 +127,7 @@ MUTANTS: Tuple[Mutant, ...] = (
 )
 
 
-def check(mutant: Mutant, timeout_s: float) -> Tuple[bool, str]:
+def check(mutant: Mutant) -> Tuple[bool, str]:
     """Apply ``mutant`` to a fresh copy and run its tests; (killed,
     detail).  A mutant whose ``old`` is empty runs the tests unmutated
     and counts as killed when they pass (the baseline)."""
@@ -158,9 +158,9 @@ def check(mutant: Mutant, timeout_s: float) -> Tuple[bool, str]:
                 [sys.executable, "-m", "pytest", "-x", "-q",
                  "-p", "no:cacheprovider", *mutant.tests],
                 cwd=copy, env=env, capture_output=True, text=True,
-                timeout=timeout_s)
+                timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return False, f"its tests ran past {timeout_s:.0f} s"
+            return False, f"its tests ran past {TIMEOUT_S} s"
     if not mutant.old:
         return (completed.returncode == 0,
                 "unmutated tests pass" if completed.returncode == 0
@@ -179,19 +179,9 @@ def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--list", action="store_true",
                         help="print the table and exit")
-    parser.add_argument("--only", action="append", default=[],
-                        metavar="NAME", help="run this mutant (repeatable)")
-    parser.add_argument("--timeout", type=float, default=240.0,
-                        help="seconds per mutant (default 240)")
     args = parser.parse_args(list(argv))
-    names = {mutant.name for mutant in MUTANTS}
-    unknown = sorted(set(args.only) - names)
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    selected: List[Mutant] = [mutant for mutant in MUTANTS
-                              if not args.only or mutant.name in args.only]
     if args.list:
-        for mutant in selected:
+        for mutant in MUTANTS:
             print(f"{mutant.name}: {mutant.path} — {mutant.claim}")
             for test in mutant.tests:
                 print(f"    {test}")
@@ -200,19 +190,19 @@ def main(argv: Sequence[str] = ()) -> int:
     # something if they pass without the mutant.
     baseline = Mutant(name="baseline", path="", old="", new="",
                       tests=tuple(dict.fromkeys(
-                          test for mutant in selected
+                          test for mutant in MUTANTS
                           for test in mutant.tests)),
                       claim="the named tests pass unmutated")
     failures = 0
     start = time.perf_counter()
-    for mutant in (baseline, *selected):
+    for mutant in (baseline, *MUTANTS):
         began = time.perf_counter()
-        killed, detail = check(mutant, args.timeout)
+        killed, detail = check(mutant)
         failures += not killed
         print(f"{'ok' if killed else 'FAIL'} {mutant.name}: {detail} "
               f"({time.perf_counter() - began:.1f} s)", flush=True)
-    print(f"{len(selected) + 1 - failures}/{len(selected) + 1} checks "
-          f"passed (the baseline and {len(selected)} mutant(s)) in "
+    print(f"{len(MUTANTS) + 1 - failures}/{len(MUTANTS) + 1} checks "
+          f"passed (the baseline and {len(MUTANTS)} mutant(s)) in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
