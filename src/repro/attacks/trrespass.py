@@ -24,18 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bender.host import HostInterface
-from repro.bender.program import ProgramBuilder
-from repro.core.hammer import prepare_neighborhood
+from repro.core.hammer import DoubleSidedHammer, refresh_bursts
 from repro.core.patterns import DataPattern, ROWSTRIPE0
-from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
-from repro.verify.program import VerifyContext
 
 
 @dataclass(frozen=True)
 class BypassOutcome:
-    """Result of one refresh-enabled attack run."""
+    """Result of one refresh-enabled attack run; ``duration_s`` is the
+    attack's (the hammer section's), without the fill and read-back."""
 
     victim: DramAddress
     hammer_count: int
@@ -66,6 +64,7 @@ class TrrBypassAttack:
                 "decoy must be well outside the victim's neighbourhood")
         self._host = host
         self._mapper = mapper
+        self._hammer = DoubleSidedHammer(host, mapper)
         self._pattern = pattern
         self._decoy_distance = decoy_distance
 
@@ -75,80 +74,31 @@ class TrrBypassAttack:
 
         Hammers are issued in bursts sized to the nominal tREFI; each
         burst is followed (optionally) by one decoy activation, then one
-        REF — the cadence a real memory controller enforces.
+        REF — the cadence a real memory controller enforces.  One test
+        program fills the neighbourhood, attacks and reads the victim
+        back; the outcome's duration is the attack's alone.
         """
         host = self._host
-        device = host.device
-        timing = device.timing
         mapper = self._mapper
-
-        prepare_neighborhood(host, mapper, victim, self._pattern)
-        aggressors = list(mapper.physical_neighbors(victim.row))
-        if len(aggressors) < 2:
-            raise ExperimentError(
-                f"victim {victim} lacks two physical neighbours")
         physical_victim = mapper.logical_to_physical(victim.row)
         decoy_physical = physical_victim + self._decoy_distance
-        if decoy_physical >= device.geometry.rows:
+        if decoy_physical >= host.device.geometry.rows:
             decoy_physical = physical_victim - self._decoy_distance
-        decoy_logical = mapper.physical_to_logical(decoy_physical)
-
-        hammer_cycles = len(aggressors) * timing.rc_cycles
-        hammers_per_burst = max(1, (timing.refi_cycles - timing.rfc_cycles -
-                                    timing.rc_cycles) // hammer_cycles)
-        bursts, remainder = divmod(hammer_count, hammers_per_burst)
-
-        start_cycle = device.now
-
-        def build():
-            builder = ProgramBuilder()
-
-            def emit_burst(count: int) -> None:
-                with builder.loop(count):
-                    for row in aggressors:
-                        builder.act(victim.channel, victim.pseudo_channel,
-                                    victim.bank, row)
-                        builder.pre(victim.channel, victim.pseudo_channel,
-                                    victim.bank)
-
-            with builder.loop(bursts):
-                emit_burst(hammers_per_burst)
-                if use_decoy:
-                    builder.act(victim.channel, victim.pseudo_channel,
-                                victim.bank, decoy_logical)
-                    builder.pre(victim.channel, victim.pseudo_channel,
-                                victim.bank)
-                builder.ref(victim.channel, victim.pseudo_channel)
-            if remainder:
-                emit_burst(remainder)
-            return builder.build()
-
-        def checks() -> VerifyContext:
-            # Deliberately NOT assume_trr_escaped: the attack runs with
-            # TRR live and either loses to it (naive) or decoys it.
-            expected = {(victim.channel, victim.pseudo_channel,
-                         victim.bank, row): hammer_count
-                        for row in aggressors}
-            if use_decoy:
-                expected[(victim.channel, victim.pseudo_channel,
-                          victim.bank, decoy_logical)] = bursts
-            return VerifyContext.for_host(host, expected_hammers=expected)
-
-        rows = tuple(aggressors) + ((decoy_logical,) if use_decoy else ())
-        host.cached_run(
-            ("trr_bypass", victim.channel, victim.pseudo_channel,
-             victim.bank, len(aggressors), bursts, hammers_per_burst,
-             remainder, use_decoy),
-            rows, build, checks)
-
-        read_bits = host.read_row(victim)
-        expected = byte_fill_bits(self._pattern.victim_byte,
-                                  device.geometry.row_bytes)
+        # Both attacks leave room in each tREFI for the decoy's ACT/PRE.
+        bursts = refresh_bursts(
+            host.device.timing, sides=2, spare_acts=1,
+            decoy_row=(mapper.physical_to_logical(decoy_physical)
+                       if use_decoy else None))
+        # The declared checks are deliberately NOT assume_trr_escaped:
+        # the attack runs with TRR live and either loses to it (naive)
+        # or decoys it.
+        outcome = self._hammer.bind(victim, self._pattern,
+                                    bursts=bursts)(hammer_count)
         return BypassOutcome(
             victim=victim, hammer_count=hammer_count, used_decoy=use_decoy,
-            flips=count_flips(read_bits, expected),
-            refs_issued=bursts,
-            duration_s=timing.seconds(device.now - start_cycle))
+            flips=outcome.flips,
+            refs_issued=hammer_count // bursts.hammers,
+            duration_s=outcome.duration_s)
 
     def compare(self, victim: DramAddress,
                 hammer_count: int) -> dict:

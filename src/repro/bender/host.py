@@ -80,10 +80,6 @@ class HostInterface:
         """The link programs round-trip through (None = direct)."""
         return self._transport
 
-    def builder(self) -> ProgramBuilder:
-        """A fresh program builder (pure convenience)."""
-        return ProgramBuilder()
-
     def cached_run(self, key, rows, build, checks=None,
                    count=None) -> ExecutionResult:
         """Run the program ``build()`` would produce, through the shape
@@ -197,10 +193,6 @@ class HostInterface:
              address.bank), (address.row,), build)
         return result.row_reads[0]
 
-    def read_row_bytes(self, address: DramAddress) -> bytes:
-        """Like :meth:`read_row` but packed to bytes."""
-        return np.packbits(self.read_row(address)).tobytes()
-
     def activate_precharge(self, address: DramAddress,
                            count: int = 1) -> None:
         """``count`` ACT/PRE cycles on one row (e.g. a manual refresh)."""
@@ -254,7 +246,3 @@ class HostInterface:
     def set_ecc_enabled(self, enabled: bool) -> None:
         """Mode-register write toggling on-die ECC on every channel."""
         self.device.set_ecc_enabled(enabled)
-
-    def elapsed_seconds_since(self, start_cycle: int) -> float:
-        """In-DRAM seconds elapsed since a recorded device cycle."""
-        return self.device.timing.seconds(self.device.now - start_cycle)

@@ -6,7 +6,9 @@ of the victim's cells that flipped.  With periodic refresh disabled the
 hammer phase fits the 27 ms budget; the optional refresh-enabled mode
 (ablation A2) interleaves REF commands at the nominal tREFI rate, which
 lets the hidden TRR engine fire — demonstrating why the paper's
-methodology must disable refresh.
+methodology must disable refresh.  Either way one measurement is one
+hammer test program (:class:`~repro.core.hammer.HammerProbe`): fill the
+neighbourhood, hammer, read the victim back.
 """
 
 from __future__ import annotations
@@ -14,19 +16,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.bender.host import HostInterface
-from repro.bender.program import ProgramBuilder
 from repro.core.experiment import ExperimentConfig, check_time_budget
-from repro.core.hammer import (
-    DoubleSidedHammer,
-    HammerOutcome,
-    hammer_checks,
-    prepare_neighborhood,
-)
+from repro.core.hammer import DoubleSidedHammer, refresh_bursts
 from repro.core.patterns import DataPattern, STANDARD_PATTERNS
 from repro.core.results import BerRecord
-from repro.core.rowdata import byte_fill_bits, flip_report
 from repro.dram.address import DramAddress, RowAddressMapper
-from repro.errors import ExperimentError
 
 
 class BerExperiment:
@@ -35,7 +29,6 @@ class BerExperiment:
     def __init__(self, host: HostInterface, mapper: RowAddressMapper,
                  config: Optional[ExperimentConfig] = None) -> None:
         self._host = host
-        self._mapper = mapper
         self._config = config or ExperimentConfig()
         self._hammer = DoubleSidedHammer(host, mapper)
 
@@ -48,7 +41,12 @@ class BerExperiment:
         """One BER measurement of one victim row with one pattern."""
         config = self._config
         if config.controls.issue_periodic_refresh:
-            outcome = self._run_with_refresh(victim, pattern)
+            # A memory controller that keeps refreshing during the
+            # attack: hammers in bursts that fit one tREFI, each followed
+            # by one REF — the hidden TRR engine's firing opportunities.
+            bursts = refresh_bursts(self._host.device.timing, sides=2)
+            outcome = self._hammer.bind(victim, pattern, bursts=bursts)(
+                config.ber_hammer_count)
         else:
             outcome = self._hammer.run(victim, pattern,
                                        config.ber_hammer_count)
@@ -69,65 +67,3 @@ class BerExperiment:
         """BER of one victim under each pattern (Table 1 column sweep)."""
         return [self.run_row(victim, pattern, region, repetition)
                 for pattern in patterns]
-
-    # ------------------------------------------------------------------
-    def _run_with_refresh(self, victim: DramAddress, pattern: DataPattern):
-        """Hammer with REFs interleaved at the nominal tREFI rate.
-
-        Models a system whose memory controller keeps refreshing during
-        the attack: hammers are issued in bursts that fit one tREFI, each
-        followed by one REF — giving the hidden TRR engine its firing
-        opportunities.
-        """
-        host = self._host
-        config = self._config
-        timing = host.device.timing
-        prepare_neighborhood(host, self._mapper, victim, pattern)
-        aggressors = self._hammer.aggressors_of(victim)
-        if len(aggressors) < 2:
-            raise ExperimentError(
-                f"victim {victim} lacks two physical neighbours")
-
-        hammer_cycles = len(aggressors) * timing.rc_cycles
-        hammers_per_refi = max(1, (timing.refi_cycles - timing.rfc_cycles)
-                               // hammer_cycles)
-        full_bursts, remainder = divmod(config.ber_hammer_count,
-                                        hammers_per_refi)
-
-        def build():
-            builder = ProgramBuilder()
-            with builder.loop(full_bursts):
-                with builder.loop(hammers_per_refi):
-                    for row in aggressors:
-                        builder.act(victim.channel, victim.pseudo_channel,
-                                    victim.bank, row)
-                        builder.pre(victim.channel, victim.pseudo_channel,
-                                    victim.bank)
-                builder.ref(victim.channel, victim.pseudo_channel)
-            if remainder:
-                with builder.loop(remainder):
-                    for row in aggressors:
-                        builder.act(victim.channel, victim.pseudo_channel,
-                                    victim.bank, row)
-                        builder.pre(victim.channel, victim.pseudo_channel,
-                                    victim.bank)
-            return builder.build()
-
-        execution = host.cached_run(
-            ("ber_refresh", victim.channel, victim.pseudo_channel,
-             victim.bank, len(aggressors), full_bursts, hammers_per_refi,
-             remainder),
-            tuple(aggressors), build,
-            lambda: hammer_checks(host, victim, aggressors,
-                                  config.ber_hammer_count))
-        duration_s = timing.seconds(execution.duration_cycles)
-
-        read_bits = host.read_row(victim)
-        expected = byte_fill_bits(pattern.victim_byte,
-                                  host.device.geometry.row_bytes)
-        report = flip_report(read_bits, expected)
-
-        # Package into the same outcome shape the refresh-free path uses.
-        return HammerOutcome(victim=victim, pattern=pattern,
-                             hammer_count=config.ber_hammer_count,
-                             report=report, duration_s=duration_s)

@@ -6,13 +6,17 @@ One *hammer* is one pair of activations (one per aggressor).  The paper
 also uses **single-sided** hammering — repeatedly activating one row — to
 reverse-engineer subarray boundaries (footnote 3).
 
-Both primitives run one test program per hammer test, as DRAM Bender
-runs the paper's (:func:`build_probe_program`):
+Every hammer test runs as one test program, as DRAM Bender runs the
+paper's (:func:`build_probe_program`):
 
 1. *Prepare*: write the data pattern into the victim, the aggressors, and
    the surrounding rows (V±[2:8], Table 1), addressing *physical*
    neighbourhoods through the reverse-engineered row mapping;
-2. *Hammer*: loop ACT/PRE over the aggressor(s);
+2. *Hammer*: loop ACT/PRE over the aggressor(s) — optionally holding
+   each aggressor open for extra cycles (RowPress), or split into
+   REF-bounded bursts with an optional decoy activation, as a memory
+   controller that keeps refreshing issues them (refresh-on BER,
+   TRRespass; :class:`RefreshBursts`);
 3. *Readback*: read the victim row(s), whose flips the host counts.
 
 The neighbourhood's rows and payloads are bound once per victim and
@@ -24,7 +28,7 @@ the loop count changed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bender.host import HostInterface
 from repro.bender.interpreter import ExecutionResult
@@ -113,32 +117,82 @@ def prepare_neighborhood(host: HostInterface, mapper: RowAddressMapper,
     return neighborhood
 
 
+@dataclass(frozen=True)
+class RefreshBursts:
+    """A hammer section under live refresh: ``hammers``-hammer bursts,
+    each followed by one ACT/PRE of ``decoy_row`` (if any) and one REF,
+    then the hammers left over, without a REF (:func:`build_probe_program`).
+    """
+
+    hammers: int
+    decoy_row: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.hammers < 1:
+            raise ExperimentError(
+                f"a burst needs at least one hammer, got {self.hammers}")
+
+
+def refresh_bursts(timing, sides: int, spare_acts: int = 0,
+                   decoy_row: Optional[int] = None) -> RefreshBursts:
+    """The bursts that fit one tREFI: as many hammers of ``sides``
+    ACT/PREs as leave room for the REF's tRFC and ``spare_acts`` more
+    ACT/PREs (at least one hammer)."""
+    cycles = timing.refi_cycles - timing.rfc_cycles - \
+        spare_acts * timing.rc_cycles
+    return RefreshBursts(max(1, cycles // (sides * timing.rc_cycles)),
+                         decoy_row)
+
+
 def build_probe_program(site: DramAddress,
                         writes: Sequence[Tuple[int, bytes]],
                         aggressor_rows: Sequence[int], hammer_count: int,
-                        reads: Sequence[int]) -> Program:
+                        reads: Sequence[int], open_cycles: int = 0,
+                        bursts: Optional[RefreshBursts] = None) -> Program:
     """One hammer test on ``site``'s bank as a single test program.
 
-    ACT/WRROW/PRE per (logical row, payload) of ``writes``, then
-    ``LOOP hammer_count { ACT/PRE each aggressor }`` (no loop at count
-    0), then ACT/RDROW/PRE per row of ``reads``, in order.
+    ACT/WRROW/PRE per (logical row, payload) of ``writes``, then the
+    hammer section, then ACT/RDROW/PRE per row of ``reads``, in order.
+    The section is ``LOOP hammer_count { ACT, WAIT open_cycles, PRE
+    each aggressor }`` (no WAIT at 0 cycles, no loop at count 0); with
+    ``bursts``, those hammers are issued as ``LOOP hammer_count //
+    bursts.hammers { LOOP bursts.hammers {...}; ACT/PRE decoy; REF }``
+    and a ``LOOP`` over the remainder (none when it is 0).
     """
     if hammer_count < 0:
         raise ExperimentError(f"hammer_count must be >= 0, got {hammer_count}")
+    if open_cycles < 0:
+        raise ExperimentError(f"open_cycles must be >= 0, got {open_cycles}")
     if not aggressor_rows:
         raise ExperimentError("need at least one aggressor row")
     channel, pseudo_channel, bank = (site.channel, site.pseudo_channel,
                                      site.bank)
     builder = ProgramBuilder()
+
+    def hammer(count: int) -> None:
+        if count > 0:
+            with builder.loop(count):
+                for row in aggressor_rows:
+                    builder.act(channel, pseudo_channel, bank, row)
+                    if open_cycles:
+                        builder.wait(open_cycles)
+                    builder.pre(channel, pseudo_channel, bank)
+
     for row, data in writes:
         builder.act(channel, pseudo_channel, bank, row)
         builder.wr_row(channel, pseudo_channel, bank, data)
         builder.pre(channel, pseudo_channel, bank)
-    if hammer_count > 0:
-        with builder.loop(hammer_count):
-            for row in aggressor_rows:
-                builder.act(channel, pseudo_channel, bank, row)
+    if bursts is None:
+        hammer(hammer_count)
+    else:
+        full, remainder = divmod(hammer_count, bursts.hammers)
+        with builder.loop(full):
+            hammer(bursts.hammers)
+            if bursts.decoy_row is not None:
+                builder.act(channel, pseudo_channel, bank, bursts.decoy_row)
                 builder.pre(channel, pseudo_channel, bank)
+            builder.ref(channel, pseudo_channel)
+        hammer(remainder)
     for row in reads:
         builder.act(channel, pseudo_channel, bank, row)
         builder.rd_row(channel, pseudo_channel, bank)
@@ -147,14 +201,17 @@ def build_probe_program(site: DramAddress,
 
 
 def build_hammer_program(victim: DramAddress, aggressor_rows: Sequence[int],
-                         hammer_count: int) -> Program:
-    """LOOP hammer_count { ACT/PRE each aggressor } as a test program."""
-    return build_probe_program(victim, (), aggressor_rows, hammer_count, ())
+                         hammer_count: int, open_cycles: int = 0) -> Program:
+    """LOOP hammer_count { ACT, WAIT open_cycles, PRE each aggressor } as
+    a test program."""
+    return build_probe_program(victim, (), aggressor_rows, hammer_count, (),
+                               open_cycles)
 
 
 def hammer_checks(host: HostInterface, victim: DramAddress,
                   aggressor_rows: Sequence[int], hammer_count: int,
-                  accesses: int = 0, **overrides) -> VerifyContext:
+                  accesses: int = 0, decoy: Optional[Tuple[int, int]] = None,
+                  **overrides) -> VerifyContext:
     """The static checks a hammer payload declares before it runs.
 
     DRAM protocol and timing against the host's parameters and — the
@@ -162,31 +219,40 @@ def hammer_checks(host: HostInterface, victim: DramAddress,
     aggressor row is activated exactly ``hammer_count`` times by the
     hammering plus ``accesses`` times outside it (its row writes and
     reads), so BER and HC_first are attributed to the hammer count the
-    experiment records.  ``overrides`` go to
+    experiment records.  ``decoy`` declares one more row as (row,
+    activations), exactly too.  ``overrides`` go to
     :meth:`VerifyContext.for_host`.
     """
-    expected = {(victim.channel, victim.pseudo_channel, victim.bank, row):
-                hammer_count + accesses for row in aggressor_rows}
+    bank = (victim.channel, victim.pseudo_channel, victim.bank)
+    expected = {bank + (row,): hammer_count + accesses
+                for row in aggressor_rows}
+    if decoy is not None:
+        row, activations = decoy
+        expected[bank + (row,)] = activations
     return VerifyContext.for_host(host, expected_hammers=expected,
                                   **overrides)
 
 
 class HammerProbe:
     """One hammer test bound to its rows: the neighbourhood fill, the
-    aggressors and the rows read back, on ``site``'s bank.
+    hammer section and the rows read back, on ``site``'s bank.
 
     The payloads, the row binding and the shape key are computed once;
     :meth:`run` issues :func:`build_probe_program` at any hammer count
-    through the host's shape cache, whose one shape serves every count
-    (the count is its count binding, see :mod:`repro.engine.cache`).
-    ``fills`` lists (logical row, fill byte) in write order; every
-    aggressor must be among them, written once.
+    through the host's shape cache.  One ACT[/WAIT]/PRE loop is the
+    shape's count binding, so one shape serves every count (see
+    :mod:`repro.engine.cache`); a section of REF-bounded ``bursts`` is
+    count-free, one shape per count.  ``fills`` lists (logical row, fill
+    byte) in write order; every aggressor must be among them, written
+    once.  ``overrides`` go to :func:`hammer_checks`.
     """
 
     def __init__(self, host: HostInterface, site: DramAddress,
                  fills: Sequence[Tuple[int, int]],
                  aggressor_rows: Sequence[int],
-                 read_rows: Sequence[int]) -> None:
+                 read_rows: Sequence[int], open_cycles: int = 0,
+                 bursts: Optional[RefreshBursts] = None,
+                 **overrides) -> None:
         row_bytes = host.device.geometry.row_bytes
         self._host = host
         self._site = site
@@ -194,22 +260,29 @@ class HammerProbe:
                              for row, fill in fills)
         self._aggressors = tuple(aggressor_rows)
         self._reads = tuple(read_rows)
+        self._open_cycles = open_cycles
+        self._bursts = bursts
+        self._overrides = overrides
+        decoys = (() if bursts is None or bursts.decoy_row is None
+                  else (bursts.decoy_row,))
         # The row binding: distinct ACT rows in first-ACT order.
         self._rows = tuple(dict.fromkeys(
-            [row for row, _ in fills] + list(aggressor_rows)
+            [row for row, _ in fills] + list(aggressor_rows) + list(decoys)
             + list(read_rows)))
         slot = {row: index for index, row in enumerate(self._rows)}
         self._key = ("hammer", site.channel, site.pseudo_channel, site.bank,
                      tuple(fill for _, fill in fills),
                      tuple(slot[row] for row in aggressor_rows),
-                     tuple(slot[row] for row in read_rows))
+                     tuple(slot[row] for row in read_rows), open_cycles,
+                     None if bursts is None else
+                     (bursts.hammers, tuple(slot[row] for row in decoys)))
 
     def run(self, hammer_count: int) -> ExecutionResult:
         """Write, hammer ``hammer_count`` times, read back: one program.
 
         The result's ``row_reads`` are the read rows in order and its
-        ``loop_cycles`` the hammering's duration.  Count 0 builds the
-        program without its loop, its own count-free shape.
+        ``loop_cycles`` the hammer section's duration.  Count 0 builds
+        the program without its loop, its own count-free shape.
         """
         if hammer_count < 0:
             raise ExperimentError(
@@ -217,15 +290,21 @@ class HammerProbe:
         host = self._host
         site, writes = self._site, self._writes
         aggressors, reads = self._aggressors, self._reads
+        open_cycles, bursts = self._open_cycles, self._bursts
+        decoy = None
+        if bursts is not None and bursts.decoy_row is not None:
+            decoy = (bursts.decoy_row, hammer_count // bursts.hammers)
         key, count = self._key, hammer_count
-        if not hammer_count:
-            key, count = key + (0,), None
+        if bursts is not None or not hammer_count:
+            key, count = key + (hammer_count,), None
         return host.cached_run(
             key, self._rows,
             lambda: build_probe_program(site, writes, aggressors,
-                                        hammer_count, reads),
+                                        hammer_count, reads, open_cycles,
+                                        bursts),
             lambda: hammer_checks(host, site, aggressors, hammer_count,
-                                  accesses=1),
+                                  accesses=1, decoy=decoy,
+                                  **self._overrides),
             count)
 
 
@@ -240,15 +319,18 @@ class DoubleSidedHammer:
         """Logical rows physically adjacent to the victim."""
         return list(self._mapper.physical_neighbors(victim.row))
 
-    def bind(self, victim: DramAddress, pattern: DataPattern
-             ) -> Callable[[int], HammerOutcome]:
+    def bind(self, victim: DramAddress, pattern: DataPattern,
+             open_cycles: int = 0, bursts: Optional[RefreshBursts] = None,
+             **overrides) -> Callable[[int], HammerOutcome]:
         """The victim's hammer test under ``pattern``, bound once.
 
         Returns a function that runs the test at a hammer count: it
         fills the victim's physical neighbourhood with the pattern,
-        hammers ``hammer_count`` pairs (one ACT per aggressor each) and
-        reads the victim back, as one program.  An HC_first search
-        binds once and probes many counts.
+        hammers ``hammer_count`` pairs (one ACT per aggressor each, held
+        open ``open_cycles`` more, in REF-bounded ``bursts`` if given)
+        and reads the victim back, as one program (:class:`HammerProbe`,
+        which takes ``overrides``).  An HC_first search binds once and
+        probes many counts.
         """
         host = self._host
         geometry = host.device.geometry
@@ -265,7 +347,7 @@ class DoubleSidedHammer:
                 host, victim,
                 [(row, pattern.byte_for_offset(offset))
                  for offset, row in sorted(neighborhood.items())],
-                aggressors, [victim.row])
+                aggressors, [victim.row], open_cycles, bursts, **overrides)
             expected = byte_fill_bits(pattern.victim_byte,
                                       geometry.row_bytes)
 

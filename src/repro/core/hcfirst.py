@@ -5,9 +5,10 @@ hammers after which a victim row exhibits at least one bitflip.  Because
 cell behaviour is reproducible — the same cell flips at the same
 accumulated disturbance every time — flip count is monotone in hammer
 count, and HC_first can be located exactly with an exponential ramp
-followed by binary search.  Every probe is an independent, fully-prepared
-hammering test (rewrite neighbourhood, hammer, read back), exactly what
-the paper's infrastructure runs.
+followed by binary search (:func:`search_first_flip`, which the RowPress
+extension runs over its own tests too).  Every probe is an independent,
+fully-prepared hammering test (rewrite neighbourhood, hammer, read
+back), exactly what the paper's infrastructure runs.
 
 Searches are capped at 256K hammers (the paper's bound); rows with no
 flip at the cap are reported as right-censored.
@@ -16,7 +17,7 @@ flip at the cap are reported as right-censored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.bender.host import HostInterface
 from repro.core.experiment import ExperimentConfig, check_time_budget
@@ -41,6 +42,47 @@ class HcFirstOutcome:
         return self.hc_first is None
 
 
+def search_first_flip(flips_at: Callable[[int], int], maximum: int,
+                      start: int) -> HcFirstOutcome:
+    """The least hammer count at which a bound test flips a bit.
+
+    ``flips_at(n)`` runs the test at ``n`` hammers and returns its flip
+    count.  One probe at ``maximum`` (no flip: censored), then an
+    exponential ramp from ``min(start, maximum)`` to the first count
+    that flips, then bisection of the last flip-free step.
+    """
+    flips_at_max = flips_at(maximum)
+    probes = 1
+    if flips_at_max == 0:
+        return HcFirstOutcome(hc_first=None, probes=probes,
+                              flips_at_max=0, max_hammers=maximum)
+
+    # Exponential ramp: find the first power-of-two step that flips.
+    low = 0  # highest hammer count observed flip-free
+    high = maximum  # lowest hammer count observed flipping
+    hammers = min(start, maximum)
+    while hammers < maximum:
+        flips = flips_at(hammers)
+        probes += 1
+        if flips > 0:
+            high = hammers
+            break
+        low = hammers
+        hammers *= 2
+
+    # Binary search in (low, high].
+    while high - low > 1:
+        middle = (low + high) // 2
+        flips = flips_at(middle)
+        probes += 1
+        if flips > 0:
+            high = middle
+        else:
+            low = middle
+    return HcFirstOutcome(hc_first=high, probes=probes,
+                          flips_at_max=flips_at_max, max_hammers=maximum)
+
+
 class HcFirstSearch:
     """Exact HC_first via exponential ramp + binary search."""
 
@@ -57,49 +99,18 @@ class HcFirstSearch:
     def search(self, victim: DramAddress,
                pattern: DataPattern) -> HcFirstOutcome:
         """Find the exact HC_first of one victim under one pattern."""
-        maximum = self._config.hcfirst_max_hammers
         controls = self._config.controls
         test = self._hammer.bind(victim, pattern)
-        probes = 0
 
-        def probe(hammers: int) -> int:
+        def flips_at(hammers: int) -> int:
             """Run one fully-prepared hammering test; the flip count."""
             outcome = test(hammers)
             check_time_budget(outcome.duration_s, controls,
                               what=f"HC_first probe of {victim}")
             return outcome.report.flips
 
-        flips_at_max = probe(maximum)
-        probes += 1
-        if flips_at_max == 0:
-            return HcFirstOutcome(hc_first=None, probes=probes,
-                                  flips_at_max=0, max_hammers=maximum)
-
-        # Exponential ramp: find the first power-of-two step that flips.
-        low = 0  # highest hammer count observed flip-free
-        high = maximum  # lowest hammer count observed flipping
-        hammers = min(self._start, maximum)
-        while hammers < maximum:
-            flips = probe(hammers)
-            probes += 1
-            if flips > 0:
-                high = hammers
-                break
-            low = hammers
-            hammers *= 2
-
-        # Binary search in (low, high].
-        while high - low > 1:
-            middle = (low + high) // 2
-            flips = probe(middle)
-            probes += 1
-            if flips > 0:
-                high = middle
-            else:
-                low = middle
-        return HcFirstOutcome(hc_first=high, probes=probes,
-                              flips_at_max=flips_at_max,
-                              max_hammers=maximum)
+        return search_first_flip(flips_at, self._config.hcfirst_max_hammers,
+                                 self._start)
 
     # ------------------------------------------------------------------
     def record(self, victim: DramAddress, pattern: DataPattern,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
 from repro.bender.host import HostInterface
+from repro.core.hammer import HammerProbe
 from repro.core.patterns import ROWSTRIPE0, DataPattern
 from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
@@ -48,35 +49,26 @@ def observe_adjacency(host: HostInterface, channel: int, pseudo_channel: int,
     The window of logical rows around the aggressor is initialized with
     the victim byte, the aggressor with the aggressor byte; after
     hammering, every window row is read back and rows with flips are the
-    aggressor's physical neighbours (as logical addresses).
+    aggressor's physical neighbours (as logical addresses).  Fill,
+    hammering and read-back are one test program
+    (:class:`~repro.core.hammer.HammerProbe`).
     """
     geometry = host.device.geometry
-    low = max(0, aggressor_row - window)
-    high = min(geometry.rows - 1, aggressor_row + window)
-
-    victim_fill = bytes([pattern.victim_byte]) * geometry.row_bytes
-    aggressor_fill = bytes([pattern.aggressor_byte]) * geometry.row_bytes
-    for row in range(low, high + 1):
-        fill = aggressor_fill if row == aggressor_row else victim_fill
-        host.write_row(DramAddress(channel, pseudo_channel, bank, row), fill)
-
-    builder = host.builder()
-    with builder.loop(hammer_count):
-        builder.act(channel, pseudo_channel, bank, aggressor_row)
-        builder.pre(channel, pseudo_channel, bank)
-    host.run(builder.build())
-
+    rows = range(max(0, aggressor_row - window),
+                 min(geometry.rows - 1, aggressor_row + window) + 1)
+    victims = [row for row in rows if row != aggressor_row]
+    probe = HammerProbe(
+        host, DramAddress(channel, pseudo_channel, bank, aggressor_row),
+        [(row, pattern.aggressor_byte if row == aggressor_row
+          else pattern.victim_byte) for row in rows],
+        [aggressor_row], victims)
+    execution = probe.run(hammer_count)
     expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
-    victims: List[int] = []
-    for row in range(low, high + 1):
-        if row == aggressor_row:
-            continue
-        read_bits = host.read_row(
-            DramAddress(channel, pseudo_channel, bank, row))
-        if count_flips(read_bits, expected) > 0:
-            victims.append(row)
-    return AdjacencyObservation(aggressor=aggressor_row,
-                                victims=tuple(victims))
+    return AdjacencyObservation(
+        aggressor=aggressor_row,
+        victims=tuple(row for row, read_bits in zip(victims,
+                                                    execution.row_reads)
+                      if count_flips(read_bits, expected) > 0))
 
 
 def _candidate_mappers(geometry: Geometry,

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bender.host import HostInterface
-from repro.core.hammer import DoubleSidedHammer, prepare_neighborhood
+from repro.core.hammer import (
+    DoubleSidedHammer,
+    build_hammer_program,
+    hammer_checks,
+    prepare_neighborhood,
+)
 from repro.core.patterns import DataPattern
 from repro.core.rowdata import byte_fill_bits, count_flips
 from repro.dram.address import DramAddress, RowAddressMapper
@@ -135,11 +140,12 @@ class ParaDefense:
 
     def _run_hammers(self, victim: DramAddress, aggressors, count: int
                      ) -> None:
-        builder = self._host.builder()
-        with builder.loop(count):
-            for row in aggressors:
-                builder.act(victim.channel, victim.pseudo_channel,
-                            victim.bank, row)
-                builder.pre(victim.channel, victim.pseudo_channel,
-                            victim.bank)
-        self._host.run(builder.build())
+        """``count`` hammers between two triggers: one count-bound
+        shape for every gap."""
+        host = self._host
+        host.cached_run(
+            ("para_gap", victim.channel, victim.pseudo_channel, victim.bank),
+            aggressors,
+            lambda: build_hammer_program(victim, aggressors, count),
+            lambda: hammer_checks(host, victim, aggressors, count),
+            count)

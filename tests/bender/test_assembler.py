@@ -7,7 +7,6 @@ from repro.bender import isa
 from repro.bender.assembler import assemble, disassemble
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.hammer import build_hammer_program
-from repro.core.rowpress import build_rowpress_program
 from repro.dram.address import DramAddress
 from repro.errors import AssemblyError
 from tests.property.test_program_robustness import random_programs
@@ -140,7 +139,7 @@ class TestGeneratorRoundTrip:
 
     @pytest.mark.parametrize("extra", [0, 1, 37])
     def test_rowpress_programs(self, extra):
-        program = build_rowpress_program(self.VICTIM, (99, 101), 64, extra)
+        program = build_hammer_program(self.VICTIM, (99, 101), 64, extra)
         assert assemble(disassemble(program)) == program
 
     def test_refresh_interleaved_shape(self):

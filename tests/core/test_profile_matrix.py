@@ -22,7 +22,7 @@ Three guarantees, checked per registered family:
 import pytest
 
 from repro.bender.board import BoardSpec, make_paper_setup
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, InterferenceControls
 from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.core.utrr import UTrrExperiment, infer_period
 from repro.dram.address import DramAddress
@@ -35,6 +35,16 @@ PROFILES = ("hbm2", "ddr4", "ddr5")
 #: Dataset fingerprint of the reference sweep at the seed revision —
 #: the byte-identity acceptance bar for the hbm2 path.
 HBM2_REFERENCE_FINGERPRINT = "b53f07cb36c5ee9e7b716bb3be36cfee"
+
+#: Refresh-on (ablation A2) sweep fingerprints of the CI ``oracle``
+#: job's configs.  The job diffs production against the oracle, which
+#: cannot catch a change made to both paths — a driver refactor — so
+#: the values themselves are pinned here.
+REFRESH_ON_FINGERPRINTS = {
+    "hbm2": "8ac1bdfa91f54949bacadf9d718958df",
+    "ddr4": "13488d1dcbb8adb7a74d4817b03f7fd1",
+    "ddr5": "6054aaa2ec465cbe72c6ee5a2274c62c",
+}
 
 SMOKE_SEED = 3
 
@@ -98,6 +108,22 @@ class TestHbm2ByteIdentity:
             assert counters["engine.fastpath.hits"] == 598
             assert counters.get("engine.fastpath.fallbacks", 0) == 0
             assert counters.get("engine.fastpath.bypasses", 0) == 0
+
+    @pytest.mark.parametrize("profile", sorted(REFRESH_ON_FINGERPRINTS))
+    def test_refresh_on_sweep_fingerprint_is_pinned(self, profile):
+        """BER under live refresh: the REF-bounded bursts, TRR fires and
+        refresh-pointer hits of every family's sampler, one row per
+        region (the CI oracle job's refresh-on configs)."""
+        controls = InterferenceControls(issue_periodic_refresh=True,
+                                        time_budget_s=1.0)
+        config = SweepConfig(
+            channels=(0, 7) if profile == "hbm2" else (0, 1),
+            rows_per_region=1, include_hcfirst=False,
+            experiment=ExperimentConfig(controls=controls))
+        board = make_paper_setup(
+            seed=2023, device_profile=None if profile == "hbm2" else profile)
+        assert (SpatialSweep(board, config).run().fingerprint()
+                == REFRESH_ON_FINGERPRINTS[profile])
 
     def test_named_hbm2_profile_matches_the_default_station(
             self, fast_datasets):

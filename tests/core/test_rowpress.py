@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bender import isa
-from repro.core.rowpress import RowPressExperiment, build_rowpress_program
+from repro.core.hammer import build_hammer_program
+from repro.core.rowpress import RowPressExperiment
 from repro.dram.address import DramAddress
 from repro.errors import ExperimentError
 
@@ -12,12 +13,12 @@ VICTIM = DramAddress(0, 0, 0, 20)
 
 class TestProgramConstruction:
     def test_zero_extra_open_matches_standard_kernel(self):
-        program = build_rowpress_program(VICTIM, [19, 21], 100, 0)
+        program = build_hammer_program(VICTIM, [19, 21], 100, 0)
         (loop,) = program.instructions
         assert len(loop.body) == 4  # ACT/PRE per aggressor, no WAITs
 
     def test_extra_open_inserts_waits(self):
-        program = build_rowpress_program(VICTIM, [19, 21], 100, 500)
+        program = build_hammer_program(VICTIM, [19, 21], 100, 500)
         (loop,) = program.instructions
         kinds = [type(instruction) for instruction in loop.body]
         assert kinds == [isa.Act, isa.Wait, isa.Pre,
@@ -26,11 +27,11 @@ class TestProgramConstruction:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            build_rowpress_program(VICTIM, [], 10, 0)
+            build_hammer_program(VICTIM, [], 10, 0)
         with pytest.raises(ExperimentError):
-            build_rowpress_program(VICTIM, [19], -1, 0)
+            build_hammer_program(VICTIM, [19], -1, 0)
         with pytest.raises(ExperimentError):
-            build_rowpress_program(VICTIM, [19], 10, -1)
+            build_hammer_program(VICTIM, [19], 10, -1)
 
 
 class TestRowPressEffect:

@@ -170,15 +170,16 @@ def trr_bypass(use_decoy):
     return drive
 
 
-#: (driver, station, the checked shapes' cache key names).
+#: (driver, station, the checked shapes' cache key names).  Every
+#: neighbourhood test is one hammer probe (``core/hammer.py``).
 SHAPES = {
     "hammer": (hammer, vulnerable_board, ["hammer"]),
-    "ber_refresh": (ber_refresh, bypass_board, ["ber_refresh"]),
-    "rowpress-wait": (rowpress, vulnerable_board, ["rowpress"]),
+    "ber_refresh": (ber_refresh, bypass_board, ["hammer"]),
+    "rowpress-wait": (rowpress, vulnerable_board, ["hammer"]),
     "cross-channel": (cross_channel, coupled_board,
                       ["cross_channel", "cross_channel"]),
-    "trr-bypass": (trr_bypass(False), bypass_board, ["trr_bypass"]),
-    "trr-bypass-decoy": (trr_bypass(True), bypass_board, ["trr_bypass"]),
+    "trr-bypass": (trr_bypass(False), bypass_board, ["hammer"]),
+    "trr-bypass-decoy": (trr_bypass(True), bypass_board, ["hammer"]),
 }
 
 

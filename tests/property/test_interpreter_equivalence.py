@@ -71,12 +71,15 @@ HAMMERING = ("hammer", "burst", "lead-ref-burst", "flat-burst",
              "decoy-burst")
 
 
-def make_device(profile_name: str, seed: int) -> Device:
-    """The small test geometry with a family's timing and TRR policy."""
+def make_device(profile_name: str, seed: int,
+                calibration=None) -> Device:
+    """The small test geometry with a family's timing and TRR policy
+    (and ``calibration``, by default the vulnerable profile)."""
     profile = get_profile(profile_name)
     device = Device(geometry=SMALL_GEOMETRY, timing=profile.timing,
-                    profile=vulnerable_profile(), trr_config=profile.trr,
-                    seed=seed, profile_name=profile_name)
+                    profile=calibration or vulnerable_profile(),
+                    trr_config=profile.trr, seed=seed,
+                    profile_name=profile_name)
     device.set_ecc_enabled(False)
     return device
 

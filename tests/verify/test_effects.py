@@ -8,7 +8,6 @@ from repro.bender import isa
 from repro.bender.board import BenderBoard
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.hammer import build_hammer_program
-from repro.core.rowpress import build_rowpress_program
 from repro.dram.address import DramAddress
 from repro.verify import VerifyContext
 from repro.verify.effects import (
@@ -99,16 +98,16 @@ class TestShippedShapes:
         assert summary.reads == (((0, 0, 0, VICTIM.row), 1),)
 
     def test_rowpress_throttled(self):
-        program = build_rowpress_program(VICTIM, AGGRESSORS, 2000,
-                                         extra_open_cycles=64)
+        program = build_hammer_program(VICTIM, AGGRESSORS, 2000,
+                                       open_cycles=64)
         summary = summary_of(program, allow_retention_decay=True)
         assert summary.pacing == PACING_THROTTLED
         (hammer,) = summary.ops
         assert ("wait", 64) in hammer.steps
 
     def test_rowpress_zero_wait_is_jedec(self):
-        program = build_rowpress_program(VICTIM, AGGRESSORS, 2000,
-                                         extra_open_cycles=0)
+        program = build_hammer_program(VICTIM, AGGRESSORS, 2000,
+                                       open_cycles=0)
         assert summary_of(program).pacing == PACING_JEDEC
 
     def test_cross_channel_idle_arm(self):

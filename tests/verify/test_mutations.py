@@ -13,7 +13,6 @@ import pytest
 
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.hammer import build_hammer_program
-from repro.core.rowpress import build_rowpress_program
 from repro.dram.address import DramAddress
 from repro.dram.timing import TimingParameters
 from repro.verify import (
@@ -171,8 +170,8 @@ class TestShippedProgramsVerifyClean:
 
     @pytest.mark.parametrize("extra_cycles", [0, 1, 37, 512])
     def test_rowpress_programs(self, extra_cycles):
-        program = build_rowpress_program(VICTIM, (99, 101), 2000,
-                                         extra_cycles)
+        program = build_hammer_program(VICTIM, (99, 101), 2000,
+                                       extra_cycles)
         report = verify_program(program, VerifyContext(
             allow_retention_decay=True))
         assert report.ok, report.render()

@@ -116,6 +116,31 @@ MUTANTS: Tuple[Mutant, ...] = (
         claim="the trailing iteration and the read-back run after the "
               "bulk-applied iterations, from the loop's exit state"),
     Mutant(
+        name="decoy-after-the-ref",
+        path="src/repro/core/hammer.py",
+        old="            if bursts.decoy_row is not None:\n"
+            "                builder.act(channel, pseudo_channel, bank, "
+            "bursts.decoy_row)\n"
+            "                builder.pre(channel, pseudo_channel, bank)\n"
+            "            builder.ref(channel, pseudo_channel)\n",
+        new="            builder.ref(channel, pseudo_channel)\n"
+            "            if bursts.decoy_row is not None:\n"
+            "                builder.act(channel, pseudo_channel, bank, "
+            "bursts.decoy_row)\n"
+            "                builder.pre(channel, pseudo_channel, bank)\n",
+        tests=(f"{FUSED}::test_fused_drivers_match_the_oracle",),
+        claim="a refresh-bounded burst activates its decoy before the "
+              "REF, so the TRR sampler holds the decoy when it fires"),
+    Mutant(
+        name="rowpress-without-wait",
+        path="src/repro/core/hammer.py",
+        old="                    if open_cycles:\n"
+            "                        builder.wait(open_cycles)\n",
+        new="",
+        tests=(f"{FUSED}::test_fused_drivers_match_the_oracle",),
+        claim="a RowPress test holds each aggressor open for its extra "
+              "cycles"),
+    Mutant(
         name="parity-run-joins-data-run",
         path="src/repro/dram/bank.py",
         old="        edges[data_bits] = False\n",
