@@ -104,10 +104,6 @@ class RowAddressMapper:
         """A mapper where logical == physical (for tests and baselines)."""
         return cls(geometry, control_bit=0, swizzle_mask=0)
 
-    @property
-    def is_identity(self) -> bool:
-        return self._swizzle_mask == 0 or self._control_bit == 0
-
     def logical_to_physical(self, row: int) -> int:
         """Translate a controller-visible row number to a wordline index."""
         self._geometry.check_row(row)
@@ -140,8 +136,3 @@ class RowAddressMapper:
             if 0 <= candidate < self._geometry.rows:
                 neighbors.append(self.physical_to_logical(candidate))
         return neighbors
-
-    def physical_distance(self, row_a: int, row_b: int) -> int:
-        """Wordline distance between two logical rows."""
-        return abs(self.logical_to_physical(row_a) -
-                   self.logical_to_physical(row_b))

@@ -17,11 +17,16 @@ the cells within a restore's reach are compared, and the aggressor-data
 coupling and the intra-row penalty are computed at those cells alone.
 A full-row store adopts the lowered payload arrays themselves, shared
 read-only between rows, and a row copies them before its first change.
+
+Besides the per-command methods, a bank applies whole recorded streams
+and bulk-applied loops in one loop over their events (:meth:`Bank.
+replay`), and a stream whose restores are provably quiet as its closed
+form's bank side (:meth:`Bank.install_stream`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +97,10 @@ class Bank:
         self._disturb_guard = (profile.threshold_floor *
                                profile.channel_scale(channel) *
                                orientation_min * 0.25)
+        #: The intra-row penalty factor by count of differing bitline
+        #: neighbours (:meth:`_horizontal_penalty`).
+        self._penalties = 1.0 + profile.intra_row_penalty * (
+            np.arange(3) / 2.0)
         # Retention guard: ~5.5 sigma below the median covers the weakest
         # plausible cell at the reference temperature.
         self._retention_guard_s = (profile.retention_median_s *
@@ -107,9 +116,6 @@ class Bank:
     @property
     def is_open(self) -> bool:
         return self._open_physical is not None
-
-    def row_is_written(self, physical_row: int) -> bool:
-        return physical_row in self._bits
 
     # ------------------------------------------------------------------
     # Command-level operations (physical row addressing; the device maps
@@ -263,28 +269,140 @@ class Bank:
         self._last_open_factor[physical_row] = factor
         self.disturbance.record_activation(physical_row, factor)
 
-    def replay_activate(self, physical_row: int, cycle: int) -> None:
-        """:meth:`activate` minus validation, for memoized replays.
+    def replay(self, events: Iterable[tuple], rows: Sequence[int],
+               entry: int = 0, payloads: Sequence[tuple] = (),
+               ecc_enabled: bool = False) -> List[np.ndarray]:
+        """Apply a stream of this bank's row events; returns the bits of
+        its row reads, in order.  The one bank kernel of memoized
+        stream replays and bulk-applied loops.
 
-        The caller replays a command sequence whose probe already
-        passed the open-row and row-range checks; the same sequence
-        re-issued leaves the same open/close pattern, so the checks
-        cannot fire and are skipped.
+        ``events`` are ``(kind, key, slot, value)`` as a
+        :class:`~repro.dram.device.Schedule` holds them: ``rows[slot]``
+        is the event's physical row, a timed value (``act``, ``wr``,
+        ``rd``, ``sense``, ``restore``) is a cycle offset from
+        ``entry``.  Per kind:
+
+        * ``act`` — :meth:`activate`; ``sense`` — its restore alone,
+          the row left closed (a bulk loop's opening restores);
+        * ``wr`` — :meth:`store_full_row` of ``payloads[slot]``;
+        * ``rd`` — :meth:`read_open_row_bits`;
+        * ``pre`` — :meth:`precharge` at the recorded RowPress factor
+          ``value``;
+        * ``bulk`` — ``value`` is (dose, the loop's rows on this bank):
+          the loop's adds from the row (:meth:`~repro.dram.disturb.
+          DisturbanceTracker.bulk_contributions`);
+        * ``restore`` — :meth:`mark_restored`.
+
+        The ledger adds run inline on the tracker's dicts, in event
+        order, with :meth:`~repro.dram.disturb.DisturbanceTracker.
+        record_activation`'s float operations.  A restore runs
+        :meth:`_materialize` only when the row holds data and its dose
+        or age trips a flip guard; otherwise materializing would return
+        at the same guards, so the two are the same.  Cross-channel
+        leaks are the caller's.
+
+        The per-command checks are the caller's, made once per
+        binding: the rows come from the address mapper, which checks
+        each; the stream's open/close pattern is its recording's, which
+        passed the open-row checks from the same entry state (a closed
+        bank); a write's payload shape is checked here.
         """
-        self.restore_row(physical_row, cycle)
-        self._open_physical = physical_row
-        self._open_since = cycle
+        tracker = self.disturbance
+        counts = tracker._counts
+        blast = tracker._blast
+        bits = self._bits
+        last_restore = self._last_restore
+        factors = self._last_open_factor
+        shape = (self._geometry.row_bits,)
+        frequency = self._timing.frequency_hz
+        disturb_guard = self._disturb_guard
+        retention_guard = (self._retention_guard_s *
+                           self._profile.retention_temperature_scale(
+                               self._environment.temperature_c))
+        opened = self._open_physical
+        since = None
+        reads: List[np.ndarray] = []
+        for kind, _, slot, value in events:
+            if kind == "pre" or kind == "bulk":
+                if kind == "pre":
+                    row, dose, activated = opened, value, ()
+                    factors[row] = value
+                    opened = None
+                else:
+                    row = rows[slot]
+                    dose, activated = value
+                triples = blast.get(row)
+                if triples is None:
+                    triples = tracker._blast_triples(row)
+                for victim, side, weight in triples:
+                    if victim in activated:
+                        continue
+                    accumulator = counts.get(victim)
+                    if accumulator is None:
+                        accumulator = counts[victim] = [0.0, 0.0, 0.0]
+                    accumulator[side] += weight * dose
+            elif kind == "rd":
+                stored = self._row_bits(opened)
+                reads.append(decode_words(stored, self._parity[opened])[0]
+                             if ecc_enabled else stored.copy())
+            else:
+                row = rows[slot]
+                cycle = entry + value
+                if kind == "wr":
+                    data, parity = payloads[slot]
+                    if data.shape != shape:
+                        raise CommandError(
+                            f"row store needs {shape[0]} bits, got shape "
+                            f"{data.shape}")
+                    bits[row] = data
+                    self._parity[row] = parity
+                    self._shared_rows.add(row)
+                elif kind != "restore" and row in bits:
+                    accumulator = counts.get(row)
+                    if accumulator is not None and (
+                            accumulator[0] + accumulator[1]
+                            + accumulator[2] > disturb_guard) or (
+                            cycle - int(last_restore[row])) / frequency \
+                            >= retention_guard:
+                        self._materialize(row, cycle)
+                last_restore[row] = cycle
+                counts.pop(row, None)
+                if kind == "act" or kind == "wr":
+                    opened, since = row, cycle
+        self._open_physical = opened
+        if since is not None:
+            self._open_since = since
+        return reads
 
-    def replay_precharge(self, physical_row: int, factor: float) -> None:
-        """:meth:`precharge` with a memoized RowPress ``factor``.
+    def install_stream(self, stores: Sequence[Tuple[int, int]],
+                       payloads: Sequence[tuple], rows: np.ndarray,
+                       cycles: np.ndarray, factors: Dict[int, float],
+                       opened: Optional[int], since: Optional[int]) -> None:
+        """The bank side of a stream applied in closed form
+        (:class:`~repro.dram.device.QuietStream`): what :meth:`replay`
+        leaves when no restore materializes anything.
 
-        Under a schedule replay the ACT and PRE cycles are identical
-        to the probe's, so the open time — and with it the
-        amplification factor — is too; the caller passes the recorded
-        value and the open-cycle arithmetic is skipped.
+        Each ``(row, slot)`` of ``stores`` adopts ``payloads[slot]``,
+        each of ``rows`` is stamped restored at its entry of
+        ``cycles``, ``factors`` are the closed rows' last RowPress
+        factors, ``opened`` the row open at the end and ``since`` the
+        latest ACT's cycle (None: the stream issued none).
         """
-        self.note_closed_activation(physical_row, factor)
-        self._open_physical = None
+        shape = (self._geometry.row_bits,)
+        for row, slot in stores:
+            data, parity = payloads[slot]
+            if data.shape != shape:
+                raise CommandError(
+                    f"row store needs {shape[0]} bits, got shape "
+                    f"{data.shape}")
+            self._bits[row] = data
+            self._parity[row] = parity
+            self._shared_rows.add(row)
+        self._last_restore[rows] = cycles
+        self._last_open_factor.update(factors)
+        self._open_physical = opened
+        if since is not None:
+            self._open_since = since
 
     # ------------------------------------------------------------------
     # Charge restoration (shared by ACT, periodic refresh, TRR refresh)
@@ -495,32 +613,41 @@ class Bank:
             retention_reach = 2.0 * elapsed_s / retention_scale
         truth = self._truth.row(*self._key, physical_row, reach,
                                 retention_reach)
-        hammer = truth.hammer.upto(reach)
-        retention = truth.retention.upto(retention_reach)
+        # Of the cells within reach, only a shorter prefix can flip: a
+        # cell's effective disturbance is at most the row's dose (every
+        # coupling is at most 1) and its threshold at least its key
+        # times the scales (the penalty is at least 1), and a retention
+        # flip needs its key times the scale within the elapsed time.
+        # The margin absorbs the rounding of both bounds.
+        hammer = truth.hammer.upto(reach * _PREFIX_MARGIN)
+        retention = truth.retention.upto(retention_reach * _PREFIX_MARGIN)
         if not hammer and not retention:
             return
 
         data_bits = self._geometry.row_bits
-        cells = np.concatenate([stored, self._parity[physical_row]])
-
+        parity = self._parity[physical_row]
         flipped = []
         if hammer:
             index = truth.hammer.cells[:hammer].astype(np.intp)
-            vulnerable = cells[index] == truth.hammer.charged[:hammer]
+            sliced = _Slice.of(index, data_bits)
+            cells = sliced.gather(stored, parity)
+            vulnerable = cells == truth.hammer.charged[:hammer]
             effective = self._effective_disturbance(
-                physical_row, cells, index, below, above)
+                physical_row, cells, sliced, below, above)
             if direct > 0.0:
                 # Cross-channel leakage couples through the stack, not
                 # through in-die wordline fields: no neighbour-data
                 # weighting applies.
                 effective = effective + direct
             thresholds = (truth.hammer.keys[:hammer] *
-                          self._horizontal_penalty(cells, index, data_bits) *
+                          self._horizontal_penalty(stored, parity, sliced,
+                                                   cells) *
                           temp_scale * voltage_scale)
             flipped.append(index[vulnerable & (effective >= thresholds)])
         if retention:
             index = truth.retention.cells[:retention].astype(np.intp)
-            vulnerable = cells[index] == truth.retention.charged[:retention]
+            vulnerable = _Slice.of(index, data_bits).gather(
+                stored, parity) == truth.retention.charged[:retention]
             flipped.append(index[vulnerable & (
                 elapsed_s >= truth.retention.keys[:retention] *
                 retention_scale)])
@@ -528,31 +655,37 @@ class Bank:
         flips = np.concatenate(flipped)
         if flips.size:
             self._own_row(physical_row)
-            stored = self._bits[physical_row]
-            parity = self._parity[physical_row]
             # A cell both mechanisms flip is listed twice, and is
             # assigned its flipped value twice: it flips once.
-            cells[flips] = cells[flips] ^ 1
-            stored[:] = cells[:data_bits]
-            parity[:] = cells[data_bits:]
+            for cells, at in ((self._bits[physical_row],
+                               flips[flips < data_bits]),
+                              (self._parity[physical_row],
+                               flips[flips >= data_bits] - data_bits)):
+                cells[at] = cells[at] ^ 1
 
     def _effective_disturbance(self, physical_row: int, cells: np.ndarray,
-                               index: np.ndarray, below: float,
+                               sliced: "_Slice", below: float,
                                above: float) -> np.ndarray:
-        """Disturbance at the cells ``index``, weighted by aggressor-data
-        coupling."""
-        effective = np.zeros(index.shape[0], dtype=np.float64)
+        """Disturbance at the ``sliced`` cells (holding ``cells``),
+        weighted by aggressor-data coupling: each neighbour's cells are
+        gathered at the slice alone.  Per cell, each side adds its
+        amount times its coupling (1 or the same-bit coupling) to 0.0,
+        in side order."""
+        effective = None
+        same = self._profile.same_bit_coupling
         for amount, direction in ((below, -1), (above, +1)):
             if amount <= 0.0:
                 continue
             neighbor = self._neighbor_bits(physical_row, direction)
             if neighbor is None:
                 continue
-            neighbor_cells = np.concatenate(
-                [neighbor, self._neighbor_parity(physical_row, direction)])
-            coupling = np.where(neighbor_cells[index] != cells[index],
-                                1.0, self._profile.same_bit_coupling)
-            effective += amount * coupling
+            neighbor_cells = sliced.gather(
+                neighbor, self._neighbor_parity(physical_row, direction))
+            side = np.where(neighbor_cells != cells, amount,
+                            amount * same)
+            effective = side if effective is None else effective + side
+        if effective is None:
+            return np.zeros(cells.shape[0], dtype=np.float64)
         return effective
 
     def _neighbor_parity(self, physical_row: int,
@@ -565,26 +698,59 @@ class Bank:
             0, min(neighbor, self._geometry.rows - 1)))
         return cells[self._geometry.row_bits:]
 
-    def _horizontal_penalty(self, cells: np.ndarray, index: np.ndarray,
-                            data_bits: int) -> np.ndarray:
+    def _horizontal_penalty(self, bits: np.ndarray, parity: np.ndarray,
+                            sliced: "_Slice", cells: np.ndarray
+                            ) -> np.ndarray:
         """1 + penalty * (fraction of differing horizontal neighbours),
-        at the cells ``index``.
+        at the ``sliced`` cells (holding ``cells``) of the row stored as
+        ``bits`` and ``parity``.
 
         Cells whose left/right bitline neighbours store the opposite value
         are slightly harder to flip (checkered patterns pay this relative
         to rowstripe patterns).  Data and parity cells are separate
-        bitline runs, and a cell at either end of its run sees only one
-        neighbour.  ``edges[i]`` says whether cell ``i`` differs from
-        cell ``i - 1`` within a run, so a cell's count of differing
-        neighbours is ``edges[i] + edges[i + 1]``: 0, 1 or 2, exact as
-        a float, so each value equals the whole-row formula's.
+        bitline runs, and a cell at either end of its run has one
+        neighbour: :meth:`_Slice.gather` clips the missing one onto the
+        cell itself, which never differs from it.  The count of
+        differing neighbours is 0, 1 or 2, so each value is one of the
+        three the whole-row formula computes, read from
+        :attr:`_penalties`.
         """
-        penalty = self._profile.intra_row_penalty
-        if penalty == 0.0:
-            return np.ones(index.shape[0], dtype=np.float64)
-        edges = np.zeros(cells.shape[0] + 1, dtype=bool)
-        edges[1:-1] = cells[1:] != cells[:-1]
-        edges[data_bits] = False
-        diff_count = edges[index].astype(np.float64)
-        diff_count += edges[index + 1]
-        return 1.0 + penalty * (diff_count / 2.0)
+        left = sliced.gather(bits, parity, -1) != cells
+        right = sliced.gather(bits, parity, 1) != cells
+        return self._penalties.take(left.view(np.uint8)
+                                    + right.view(np.uint8))
+
+
+#: The comparison prefix of a reach (:meth:`Bank._materialize`): the
+#: reach is twice the bound, which the margin widens by far more than
+#: the rounding of either side.
+_PREFIX_MARGIN = 0.5 * (1.0 + 1e-9)
+
+
+class _Slice(NamedTuple):
+    """Cells of a row by index, the data cells first and the parity
+    cells after them, gathered from a row's data and parity arrays
+    without joining them."""
+
+    index: np.ndarray
+    #: Which of the cells are parity cells, and their parity indices.
+    at_parity: np.ndarray
+    parity_index: np.ndarray
+
+    @classmethod
+    def of(cls, index: np.ndarray, data_bits: int) -> "_Slice":
+        at_parity = index >= data_bits
+        return cls(index, at_parity, index[at_parity] - data_bits)
+
+    def gather(self, bits: np.ndarray, parity: np.ndarray,
+               offset: int = 0) -> np.ndarray:
+        """The slice's cells, or the cells ``offset`` along each one's
+        bitline run, of the row stored as ``bits`` and ``parity``: each
+        index is clipped into the array it reads, so one past either
+        end of a run reads the run's end cell."""
+        index, parity_index = self.index, self.parity_index
+        if offset:
+            index, parity_index = index + offset, parity_index + offset
+        cells = bits.take(index, mode="clip")
+        cells[self.at_parity] = parity.take(parity_index, mode="clip")
+        return cells

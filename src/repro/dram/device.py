@@ -23,22 +23,31 @@ mechanism, the :class:`Schedule`: the cycle offsets, RowPress factors,
 exit timing state, clock advance and command counts of one stream,
 recorded while it is stepped through the per-command methods
 (:meth:`Device._record`) under its entry timing signature.
-:meth:`Device.apply_stream` memoizes a stream's schedule by row-free
-stream shape and replays it, rows bound, whenever the signature recurs
-(:meth:`Device._replay`): hammer iterations
+:meth:`Device.apply_stream` memoizes a one-bank stream's schedule by
+row-free stream shape and replays it, rows bound, whenever the
+signature recurs (:meth:`Device._replay`): hammer iterations
 (:meth:`Device.apply_hammer_steps`), batched row writes
 (:meth:`Device.apply_row_writes`), and the two streams of a hammer test
 around its bulk-applied loop (the neighbourhood writes with the warm-up
-iterations, then the trailing iteration with the read-back).  A
-REF-bounded burst's schedule, measured by
-:meth:`Device.measure_burst`, yields the closed form
-:meth:`Device.apply_bursts` repeats between events (TRR fires, REFs
-that reach a live row), and through whole fire cycles when the TRR
-sampler vouches for their picks (:meth:`Device.bursts_until_event`).
+iterations, then the trailing iteration with the read-back).
+
+A replay runs the bank physics in one loop, the bank's replay kernel
+(:meth:`~repro.dram.bank.Bank.replay`), which bulk-applied loops share.  A
+stream that writes every row before it senses it and reads nothing
+depends on no earlier row state but the ledger entries it adds to, so
+it is a burst applied once: while its restores are provably below the
+flip guards it is applied in closed form (:class:`QuietStream`), built
+once per (schedule, rows) and kept in a small LRU.  A REF-bounded
+burst's schedule, measured by :meth:`Device.measure_burst`, yields the
+same closed form, which :meth:`Device.apply_bursts` repeats between
+events (TRR fires, REFs that reach a live row), and through whole fire
+cycles when the TRR sampler vouches for their picks
+(:meth:`Device.bursts_until_event`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -67,6 +76,13 @@ from repro.dram.timing import TimingChecker, TimingParameters
 from repro.dram.trr import TrrConfig
 from repro.dram.address import RowAddressMapper
 from repro.errors import CommandError
+
+
+#: Closed forms of self-contained streams a device keeps, by (stream
+#: shape, rows): a hammer test's neighbourhood fill recurs for every
+#: count an HC_first search probes and every pattern of a victim, and
+#: each form holds a few ledger plans, so a handful covers the reuse.
+QUIET_STREAMS = 8
 
 
 class Device:
@@ -121,6 +137,9 @@ class Device:
         #: iteration's steps (rows named by slot) or a write batch's
         #: (bank key, length).  See :meth:`apply_hammer_steps`.
         self._schedules: Dict[tuple, Schedule] = {}
+        #: :class:`QuietStream` closed forms by (shape, rows), the most
+        #: recently used last; at most :data:`QUIET_STREAMS`.
+        self._quiet_streams: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: While a stream is recorded, its row commands in issue order
         #: as (kind, key, physical row, absolute cycle or value); see
         #: :class:`Schedule`.
@@ -169,10 +188,6 @@ class Device:
 
     def bank(self, channel: int, pseudo_channel: int, bank: int) -> Bank:
         return self.channel(channel).bank(pseudo_channel, bank)
-
-    def now_seconds(self) -> float:
-        """Current in-DRAM time in seconds."""
-        return self.timing.seconds(self.now)
 
     def _count(self, mnemonic: str, amount: int = 1) -> None:
         self.command_counts[mnemonic] = (
@@ -456,7 +471,8 @@ class Device:
         schedule = self._schedules.get(shape)
         if schedule is not None and \
                 self._signature(schedule.banks) == schedule.signature:
-            return self._replay(schedule, rows, payloads), schedule.marks
+            return self._replay(shape, schedule, rows, payloads), \
+                schedule.marks
 
         entry = self.now
         reads: List[np.ndarray] = []
@@ -487,15 +503,25 @@ class Device:
         used = {step[4] for step in steps if step[0] in _ROW_STEPS}
         slots = {(step[1:4], self.mapper.logical_to_physical(rows[step[4]])):
                  step[4] for step in steps if step[0] in _ROW_STEPS}
-        schedule = self._record(banks, (), run, slots)._replace(
-            marks=tuple(marks))
+        schedule = self._record(banks, (), run, slots)
+        # Only a one-bank stream replays (through that bank's kernel).
         # Two slots on one row would name one row by two slots; a bank
         # open at entry closes a row whose open time, and so RowPress
         # factor, the signature does not hold.
-        if len(slots) == len(used) and \
-                not any(signature[3] for signature in schedule.signature):
-            self._schedules[shape] = schedule
-        return reads, schedule.marks
+        if len(banks) == 1 and len(slots) == len(used) and \
+                not schedule.signature[0][3]:
+            written: set = set()
+            contained = True
+            for kind, _, slot, _ in schedule.events:
+                contained &= kind != "rd" and (kind != "act"
+                                               or slot in written)
+                if kind == "wr":
+                    written.add(slot)
+            self._schedules[shape] = schedule._replace(
+                marks=tuple(marks), slots=tuple(dict.fromkeys(
+                    step[4] for step in steps if step[0] in _ROW_STEPS)),
+                self_contained=contained)
+        return reads, tuple(marks)
 
     # ------------------------------------------------------------------
     # Schedule record and replay
@@ -548,59 +574,121 @@ class Device:
                          for name, count in self.command_counts.items()
                          if count != before.get(name, 0)))
 
-    def _replay(self, schedule: "Schedule", rows: Sequence[int],
+    def _replay(self, shape, schedule: "Schedule", rows: Sequence[int],
                 payloads: Sequence[tuple] = ()) -> List[np.ndarray]:
-        """Install a memoized :class:`Schedule` with ``rows`` bound;
-        returns the bits of its row reads, in order.
+        """Install a memoized one-bank :class:`Schedule` with ``rows``
+        bound; returns the bits of its row reads, in order.
 
         ``rows[slot]`` is the logical row of the events naming ``slot``
-        (``payloads[slot]`` its lowered (bits, parity), for a write).
-        The bank physics runs per event at the recorded cycles and
-        RowPress factors; the checker exit state, the clock and the
-        command counts are installed from the recording.  Each pseudo
-        channel's TRR sampler takes the ACTs in one ``observe_run``,
-        exactly as it would one at a time (no REF interleaves).
+        (``payloads[slot]`` its lowered (bits, parity), for a write),
+        mapped to its physical row once per call.  The bank physics
+        runs in one :meth:`~repro.dram.bank.Bank.replay` over the
+        events, at the recorded cycles and RowPress factors; the
+        checker exit state, the clock and the command counts are
+        installed from the recording.  The pseudo channel's TRR sampler
+        takes the ACTs in one ``observe_run``, exactly as it would one
+        at a time (no REF interleaves), and the cross-channel leaks go
+        after the kernel, to banks of other channels that nothing
+        touches in between.
+
+        A self-contained stream (:attr:`Schedule.self_contained`)
+        replayed with no recording open is applied in closed form
+        instead (:class:`QuietStream`), when its restores are provably
+        quiet at this call's temperature.
         """
         entry = self.now
-        mapper = self.mapper
-        runs: Dict[Tuple[int, int], List[Tuple[BankKey, int]]] = {}
-        targets = {key: (self.bank(*key), runs.setdefault(key[:2], []))
-                   for key in schedule.banks}
-        trace = self._trace
-        opened: Dict[BankKey, int] = {}
-        reads: List[np.ndarray] = []
-        for kind, key, slot, value in schedule.events:
-            bank_obj, run = targets[key]
-            if kind == "pre":
-                physical = opened[key]
-                bank_obj.replay_precharge(physical, value)
-                self._route_cross_channel(key, physical, value)
-            elif kind == "rd":
-                physical = opened[key]
-                value += entry
-                reads.append(bank_obj.read_open_row_bits(
-                    value, self.mode_registers(key[0]).ecc_enabled))
-            else:
-                physical = opened[key] = mapper.logical_to_physical(
-                    rows[slot])
-                value += entry
-                if kind == "act":
-                    bank_obj.replay_activate(physical, value)
-                else:
-                    bits, parity = payloads[slot]
-                    bank_obj.store_full_row(physical, bits, parity, value)
-                run.append((key, physical))
-            if trace is not None:
-                trace.append((kind, key, physical, value))
-        for pc, events in runs.items():
-            self._pc_state(pc).trr.observe_run(events, 1)
-        checker = self._timing_checker
-        for key, offsets in zip(schedule.banks, schedule.exits):
-            checker.restore_offsets(key, entry, offsets)
-        self.now = entry + schedule.advance
-        for name, count in schedule.counts:
-            self._count(name, count)
+        key = schedule.banks[0]
+        bank_obj = self.bank(*key)
+        form = None
+        if schedule.self_contained and self._trace is None:
+            form = self._quiet_stream(shape, schedule, rows)
+            if form.quiet(schedule.advance):
+                form.apply(bank_obj, payloads, entry)
+                self._install(schedule, key, form.acts, entry)
+                return []
+        if form is not None:
+            physical = form.physical
+        else:
+            mapper = self.mapper
+            physical = {slot: mapper.logical_to_physical(rows[slot])
+                        for slot in schedule.slots}
+        events = schedule.events
+        reads = bank_obj.replay(
+            events, physical, entry, payloads,
+            self._channels[key[0]].mode_registers.ecc_enabled)
+        if self.profile.cross_channel_coupling > 0.0:
+            for kind, _, slot, value in events:
+                if kind == "pre":
+                    self._route_cross_channel(key, physical[slot], value)
+        self._install(schedule, key, [(key, physical[slot])
+                                      for kind, _, slot, _ in events
+                                      if kind in _OPENS], entry)
+        if self._trace is not None:
+            self._trace += [
+                (kind, key, None if slot is None else physical[slot],
+                 entry + value if kind in _TIMED else value)
+                for kind, _, slot, value in events]
         return reads
+
+    def _quiet_stream(self, shape, schedule: "Schedule",
+                      rows: Sequence[int]) -> "QuietStream":
+        """The :class:`QuietStream` of a self-contained ``schedule``
+        with ``rows`` bound, from the device's LRU of the last
+        :data:`QUIET_STREAMS` (shape, rows) or built."""
+        memo = self._quiet_streams
+        memo_key = (shape, tuple(rows))
+        cached = memo.get(memo_key)
+        if cached is not None and cached[0] is schedule:
+            memo.move_to_end(memo_key)
+            return cached[1]
+        mapper = self.mapper
+        physical = {slot: mapper.logical_to_physical(rows[slot])
+                    for slot in schedule.slots}
+        bound = []
+        stamps: Dict[int, int] = {}
+        factors: Dict[int, float] = {}
+        stores: Dict[int, int] = {}
+        acts = []
+        opened = since = None
+        for kind, key, slot, value in schedule.events:
+            row = physical[slot]
+            bound.append((kind, key, row, value))
+            if kind == "pre":
+                factors[row] = value
+                opened = None
+                continue
+            stamps[row] = since = value
+            opened = row
+            acts.append((key, row))
+            if kind == "wr":
+                stores[row] = slot
+        plans = []
+        for key, key_ops in self._ledger_ops(bound).items():
+            bank_obj = self.bank(*key)
+            plan = bank_obj.disturbance.burst_plan(key_ops)
+            plans.append((bank_obj, plan, max(plan.doses, default=None)))
+        form = QuietStream(
+            physical=physical, plans=tuple(plans),
+            stores=tuple(stores.items()),
+            stamp_rows=np.fromiter(stamps, dtype=np.intp),
+            stamp_offsets=np.fromiter(stamps.values(), dtype=np.int64),
+            factors=factors, acts=tuple(acts), opened=opened, since=since)
+        memo[memo_key] = (schedule, form)
+        if len(memo) > QUIET_STREAMS:
+            memo.popitem(last=False)
+        return form
+
+    def _install(self, schedule: "Schedule", key: BankKey,
+                 acts: Sequence[Tuple[BankKey, int]], entry: int) -> None:
+        """The rest of a one-bank replay from ``entry``: the ACTs to the
+        TRR sampler, then the checker exit state, the clock and the
+        command counts from the recording."""
+        self._pc_state(key[:2]).trr.observe_run(acts, 1)
+        self._timing_checker.restore_offsets(key, entry, schedule.exits[0])
+        self.now = entry + schedule.advance
+        counts = self.command_counts
+        for name, count in schedule.counts:
+            counts[name] = counts.get(name, 0) + count
 
     # ------------------------------------------------------------------
     # Generic dispatch for Command objects
@@ -656,45 +744,56 @@ class Device:
             return
         start_cycle = self.now
         end_cycle = start_cycle + total_cycles
-
+        mapper = self.mapper
         physical_body: List[Tuple[BankKey, int]] = []
-        activated_per_bank: Dict[BankKey, set] = {}
+        doses: List[float] = []
+        lanes: Dict[BankKey, Tuple[Bank, List[int], List[float]]] = {}
         for channel, pseudo_channel, bank_index, row in body:
             key: BankKey = (channel, pseudo_channel, bank_index)
-            physical = self.mapper.logical_to_physical(row)
+            physical = mapper.logical_to_physical(row)
+            lane = lanes.get(key)
+            if lane is None:
+                lane = lanes[key] = (self.bank(*key), [], [])
+            # Each body ACT's per-iteration dose carries the RowPress
+            # amplification the warm-up iterations measured for that
+            # row (steady-state loops hold every row open for the same
+            # duration each iteration).
+            dose = iterations * lane[0].last_open_factor(physical)
+            lane[1].append(physical)
+            lane[2].append(dose)
             physical_body.append((key, physical))
-            activated_per_bank.setdefault(key, set()).add(physical)
+            doses.append(dose)
 
-        # Materialize any pre-loop pending state on the activated rows,
-        # exactly as their first in-loop ACT would.
-        for key, physical in physical_body:
-            self.bank(*key).restore_row(physical, start_cycle)
-
-        # Accumulate disturbance on non-activated victims.  Each body
-        # ACT's per-iteration dose carries the RowPress amplification the
-        # warm-up iterations measured for that row (steady-state loops
-        # hold every row open for the same duration each iteration).
+        # Per bank, one kernel run: the body rows' opening restores
+        # (materializing any pre-loop pending state, exactly as their
+        # first in-loop ACT would), their adds to the victims the body
+        # does not activate, and the closing restores — activated rows
+        # end the loop freshly restored.  A kernel touches its own bank
+        # alone, so the banks run one after another.
+        activated: Dict[BankKey, frozenset] = {}
+        for key, (bank_obj, rows, lane_doses) in lanes.items():
+            activated[key] = active = frozenset(rows)
+            bank_obj.replay(
+                [("sense", key, index, 0) for index in range(len(rows))]
+                + [("bulk", key, index, (dose, active))
+                   for index, dose in enumerate(lane_doses)]
+                + [("restore", key, rows.index(row), total_cycles)
+                   for row in active],
+                rows, start_cycle)
+        if self.profile.cross_channel_coupling > 0.0:
+            for (key, physical), dose in zip(physical_body, doses):
+                for neighbor, amount in self._cross_channel(key, dose):
+                    # A body row of the neighbour bank ends restored,
+                    # which wipes the leak.
+                    if physical not in activated.get(neighbor, ()):
+                        self.bank(*neighbor).disturbance.add_direct(
+                            physical, amount)
         trace = self._trace
-        for key, physical in physical_body:
-            bank_obj = self.bank(*key)
-            activated = activated_per_bank[key]
-            dose = iterations * bank_obj.last_open_factor(physical)
-            tracker = bank_obj.disturbance
-            for victim, side, amount in \
-                    tracker.bulk_contributions(physical, dose, activated):
-                tracker.add(victim, side, amount)
-            self._route_cross_channel(key, physical, dose)
-            if trace is not None:
-                trace.append(("bulk", key, physical,
-                              (dose, frozenset(activated))))
-
-        # Activated rows end the loop freshly restored.
-        for key, activated in activated_per_bank.items():
-            bank_obj = self.bank(*key)
-            for physical in activated:
-                bank_obj.mark_restored(physical, end_cycle)
-                if trace is not None:
-                    trace.append(("restore", key, physical, end_cycle))
+        if trace is not None:
+            trace += [("bulk", key, physical, (dose, activated[key]))
+                      for (key, physical), dose in zip(physical_body, doses)]
+            trace += [("restore", key, row, end_cycle)
+                      for key, rows in activated.items() for row in rows]
 
         # TRR samplers see the full ACT stream in bulk form, grouped by
         # pseudo channel in body order: equivalent to per-ACT
@@ -704,18 +803,15 @@ class Device:
         events_per_pc: Dict[Tuple[int, int],
                             List[Tuple[BankKey, int]]] = {}
         for key, physical in physical_body:
-            events_per_pc.setdefault((key[0], key[1]), []).append(
-                (key, physical))
-        for (chan_index, pc_index), events in events_per_pc.items():
-            pc_state = self.channel(chan_index).pseudo_channels[pc_index]
-            pc_state.trr.observe_run(events, iterations)
+            events_per_pc.setdefault(key[:2], []).append((key, physical))
+        for pc, events in events_per_pc.items():
+            self._pc_state(pc).trr.observe_run(events, iterations)
 
         # A steady-state loop translates its timing horizon by exactly
         # the skipped duration; shift the affected banks' constraints so
         # commands issued after the loop schedule as the unrolled
         # execution would have.
-        self._timing_checker.shift_state(activated_per_bank.keys(),
-                                         total_cycles)
+        self._timing_checker.shift_state(lanes.keys(), total_cycles)
         self.now = end_cycle
         self._count("ACT", iterations * len(physical_body))
         self._count("PRE", iterations * len(physical_body))
@@ -727,10 +823,12 @@ class Device:
         return self._channels[pc[0]].pseudo_channels[pc[1]]
 
     def _ledger_ops(self, events: Iterable[tuple]
-                    ) -> List[Tuple[BankKey, int, Optional[int], float]]:
+                    ) -> Dict[BankKey, List[Tuple[int, Optional[int],
+                                                  float]]]:
         """The disturbance-ledger ops the events of a :class:`Schedule`
-        recorded on physical rows (a burst's) make, in command order,
-        as (bank key, row, side, amount) (side None: a reset).
+        on physical rows make, per bank key in first-touch order, each
+        bank's in command order as (row, side, amount) (side None: a
+        reset).
 
         The addends come from the functions that make them when the
         stream is stepped: a PRE's from
@@ -741,22 +839,28 @@ class Device:
         restores reset their row.  A REF whose range holds no live row
         makes none.
         """
-        ops: List[Tuple[BankKey, int, Optional[int], float]] = []
+        ops: Dict[BankKey, List[Tuple[int, Optional[int], float]]] = {}
+        coupled = self.profile.cross_channel_coupling > 0.0
         for kind, key, row, value in events:
+            if kind not in ("act", "wr", "restore", "pre", "bulk"):
+                continue
+            key_ops = ops.get(key)
+            if key_ops is None:
+                key_ops = ops[key] = []
             if kind in ("act", "wr", "restore"):
-                ops.append((key, row, None, 0.0))
-            elif kind in ("pre", "bulk"):
-                tracker = self.bank(*key).disturbance
-                if kind == "pre":
-                    dose, adds = value, tracker.contributions(row, value)
-                else:
-                    dose, activated = value
-                    adds = tracker.bulk_contributions(row, dose, activated)
-                ops += [(key, victim, side, amount)
-                        for victim, side, amount in adds]
-                ops += [(neighbor, row, SIDE_DIRECT, amount)
-                        for neighbor, amount in self._cross_channel(key,
-                                                                    dose)]
+                key_ops.append((row, None, 0.0))
+                continue
+            tracker = self.bank(*key).disturbance
+            if kind == "pre":
+                dose = value
+                key_ops += tracker.contributions(row, value)
+            else:
+                dose, activated = value
+                key_ops += tracker.bulk_contributions(row, dose, activated)
+            if coupled:
+                for neighbor, amount in self._cross_channel(key, dose):
+                    ops.setdefault(neighbor, []).append(
+                        (row, SIDE_DIRECT, amount))
         return ops
 
     def measure_burst(self, body: "BurstBody", step: Callable[[], None]
@@ -788,9 +892,7 @@ class Device:
                                  for chan in self._channels):
             return None
 
-        ops: Dict[BankKey, List[tuple]] = {}
-        for key, row, side, amount in self._ledger_ops(schedule.events):
-            ops.setdefault(key, []).append((row, side, amount))
+        ops = self._ledger_ops(schedule.events)
         rows = self.geometry.rows
         touched: Dict[Tuple[int, int], frozenset] = {}
         for key, key_ops in ops.items():
@@ -1078,6 +1180,9 @@ _ROW_STEPS = ("act", "wr", "rd")
 #: Event kinds whose value is a cycle (offset, in a :class:`Schedule`).
 _TIMED = ("act", "wr", "rd", "restore", "ref")
 
+#: Event kinds that issue an ACT.
+_OPENS = ("act", "wr")
+
 
 class Schedule(NamedTuple):
     """One command stream's schedule, as :meth:`Device._record` records
@@ -1119,6 +1224,64 @@ class Schedule(NamedTuple):
     counts: Tuple[Tuple[str, int], ...]
     #: Clock offsets of the stream's marks (:meth:`Device.apply_stream`).
     marks: Tuple[int, ...] = ()
+    #: The row slots a memoized stream's events name, in first-use order.
+    slots: Tuple[int, ...] = ()
+    #: A memoized stream reads nothing and writes every row it
+    #: activates earlier in the stream: its effect on the bank depends
+    #: on no row state from before it, but for the ledger entries its
+    #: adds land on (see :class:`QuietStream`).
+    self_contained: bool = False
+
+
+class QuietStream(NamedTuple):
+    """A self-contained stream with its rows bound, in closed form.
+
+    Every restore the stream makes is of a row it wrote earlier, with
+    at most the stream's own addends on its ledger entry, at most the
+    stream's advance after the write.  When that dose and age are below
+    the bank's flip guards (:meth:`quiet`, re-checked on every apply,
+    since the retention guard moves with the temperature), no restore
+    materializes anything, and the stream is a burst applied once: each
+    ledger gets the :class:`~repro.dram.disturb.BurstPlan` of the
+    stream's ledger ops (:meth:`Device._ledger_ops`), and the bank gets
+    its payloads, each row's last restore stamp and RowPress factor and
+    the latest ACT's open stamp (:meth:`apply`).
+    """
+
+    #: Physical row per slot.
+    physical: Dict[int, int]
+    #: (bank, :class:`~repro.dram.disturb.BurstPlan`, the largest dose
+    #: of a row it resets or None) per ledger the stream touches.
+    plans: tuple
+    #: (physical row, slot) of each written row.
+    stores: Tuple[Tuple[int, int], ...]
+    #: Rows the stream restores, and each one's last restore offset.
+    stamp_rows: np.ndarray
+    stamp_offsets: np.ndarray
+    #: Each closed row's last RowPress factor.
+    factors: Dict[int, float]
+    #: The stream's ACTs, as the TRR sampler observes them.
+    acts: Tuple[Tuple[BankKey, int], ...]
+    #: The row open at the stream's end (None: the bank is closed).
+    opened: Optional[int]
+    #: Offset of the stream's latest ACT.
+    since: Optional[int]
+
+    def quiet(self, advance: int) -> bool:
+        """Whether every restore provably materializes nothing."""
+        return all(dose is None or bank_obj.quiet_restore(dose, advance)
+                   for bank_obj, _, dose in self.plans)
+
+    def apply(self, bank_obj: Bank, payloads: Sequence[tuple],
+              entry: int) -> None:
+        """Apply the stream's ledger and bank effects from ``entry``
+        (the caller has checked :meth:`quiet`)."""
+        for owner, plan, _ in self.plans:
+            owner.disturbance.repeat_burst(plan, 1)
+        bank_obj.install_stream(self.stores, payloads, self.stamp_rows,
+                                entry + self.stamp_offsets, self.factors,
+                                self.opened, None if self.since is None
+                                else entry + self.since)
 
 
 @dataclass(frozen=True)

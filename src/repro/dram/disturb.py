@@ -22,10 +22,23 @@ approximation is far below measurement noise.
 
 The ledger is a sparse dict of ``[below, above, direct]`` float triples,
 keyed by physical row: experiments touch a tiny fraction of a bank's
-rows, and the accounting is all scalar reads and adds on the hot path
-(one per victim per activation), where plain Python floats beat numpy
-indexing by an order of magnitude.  Accumulation uses IEEE-754 double
-adds in command order either way, so the switch is value-exact.
+rows, and a replayed stream touches a few dozen accumulators, one
+scalar add per victim per activation, where plain Python floats beat
+numpy indexing by an order of magnitude.  The adds run in two places:
+:meth:`DisturbanceTracker.record_activation` for a stepped PRE, and
+inlined in the bank's replay kernel (:meth:`~repro.dram.bank.Bank.
+replay`), which reads the tracker's dicts directly.  Accumulation uses
+IEEE-754 double adds in command order either way, so every path is
+value-exact.  Per-bank arrays pay off only once a whole region's probes
+are batched into one array operation.
+
+A command sequence whose ledger ops are known in advance has one closed
+form, :meth:`DisturbanceTracker.burst_plan`: the rows it resets end
+with only the adds after their last reset, and every other accumulator
+gets its addends in command order.  :meth:`DisturbanceTracker.
+repeat_burst` applies it any number of times — REF-bounded bursts
+between events, many times over, and a self-contained stream (a hammer
+test's neighbourhood fill with its warm-up iterations), once.
 """
 
 from __future__ import annotations
@@ -200,12 +213,17 @@ class DisturbanceTracker:
         """
         per_row: Dict[int, List[Tuple[Optional[int], float]]] = {}
         for row, side, amount in ops:
-            per_row.setdefault(row, []).append((side, amount))
+            row_ops = per_row.get(row)
+            if row_ops is None:
+                per_row[row] = [(side, amount)]
+            else:
+                row_ops.append((side, amount))
         resets, doses, targets, addends = [], [], [], []
         for row, row_ops in per_row.items():
-            last_reset = max((index for index, (side, _) in
-                              enumerate(row_ops) if side is None),
-                             default=None)
+            last_reset = None
+            for index, (side, _) in enumerate(row_ops):
+                if side is None:
+                    last_reset = index
             if last_reset is None:
                 for side in (SIDE_BELOW, SIDE_ABOVE, SIDE_DIRECT):
                     amounts = [amount for op_side, amount in row_ops
@@ -220,8 +238,8 @@ class DisturbanceTracker:
                     final = [0.0, 0.0, 0.0]
                 final[side] += amount
             resets.append((row, None if final is None else tuple(final)))
-            doses.append(sum(amount for side, amount in row_ops
-                             if side is not None))
+            doses.append(sum([amount for side, amount in row_ops
+                              if side is not None]))
         width = max((len(amounts) for amounts in addends), default=0)
         padded = np.zeros((len(addends), width))
         for index, amounts in enumerate(addends):
@@ -242,7 +260,10 @@ class DisturbanceTracker:
         time in command order (``np.add.accumulate`` adds sequentially
         along its axis, exactly as the stepped ``+=`` chain does).  The
         chain runs in chunks of about :attr:`REPEAT_CHUNK` addends,
-        each starting from the running totals the last one ended at.
+        each starting from the running totals the last one ended at;
+        one repetition (a stream's closed form) is that ``+=`` chain
+        itself, which for a handful of addends costs less than building
+        the chain's array.
         """
         counts = self._counts
         for row, final in plan.resets:
@@ -251,6 +272,13 @@ class DisturbanceTracker:
             else:
                 counts[row] = list(final)
         if not plan.targets:
+            return
+        if times == 1:
+            for (row, side), amounts in zip(plan.targets,
+                                            plan.addends.tolist()):
+                entry = self._entry(row)
+                for amount in amounts:
+                    entry[side] += amount
             return
         entries = [self._entry(row) for row, _ in plan.targets]
         width = plan.addends.shape[1]

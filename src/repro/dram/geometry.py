@@ -87,16 +87,6 @@ class Geometry:
         """Number of stacked DRAM dies."""
         return self.channels // self.channels_per_die
 
-    @property
-    def total_banks(self) -> int:
-        """Banks across the whole stack (256 for the paper's chip)."""
-        return self.channels * self.pseudo_channels * self.banks
-
-    def die_of_channel(self, channel: int) -> int:
-        """Die index hosting ``channel`` (channels are grouped per die)."""
-        self.check_channel(channel)
-        return channel // self.channels_per_die
-
     # ------------------------------------------------------------------
     # Validation helpers
     # ------------------------------------------------------------------

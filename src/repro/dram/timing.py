@@ -146,16 +146,6 @@ class TimingParameters:
             refresh_window=self.refw_cycles,
         )
 
-    def hammer_duration_cycles(self, hammer_count: int) -> int:
-        """Cycles for ``hammer_count`` double-sided hammers.
-
-        One hammer = one ACT/PRE cycle on *each* of the two aggressors,
-        i.e. 2 x tRC.
-        """
-        if hammer_count < 0:
-            raise ConfigurationError("hammer_count must be >= 0")
-        return 2 * hammer_count * self.rc_cycles
-
     def seconds(self, cycles: int) -> float:
         """Wall-clock seconds for a cycle count at this frequency."""
         return cycles / self.frequency_hz
@@ -334,9 +324,6 @@ class TimingChecker:
                 f"REF to pc {pc} at cycle {cycle}, earliest legal {legal}")
         self._pc_next_any[pc] = cycle + table.ref_to_any
 
-    def bank_is_open(self, key: Tuple[int, int, int]) -> bool:
-        return self._bank(key).is_open
-
     # -- schedule replay ----------------------------------------------
     # A command stream to one bank is scheduled purely from the *clamped
     # relative* state below: every earliest_* rule is a max() of ``now``
@@ -371,7 +358,7 @@ class TimingChecker:
         return (
             max(self._pc_next_act.get(pc, 0) - now, 0),
             max(self._pc_next_any.get(pc, 0) - now, 0),
-            tuple(max(stamp + window - now, 0) for stamp in history),
+            tuple([max(stamp + window - now, 0) for stamp in history]),
         )
 
     def capture_offsets(self, key: Tuple[int, int, int],
@@ -412,7 +399,7 @@ class TimingChecker:
         pc = key[:2]
         self._pc_next_act[pc] = origin + pc_act
         self._pc_act_history[pc] = deque(
-            (origin + stamp for stamp in history), maxlen=3)
+            [origin + stamp for stamp in history], maxlen=3)
 
     def shift_state(self, keys, delta: int, pcs=(),
                     refresh_delta: Optional[int] = None) -> None:
@@ -450,4 +437,4 @@ class TimingChecker:
             history = self._pc_act_history.get(pc)
             if history:
                 self._pc_act_history[pc] = deque(
-                    (stamp + delta for stamp in history), maxlen=3)
+                    [stamp + delta for stamp in history], maxlen=3)

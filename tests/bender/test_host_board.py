@@ -50,7 +50,7 @@ class TestRowHelpers:
 
     def test_wait_seconds_advances_clock(self, board):
         board.host.wait_seconds(0.001)
-        assert board.device.now_seconds() >= 0.001
+        assert board.device.timing.seconds(board.device.now) >= 0.001
 
     def test_elapsed_seconds_since(self, board):
         start = board.device.now

@@ -53,6 +53,11 @@ def vulnerable_profile(**overrides) -> CalibrationProfile:
     return base.with_overrides(**overrides) if overrides else base
 
 
+def row_is_written(bank, physical_row: int) -> bool:
+    """Whether ``bank`` holds stored data for a physical row."""
+    return physical_row in bank._bits
+
+
 def make_small_device(seed: int = 0, **kwargs) -> Device:
     kwargs.setdefault("geometry", SMALL_GEOMETRY)
     kwargs.setdefault("profile", make_small_profile())

@@ -66,7 +66,6 @@ class TestDefaultMapper:
 
     def test_identity_mapper(self, geometry):
         mapper = RowAddressMapper.identity(geometry)
-        assert mapper.is_identity
         for row in range(0, 16384, 997):
             assert mapper.logical_to_physical(row) == row
 
@@ -99,10 +98,6 @@ class TestNeighbors:
     def test_zero_distance_rejected(self, geometry):
         with pytest.raises(ConfigurationError):
             RowAddressMapper(geometry).physical_neighbors(100, distance=0)
-
-    def test_physical_distance(self, geometry):
-        mapper = RowAddressMapper.identity(geometry)
-        assert mapper.physical_distance(10, 13) == 3
 
     def test_scrambled_rows_have_nonobvious_neighbors(self, geometry):
         mapper = RowAddressMapper(geometry, control_bit=0x8,

@@ -9,7 +9,7 @@ from repro.dram.subarrays import SubarrayLayout
 from repro.dram.timing import TimingParameters
 from repro.errors import CommandError
 
-from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
+from tests.conftest import SMALL_GEOMETRY, row_is_written, vulnerable_profile
 
 
 def make_bank(profile=None, seed=5, geometry=None):
@@ -303,7 +303,7 @@ class TestMaintenance:
         bank, geometry = make_bank()
         write_row(bank, geometry, 7, 0xFF)
         bank.release_all_rows()
-        assert not bank.row_is_written(7)
+        assert not row_is_written(bank, 7)
 
     def test_trr_refresh_out_of_range_is_noop(self):
         bank, __ = make_bank()

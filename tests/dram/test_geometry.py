@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.calibration import default_profile
 from repro.dram.geometry import Geometry
 from repro.errors import AddressError, ConfigurationError
 
@@ -24,7 +25,9 @@ class TestDefaults:
         assert geometry.row_bits == 8192
 
     def test_total_banks_is_256(self):
-        assert Geometry().total_banks == 256
+        geometry = Geometry()
+        assert (geometry.channels * geometry.pseudo_channels
+                * geometry.banks) == 256
 
     def test_eight_channels_make_four_dies(self):
         assert Geometry().dies == 4
@@ -32,15 +35,14 @@ class TestDefaults:
 
 class TestDieMapping:
     def test_channels_pair_onto_dies(self):
-        geometry = Geometry()
-        assert geometry.die_of_channel(0) == 0
-        assert geometry.die_of_channel(1) == 0
-        assert geometry.die_of_channel(6) == 3
-        assert geometry.die_of_channel(7) == 3
-
-    def test_die_of_bad_channel_raises(self):
-        with pytest.raises(AddressError):
-            Geometry().die_of_channel(8)
+        """Per-die calibration entries pair channels onto dies."""
+        profile = default_profile()
+        scales = profile.true_cell_scale
+        assert len(scales) == Geometry().dies
+        assert profile.true_scale_for(0) == profile.true_scale_for(1) \
+            == scales[0]
+        assert profile.true_scale_for(6) == profile.true_scale_for(7) \
+            == scales[3]
 
 
 class TestValidation:
@@ -96,4 +98,3 @@ class TestCustomGeometry:
         assert geometry.row_bytes == 32
         assert geometry.row_bits == 256
         assert geometry.bank_bytes == 256 * 32
-        assert geometry.total_banks == 4

@@ -1,4 +1,4 @@
-"""Campaigns under memo pressure: a squeezed program cache changes nothing.
+"""Campaigns under memo pressure: squeezed memos change nothing.
 
 A small sweep with BER and HC_first runs twice on one station (the
 cold and the warm arm) through a program cache bounded to one or two
@@ -10,7 +10,10 @@ BER hammers 7 times, below the bulk-loop threshold, and each binary
 search probes counts on both sides of the verifier's full-unroll limit
 (512 iterations of a double-sided body), all through one probe shape
 per bank and pattern (write the neighbourhood, hammer, read back) that
-BER first compiles at 7.
+BER first compiles at 7.  The same campaign also runs with the device's
+closed-form LRU (``repro.dram.device.QUIET_STREAMS``) squeezed to one
+(shape, rows) entry, so each HC_first search's fills evict each other's
+closed forms.
 """
 
 import pytest
@@ -19,6 +22,7 @@ from repro.bender.board import BoardSpec
 from repro.core.experiment import ExperimentConfig
 from repro.core.patterns import ROWSTRIPE0, ROWSTRIPE1
 from repro.core.sweeps import SpatialSweep, SweepConfig
+from repro.dram import device as device_module
 from repro.engine.backend import FastPathBackend
 from repro.engine.cache import ProgramCache
 from repro.envutil import FASTPATH_VAR
@@ -86,6 +90,25 @@ def test_squeezed_cache_matches_the_oracle(monkeypatch, oracle,
         # ...or both stay, hits bind counts up to the verified one, and
         # a shape BER compiled at 7 widens.
         assert counters["engine.cache.widened"] > 0
+    assert fingerprints == oracle_fingerprints
+    assert hc_first == oracle_hc_first
+    assert digest == oracle_digest
+
+
+def test_squeezed_closed_forms_match_the_oracle(monkeypatch, oracle):
+    monkeypatch.setattr(device_module, "QUIET_STREAMS", 1)
+    applied = []
+    quiet = device_module.QuietStream.quiet
+
+    def counted(form, advance):
+        applied.append(quiet(form, advance))
+        return applied[-1]
+
+    monkeypatch.setattr(device_module.QuietStream, "quiet", counted)
+    fingerprints, digest, hc_first, _ = campaign(monkeypatch, max_entries=2)
+    oracle_fingerprints, oracle_digest, oracle_hc_first, _ = oracle
+    # Not vacuous: the fills ran in closed form.
+    assert any(applied)
     assert fingerprints == oracle_fingerprints
     assert hc_first == oracle_hc_first
     assert digest == oracle_digest

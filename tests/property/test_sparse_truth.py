@@ -25,7 +25,7 @@ from repro.bender.host import HostInterface
 from repro.core.hammer import build_hammer_program, prepare_neighborhood
 from repro.core.patterns import ROWSTRIPE0
 from repro.dram.address import DramAddress, RowAddressMapper
-from repro.dram.bank import Bank, DeviceEnvironment
+from repro.dram.bank import Bank, DeviceEnvironment, _Slice
 from repro.dram.cellmodel import (
     ECC_PARITY_BITS,
     ECC_WORD_BITS,
@@ -239,16 +239,20 @@ def test_sliced_horizontal_penalty_equals_the_whole_row_formula(
     rng = np.random.default_rng(7)
     rows = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(4)]
     rows += [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)]
+    def sliced_penalty(cells, index):
+        data, parity = cells[:data_bits], cells[data_bits:]
+        sliced = _Slice.of(index, data_bits)
+        return bank._horizontal_penalty(data, parity, sliced,
+                                        sliced.gather(data, parity))
+
     index = np.arange(n)
     for cells in rows:
-        sliced = bank._horizontal_penalty(cells, index, data_bits)
+        sliced = sliced_penalty(cells, index)
         dense = dense_horizontal_penalty(calibration, cells, data_bits)
         assert sliced.dtype == dense.dtype
         assert np.array_equal(sliced, dense)
-        ends = [0, data_bits - 1, data_bits, n - 1]
-        assert np.array_equal(
-            bank._horizontal_penalty(cells, np.array(ends), data_bits),
-            dense[ends])
+        ends = np.array([0, data_bits - 1, data_bits, n - 1])
+        assert np.array_equal(sliced_penalty(cells, ends), dense[ends])
 
 
 def test_generated_restores_flip_and_widen():

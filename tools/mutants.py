@@ -36,7 +36,7 @@ COPIED = ("src", "tests", "pyproject.toml")
 #: pytest exits 1 when a collected test failed: the mutant is killed.
 #: Anything else but 0 (collection or usage errors) is a broken row.
 KILLED = 1
-#: Seconds one mutant's tests may run (the slowest row takes ~10 s).
+#: Seconds one mutant's tests may run (the slowest row takes ~15 s).
 TIMEOUT_S = 240
 
 
@@ -53,6 +53,8 @@ class Mutant:
 
 COUNT_BINDING = "tests/property/test_count_binding.py"
 FUSED = "tests/core/test_fused_probes.py"
+STREAMS = ("tests/property/test_stream_replay.py::"
+           "test_replays_match_the_stepped_recording")
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
@@ -143,12 +145,46 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="parity-run-joins-data-run",
         path="src/repro/dram/bank.py",
-        old="        edges[data_bits] = False\n",
-        new="",
+        old="        cells = bits.take(index, mode=\"clip\")\n",
+        new="        cells = np.concatenate([bits, parity]).take(index, "
+            "mode=\"clip\")\n",
         tests=("tests/property/test_sparse_truth.py::"
                "test_sliced_horizontal_penalty_equals_the_whole_row_formula",),
         claim="the intra-row penalty splits the data and parity bitline "
               "runs"),
+    Mutant(
+        name="closed-form-keeps-adds-before-a-write",
+        path="src/repro/dram/disturb.py",
+        old="            for side, amount in row_ops[last_reset + 1:]:\n",
+        new="            for side, amount in [op for op in row_ops\n"
+            "                                 if op[0] is not None]:\n",
+        tests=(STREAMS,),
+        claim="a row a stream writes keeps only the adds made after its "
+              "last write"),
+    Mutant(
+        name="closed-form-guard-not-rechecked",
+        path="src/repro/dram/device.py",
+        old="            if form.quiet(schedule.advance):\n",
+        new="            if True:\n",
+        tests=(STREAMS,),
+        claim="a kept closed form applies only while its restores stay "
+              "below the flip guards at the current temperature"),
+    Mutant(
+        name="closed-form-key-without-rows",
+        path="src/repro/dram/device.py",
+        old="        memo_key = (shape, tuple(rows))\n",
+        new="        memo_key = shape\n",
+        tests=(STREAMS,),
+        claim="a closed form is kept per row binding, not per stream "
+              "shape"),
+    Mutant(
+        name="replay-hides-writes-from-trr",
+        path="src/repro/dram/device.py",
+        old="                                      if kind in _OPENS], entry)\n",
+        new="                                      if kind == \"act\"], entry)\n",
+        tests=(STREAMS,),
+        claim="a replayed stream's row writes are ACTs the TRR sampler "
+              "observes"),
 )
 
 
