@@ -28,10 +28,6 @@ class BoxStats:
     maximum: float
     mean: float
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def _validated(values: Sequence[float], what: str) -> np.ndarray:
     """``values`` as a 1-D float array, or a clear :class:`AnalysisError`.

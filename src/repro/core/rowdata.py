@@ -8,7 +8,6 @@ attack-templating example and the analysis of data-dependent behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -81,8 +80,3 @@ def flip_report(read_bits: np.ndarray,
     zero_to_one = read_bits[positions] == 1
     return FlipReport(flips=len(positions), row_bits=len(read_bits),
                       positions=positions, zero_to_one=zero_to_one)
-
-
-def byte_indices_of_bits(bit_positions: np.ndarray) -> List[int]:
-    """Distinct byte offsets within the row containing flipped bits."""
-    return sorted({int(position) // 8 for position in bit_positions})

@@ -10,7 +10,7 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,3 @@ class Refresh:
 
 
 Command = Union[Activate, Precharge, PrechargeAll, Read, Write, Refresh]
-
-
-def command_name(command: Command) -> str:
-    """Mnemonic for logging and disassembly."""
-    return {
-        Activate: "ACT",
-        Precharge: "PRE",
-        PrechargeAll: "PREA",
-        Read: "RD",
-        Write: "WR",
-        Refresh: "REF",
-    }[type(command)]
-
-
-def bank_key_of(command: Command) -> Optional[tuple]:
-    """(channel, pc, bank) for bank-scoped commands, else None."""
-    if isinstance(command, (Activate, Precharge, Read, Write)):
-        return (command.channel, command.pseudo_channel, command.bank)
-    return None

@@ -25,11 +25,13 @@ recorded while it is stepped through the per-command methods
 (:meth:`Device._record`) under its entry timing signature.
 :meth:`Device.apply_stream` memoizes a one-bank stream's schedule by
 row-free stream shape and replays it, rows bound, whenever the
-signature recurs (:meth:`Device._replay`): hammer iterations
-(:meth:`Device.apply_hammer_steps`), batched row writes
-(:meth:`Device.apply_row_writes`), and the two streams of a hammer test
-around its bulk-applied loop (the neighbourhood writes with the warm-up
-iterations, then the trailing iteration with the read-back).
+signature recurs (:meth:`Device._replay`).  It and
+:meth:`Device.bulk_activations` are the engine's device entry points:
+every summarized program is applied as streams of row writes, row
+reads and hammer steps — for a hammer test, the neighbourhood writes
+with the warm-up iterations, then the trailing iteration with the
+read-back — around its bulk-applied loops, with its REFs issued
+through :meth:`Device.refresh`.
 
 A replay runs the bank physics in one loop, the bank's replay kernel
 (:meth:`~repro.dram.bank.Bank.replay`), which bulk-applied loops share.  A
@@ -133,9 +135,8 @@ class Device:
         self._timing_checker = TimingChecker(self.timing)
         self.now = 0
         self.command_counts: Dict[str, int] = {}
-        #: Memoized schedules, keyed by row-free stream shape: a hammer
-        #: iteration's steps (rows named by slot) or a write batch's
-        #: (bank key, length).  See :meth:`apply_hammer_steps`.
+        #: Memoized schedules, keyed by row-free stream shape (see
+        #: :meth:`apply_stream`).
         self._schedules: Dict[tuple, Schedule] = {}
         #: :class:`QuietStream` closed forms by (shape, rows), the most
         #: recently used last; at most :data:`QUIET_STREAMS`.
@@ -422,7 +423,9 @@ class Device:
         (:meth:`~repro.dram.bank.Bank.store_full_row`); cycle- and
         state-identical to one :meth:`apply_row_write` per entry, in
         order.  One :meth:`apply_stream` under (bank key, batch length),
-        its rows named by their position in the batch.
+        its rows named by their position in the batch.  The engine
+        applies writes as steps of its own streams; the benchmark
+        suite's ledger still times this entry point by name.
         """
         key: BankKey = (channel, pseudo_channel, bank)
         self.apply_stream(
@@ -438,7 +441,9 @@ class Device:
         ``("pre", ch, pc, bank)`` and ``("wait", cycles)`` tuples — one
         loop iteration, as :class:`~repro.verify.effects.HammerOp`
         holds it — and ``rows[slot]`` is the logical row of an ACT.
-        One :meth:`apply_stream` under ``steps``.
+        One :meth:`apply_stream` under ``steps``.  The engine applies
+        hammer iterations as steps of its own streams; the benchmark
+        suite's ledger still times this entry point by name.
         """
         self.apply_stream(steps, steps, rows)
 
@@ -448,8 +453,9 @@ class Device:
         """Analytic command stream of row writes, hammer steps and row
         reads; returns the reads' bits and the stream's marks.
 
-        ``steps`` holds :meth:`apply_hammer_steps`' ``act``, ``pre`` and
-        ``wait`` steps plus ``("wr", ch, pc, bank, slot)`` — ACT / WRROW
+        ``steps`` holds ``("act", ch, pc, bank, slot)`` — ACT of
+        ``rows[slot]`` — ``("pre", ch, pc, bank)``, ``("wait", cycles)``,
+        ``("wr", ch, pc, bank, slot)`` — ACT / WRROW
         / PRE of ``rows[slot]`` with the lowered payload
         ``payloads[slot]`` as (bits, parity), applied as
         :meth:`apply_row_write` — ``("rd", ch, pc, bank, slot)`` — ACT /

@@ -20,7 +20,7 @@ the template, from that one verification report.  Row-write payloads
 are applied lowered (a WRROW's ``np.unpackbits`` expansion and its ECC
 parity words are pure functions of the payload bytes, memoized on the
 interpreter — see :meth:`~repro.bender.interpreter.Interpreter.
-lower_payload`); a count-bound handle holds its own.  ``execute``
+lower_payload`); a handle holds its own.  ``execute``
 applies a summarized program's effect ops directly against the device
 — the same ACT counts, timing stamps, TRR observations, disturbance
 doses and command counts the interpreter would produce, without
@@ -29,27 +29,33 @@ walking the command stream.  Programs whose effects cannot be proven
 step aside for (an installed transport, tracing) run the instantiated
 program on the host's interpreter instead.
 
-Loops are split, not unrolled.  A hammer op runs through the
-interpreter's own loop policy (:func:`~repro.bender.interpreter.
-run_loop`).  A count-bound handle — every hammer test, whose prefix
-and suffix are row writes, row reads and bare ACT/WAIT/PRE groups —
-takes that split through the policy's warm-up and trailing hooks, as
-one stream per side of the bulk-applied iterations
-(:meth:`~repro.dram.device.Device.apply_stream`): the prefix with the
-two warm-up iterations, then :meth:`~repro.dram.device.Device.
-bulk_activations`, then the trailing iteration with the suffix, each
+Summarized programs take one effect path.  At ``compile`` the summary
+is cut into *segments*: each run of straight-line ops — row writes,
+row reads, bare ACT[/WAIT]/PRE groups, idles — and the hammer loops
+among them becomes device streams (:meth:`~repro.dram.device.Device.
+apply_stream`), and each ``RefreshOp`` and ``BurstOp`` is a segment of
+its own, a burst's body cut the same way.  Loops are split, not
+unrolled: a hammer loop of at least the bulk threshold (or a count
+binding's loop, whatever the count) runs through the interpreter's own
+loop policy (:func:`~repro.bender.interpreter.run_loop`), its
+straight-line neighbours folded into the policy's warm-up and trailing
+hooks: one stream of the ops before the loop with the two warm-up
+iterations, then :meth:`~repro.dram.device.Device.bulk_activations`,
+then one stream of the trailing iteration with the ops after it, each
 replayed from the device's one :class:`~repro.dram.device.Schedule`
-memo once recorded, with the handle's write payloads lowered at
-compile time.  Below the bulk threshold the whole program is one
-stream.  The streams are keyed by a digest of their steps, shared by
-every fill pattern of a shape.  Either way the result reports the loop's cycles
+memo once recorded.  A shorter loop is steps of the stream it sits
+in.  Write payloads are lowered at compile time, per segment and slot,
+so a row written two payloads starts a new stream at the second.  The
+streams are keyed by a digest of their steps, shared by every fill
+pattern of a shape.  Marks in the streams give every top-level loop's
+first and last cycle, so the result reports the loops' cycles
 (``ExecutionResult.loop_cycles``) exactly as the interpreter measures
 them.  A burst op — REF-bounded hammer bursts, TRRespass rounds — is
 split one level up:
 
-* **warm-up**: bursts are stepped singly through the per-iteration path
-  while :meth:`~repro.dram.device.Device.measure_burst` records the
-  schedule of one that holds no event;
+* **warm-up**: bursts are stepped singly, their body's segments applied
+  in turn, while :meth:`~repro.dram.device.Device.measure_burst`
+  records the schedule of one that holds no event;
 * **closed-form windows**: from the first burst entry whose timing
   ``replay_signature`` equals the measured entry's, each run of bursts
   up to the next event is applied at once by
@@ -94,9 +100,13 @@ import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.bender.interpreter import ExecutionResult, run_loop
+from repro.bender.interpreter import (
+    BULK_LOOP_THRESHOLD,
+    ExecutionResult,
+    run_loop,
+)
 from repro.bender.program import Program
 from repro.dram.device import BurstBody
 from repro.engine.cache import (
@@ -148,12 +158,10 @@ class CompiledProgram:
     iterations — because every count-dependent verdict is monotone in
     the count (the argument is in the cache module's docstring).
 
-    ``loop_ops`` are the positions in ``summary.ops`` of the ops the
-    template's top-level loops make (the count loop's, on a
-    count-bound shape), whose cycles the result reports.  A summarized
-    count-bound shape also holds its :class:`ProbeStream` and
-    ``payloads``, per slot the lowered (bits, parity) its writes store
-    (None: unwritten).
+    ``segments`` are a summarized shape's effect cut for application
+    (:func:`_segments`): :class:`Stream`, :class:`Refresh` and
+    :class:`Burst`, in program order; a count-bound shape is one
+    stream, whose loop takes the count binding.
     """
 
     template: Program
@@ -163,9 +171,7 @@ class CompiledProgram:
     summary: Optional[EffectSummary] = None
     unsummarizable: Optional[Unsummarizable] = None
     count: Optional[int] = None
-    loop_ops: Tuple[int, ...] = ()
-    stream: Optional["ProbeStream"] = None
-    payloads: tuple = ()
+    segments: tuple = ()
 
     @property
     def slots(self) -> int:
@@ -178,10 +184,11 @@ MARK = ("mark",)
 
 
 @dataclass(frozen=True)
-class ProbeStream:
-    """A count-bound shape as :meth:`~repro.dram.device.Device.
-    apply_stream` steps: the prefix, one loop iteration and the suffix,
-    rows named by slot.
+class LoopStream:
+    """Straight-line steps around at most one split loop, as
+    :meth:`~repro.dram.device.Device.apply_stream` steps: the prefix,
+    one loop iteration (empty: no loop) and the suffix, rows named by
+    slot.
 
     Shapes that differ only in their write payloads — a pattern's
     probes — have equal steps: a backend holds one stream per distinct
@@ -213,46 +220,102 @@ class ProbeStream:
         return self.body + (MARK,) + self.suffix
 
     def whole(self, count: int) -> tuple:
-        """The program at ``count`` iterations, marking the loop."""
+        """The steps at ``count`` iterations, marking the loop."""
         return (self.prefix + (MARK,) + self.body * count + (MARK,)
                 + self.suffix)
 
 
-def _probe_steps(ops, loop_op: int, slots: int,
-                 lower) -> Tuple[Tuple[tuple, tuple, tuple], tuple]:
-    """The (prefix, body, suffix) steps of a count-bound summary whose
-    loop's op is ``ops[loop_op]``, and per slot the lowered payload its
-    writes store (None: unwritten).  The count binding admits no REF
-    outside the loop and one payload per written row
-    (:func:`~repro.engine.cache.count_loop_index`), so every op there
-    is a row write, a row read, a bare ACT[/WAIT]/PRE group or a WAIT.
+class Stream(NamedTuple):
+    """Device streams: a :class:`LoopStream` run at ``iterations`` (0:
+    no loop) with ``payloads``, per slot the lowered (bits, parity)
+    its writes store (None: unwritten)."""
+
+    steps: LoopStream
+    payloads: tuple
+    iterations: int
+
+
+class Refresh(NamedTuple):
+    """A ``RefreshOp``; ``timed``: a top-level loop's."""
+
+    op: RefreshOp
+    timed: bool
+
+
+class Burst(NamedTuple):
+    """A ``BurstOp`` with its body's segments (a burst is a loop)."""
+
+    op: BurstOp
+    segments: tuple
+    timed = True
+
+
+def _segments(ops, slots: int, lower, streams: dict,
+              loops: Tuple[int, ...] = (), counted: Optional[int] = None
+              ) -> tuple:
+    """Cut effect ops into segments: every :class:`RefreshOp` and
+    :class:`BurstOp` (its body cut alike) on its own, everything
+    between them into :class:`Stream`\\ s.
+
+    ``loops`` are the positions of the ops top-level loops make, whose
+    cycles the streams mark, and ``counted`` the count binding's loop.
+    That loop and every hammer loop of at least the bulk threshold is
+    split (:func:`~repro.bender.interpreter.run_loop`), one per stream,
+    the straight-line ops before it the stream's prefix and those after
+    it its suffix; a shorter loop is straight-line steps.  A write of
+    a row its stream already writes another payload starts a new
+    stream.  ``lower`` lowers a payload and ``streams`` interns the
+    :class:`LoopStream`\\ s by steps.
     """
-    written = {}
+    segments: List = []
+    parts: List[list] = [[]]
+    body: Optional[tuple] = None
+    iterations = 0
+    written: Dict[int, bytes] = {}
 
-    def steps(segment) -> tuple:
-        out = []
-        for op in segment:
-            if isinstance(op, RowWriteOp):
+    def close() -> None:
+        nonlocal parts, body, iterations, written
+        if body is not None or parts[0]:
+            steps = (tuple(parts[0]), body or (),
+                     tuple(parts[1]) if body is not None else ())
+            segments.append(Stream(
+                streams.setdefault(steps, LoopStream(*steps)),
+                tuple(lower(written[slot]) if slot in written else None
+                      for slot in range(slots)), iterations))
+        parts, body, iterations, written = [[]], None, 0, {}
+
+    for index, op in enumerate(ops):
+        if isinstance(op, RowWriteOp):
+            if written.setdefault(op.row, op.data) != op.data:
+                close()
                 written[op.row] = op.data
-                out.append(("wr", op.channel, op.pseudo_channel, op.bank,
-                            op.row))
-            elif isinstance(op, RowReadOp):
-                out.append(("rd", op.channel, op.pseudo_channel, op.bank,
-                            op.row))
-            elif isinstance(op, HammerOp):
-                out.extend(op.steps)  # a bare ACT[/WAIT]/PRE group
-            elif isinstance(op, IdleOp):
-                out.append(("wait", op.cycles))
-            else:
-                raise EngineError(
-                    f"a count-bound shape holds {op!r} outside its loop")
-        return tuple(out)
-
-    prefix = steps(ops[:loop_op])
-    suffix = steps(ops[loop_op + 1:])
-    return ((prefix, ops[loop_op].steps, suffix),
-            tuple(lower(written[slot]) if slot in written else None
-                  for slot in range(slots)))
+            parts[-1].append(("wr", op.channel, op.pseudo_channel,
+                              op.bank, op.row))
+        elif isinstance(op, RowReadOp):
+            parts[-1].append(("rd", op.channel, op.pseudo_channel,
+                              op.bank, op.row))
+        elif isinstance(op, IdleOp):
+            parts[-1].append(("wait", op.cycles))
+        elif isinstance(op, HammerOp) and (
+                index == counted or op.iterations >= BULK_LOOP_THRESHOLD):
+            if body is not None:
+                close()
+            body, iterations = op.steps, op.iterations
+            parts.append([])
+        elif isinstance(op, HammerOp):
+            mark = (MARK,) if index in loops else ()
+            parts[-1] += mark + op.steps * op.iterations + mark
+        elif isinstance(op, RefreshOp):
+            close()
+            segments.append(Refresh(op, index in loops))
+        elif isinstance(op, BurstOp):
+            close()
+            segments.append(Burst(op, _segments(op.ops, slots, lower,
+                                                streams)))
+        else:
+            raise EngineError(f"unknown effect op: {op!r}")
+    close()
+    return tuple(segments)
 
 
 class FastPathBackend:
@@ -271,14 +334,17 @@ class FastPathBackend:
 
     Equivalence contract: for every summarized program, the applied
     effect is cycle- and state-identical to interpreted execution.
-    Ops reuse the device's own command methods (ACT/PRE/REF/RDROW at
-    the same clock stamps), hammer loops run through the interpreter's
-    own loop policy (:func:`~repro.bender.interpreter.run_loop`),
-    burst ops step their events and apply the runs between them in
-    closed form (module docstring), and full-row writes go through
-    :meth:`~repro.dram.device.Device.apply_row_write`.  The CI oracle
-    job holds the gate: refresh-off and refresh-on sweep fingerprints
-    must be byte-identical with ``REPRO_FASTPATH=1`` and ``0``.
+    The handle's segments go to the device through two entry points:
+    :meth:`~repro.dram.device.Device.apply_stream` for the straight-line
+    ops and the hammer iterations the interpreter would step, and
+    :meth:`~repro.dram.device.Device.bulk_activations` for the
+    iterations its loop policy (:func:`~repro.bender.interpreter.
+    run_loop`) applies in bulk; REFs issue through
+    :meth:`~repro.dram.device.Device.refresh`, and burst ops step their
+    events and apply the runs between them in closed form (module
+    docstring).  The CI oracle job holds the gate: refresh-off and
+    refresh-on sweep fingerprints must be byte-identical with
+    ``REPRO_FASTPATH=1`` and ``0``.
     """
 
     #: Bound on memoized instantiations (cleared wholesale when full; a
@@ -297,8 +363,8 @@ class FastPathBackend:
         # whenever the same rows are interpreted again, skipping the
         # substitution walk.
         self._instantiations: dict = {}
-        # One ProbeStream per distinct (prefix, body, suffix) steps.
-        self._streams: Dict[tuple, ProbeStream] = {}
+        # One LoopStream per distinct (prefix, body, suffix) steps.
+        self._streams: Dict[tuple, LoopStream] = {}
 
     @property
     def _host(self):
@@ -367,14 +433,13 @@ class FastPathBackend:
         template, binding, slot_banks = canonicalize(program, count)
         outcome = summarize_program(template, context, report=report)
         summarized = isinstance(outcome, EffectSummary)
-        loop_ops = (loop_op_positions(template.instructions)
-                    if summarized else ())
-        stream, payloads = None, ()
-        if summarized and count is not None:
-            steps, payloads = _probe_steps(outcome.ops, loop_ops[0],
-                                           len(slot_banks),
-                                           host.interpreter.lower_payload)
-            stream = self._streams.setdefault(steps, ProbeStream(*steps))
+        segments = ()
+        if summarized:
+            loops = loop_op_positions(template.instructions)
+            segments = _segments(outcome.ops, len(slot_banks),
+                                 host.interpreter.lower_payload,
+                                 self._streams, loops,
+                                 loops[0] if count is not None else None)
         return CompiledProgram(
             template=template, slot_banks=slot_banks,
             source_binding=binding,
@@ -383,8 +448,7 @@ class FastPathBackend:
                                 counted=count is not None),
             summary=outcome if summarized else None,
             unsummarizable=None if summarized else outcome,
-            count=count, loop_ops=loop_ops, stream=stream,
-            payloads=payloads)
+            count=count, segments=segments)
 
     def execute(self, handle: CompiledProgram, binding: RowBinding = (),
                 count: Optional[int] = None) -> ExecutionResult:
@@ -441,111 +505,78 @@ class FastPathBackend:
         get_metrics().counter("bender.programs").inc()
         device = self._host.device
         result = ExecutionResult(start_cycle=device.now)
-        if handle.stream is not None:
-            self._apply_stream(handle, rows,
-                               handle.count if count is None else count,
-                               device, result)
-        else:
-            ops = handle.summary.ops
-            start = 0
-            for index in handle.loop_ops:
-                self._apply_ops(ops[start:index], rows, device, result)
-                entry = device.now
-                self._apply_ops(ops[index:index + 1], rows, device, result)
-                result.loop_cycles += device.now - entry
-                start = index + 1
-            self._apply_ops(ops[start:], rows, device, result)
+        result.loop_cycles = self._apply_segments(handle.segments, rows,
+                                                  count, device, result)
         result.end_cycle = device.now
         return result
 
-    def _apply_stream(self, handle: CompiledProgram, rows: RowBinding,
-                      count: int, device, result: ExecutionResult) -> None:
-        """A count-bound handle's :class:`ProbeStream` at ``count``,
-        through the interpreter's loop policy (:func:`~repro.bender.
-        interpreter.run_loop`): the prefix joins the warm-up iterations
-        and the suffix the trailing one, each side one device stream
-        (below the bulk threshold, the whole program is one)."""
-        stream = handle.stream
-        key = stream.key
-        payloads = handle.payloads
-        loop: List[int] = []  # the clock at the loop's entry and exit
+    def _apply_segments(self, segments, rows: RowBinding,
+                        count: Optional[int], device,
+                        result: ExecutionResult) -> int:
+        """Apply ``segments`` in order, ``count`` binding their stream's
+        loop (None: each stream's own iterations); returns the cycles
+        of the top-level loops they make."""
+        cycles = 0
+        for segment in segments:
+            if isinstance(segment, Stream):
+                cycles += self._apply_stream(
+                    segment, rows,
+                    segment.iterations if count is None else count,
+                    device, result)
+                continue
+            entry = device.now
+            if isinstance(segment, Burst):
+                self._apply_burst(segment, rows, device, result)
+            else:
+                for _ in range(segment.op.count):
+                    device.refresh(segment.op.channel,
+                                   segment.op.pseudo_channel)
+            if segment.timed:
+                cycles += device.now - entry
+        return cycles
 
-        def replay(shape, steps) -> List[int]:
+    def _apply_stream(self, segment: Stream, rows: RowBinding,
+                      iterations: int, device,
+                      result: ExecutionResult) -> int:
+        """One :class:`Stream` at ``iterations``, through the
+        interpreter's loop policy (:func:`~repro.bender.interpreter.
+        run_loop`): the prefix joins the warm-up iterations and the
+        suffix the trailing one, each side one device stream (below the
+        bulk threshold, the whole segment is one); returns the cycles
+        between the streams' marks."""
+        stream = segment.steps
+        key = stream.key
+        payloads = segment.payloads
+        clocks: List[int] = []  # the clock at each mark
+
+        def replay(shape, steps) -> None:
             entry = device.now
             reads, marks = device.apply_stream(shape, steps, rows, payloads)
             result.row_reads.extend(reads)
-            return [entry + mark for mark in marks]
+            clocks.extend(entry + mark for mark in marks)
 
-        def run_iterations(iterations: int) -> None:
-            loop[:] = replay((key, iterations), stream.whole(iterations))
+        def run_iterations(count: int) -> None:
+            replay((key, count), stream.whole(count))
 
         def run_warmups() -> int:
-            start, second = replay((key, "head"), stream.head)
-            loop.append(start)
-            return second
+            replay((key, "head"), stream.head)
+            return clocks.pop()  # the second iteration's start
 
         def run_trailing() -> None:
-            loop.append(replay((key, "tail"), stream.tail)[0])
+            replay((key, "tail"), stream.tail)
 
-        run_loop(device, count, run_iterations,
+        run_loop(device, iterations, run_iterations,
                  ((step[1], step[2], step[3], rows[step[4]])
                   for step in stream.body if step[0] == "act"),
                  run_warmups=run_warmups, run_trailing=run_trailing)
-        result.loop_cycles = loop[1] - loop[0]
+        return sum(clocks[1::2]) - sum(clocks[0::2])
 
-    def _apply_ops(self, ops, rows: RowBinding, device,
-                   result: ExecutionResult) -> None:
-        interpreter = self._host.interpreter
-        index = 0
-        total = len(ops)
-        while index < total:
-            op = ops[index]
-            index += 1
-            if isinstance(op, RowWriteOp):
-                # Coalesce a run of same-bank writes: the device's
-                # batched form replays the batch's memoized schedule.
-                bank_key = (op.channel, op.pseudo_channel, op.bank)
-                writes = [(rows[op.row],) +
-                          interpreter.lower_payload(op.data)]
-                while index < total:
-                    peek = ops[index]
-                    if not (isinstance(peek, RowWriteOp) and
-                            (peek.channel, peek.pseudo_channel,
-                             peek.bank) == bank_key):
-                        break
-                    writes.append((rows[peek.row],) +
-                                  interpreter.lower_payload(peek.data))
-                    index += 1
-                if len(writes) == 1:
-                    device.apply_row_write(op.channel, op.pseudo_channel,
-                                           op.bank, *writes[0])
-                else:
-                    device.apply_row_writes(op.channel, op.pseudo_channel,
-                                            op.bank, writes)
-            elif isinstance(op, HammerOp):
-                self._apply_hammer(op, rows, device)
-            elif isinstance(op, RowReadOp):
-                device.activate(op.channel, op.pseudo_channel, op.bank,
-                                rows[op.row])
-                result.row_reads.append(device.read_open_row(
-                    op.channel, op.pseudo_channel, op.bank))
-                device.precharge(op.channel, op.pseudo_channel, op.bank)
-            elif isinstance(op, RefreshOp):
-                for _ in range(op.count):
-                    device.refresh(op.channel, op.pseudo_channel)
-            elif isinstance(op, IdleOp):
-                device.wait(op.cycles)
-            elif isinstance(op, BurstOp):
-                self._apply_burst(op, rows, device, result)
-            else:
-                raise EngineError(f"unknown effect op: {op!r}")
-
-    def _apply_burst(self, op: BurstOp, rows: RowBinding, device,
+    def _apply_burst(self, burst: Burst, rows: RowBinding, device,
                      result: ExecutionResult) -> None:
         """One burst op: closed-form windows between stepped events.
 
-        Bursts are stepped singly through the per-iteration path until
-        one, measured while stepped, is followed by an entry with the
+        Bursts are stepped singly, each applying the body's segments,
+        until one, measured while stepped, is followed by an entry with the
         same timing signature; from then on every run of bursts up to
         the next event is applied in closed form
         (:meth:`~repro.dram.device.Device.apply_bursts`) and the event
@@ -558,8 +589,9 @@ class FastPathBackend:
         (``engine.fastpath.bursts.stepped.<cause>``).
         """
         def step() -> None:
-            self._apply_ops(op.ops, rows, device, result)
+            self._apply_segments(burst.segments, rows, None, device, result)
 
+        op = burst.op
         metrics = get_metrics()
         body = _burst_body(op.ops, rows)
         steady = None
@@ -601,18 +633,6 @@ class FastPathBackend:
             else:
                 step()
             remaining -= 1
-
-    def _apply_hammer(self, op: HammerOp, rows: RowBinding, device) -> None:
-        """One hammer op through the interpreter's loop policy."""
-        steps = op.steps
-
-        def run_iterations(iterations: int) -> None:
-            for _ in range(iterations):
-                device.apply_hammer_steps(steps, rows)
-
-        run_loop(device, op.iterations, run_iterations,
-                 ((step[1], step[2], step[3], rows[step[4]])
-                  for step in steps if step[0] == "act"))
 
 
 #: Burst causes that are events on one REF (see

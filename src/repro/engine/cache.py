@@ -30,8 +30,9 @@ loop, suffix* takes one: a prefix, one ``LOOP n`` over ACT/PRE/WAIT
 REF, and no row written two payloads — the one program of a hammer
 test (:func:`repro.core.hammer.build_probe_program`: write the
 neighbourhood, hammer, read the victim).  The fast path applies such
-a shape as device streams that issue no REF and bind one payload per
-written row (:class:`repro.engine.backend.ProbeStream`).  A shape is
+a shape as one segment, device streams around the loop that issue no
+REF and bind one payload per written row
+(:class:`repro.engine.backend.Stream`).  A shape is
 verified at the largest count ``N`` it has been bound to; a binding
 ``n <= N`` runs the verified handle, a binding ``n > N`` rebuilds and
 re-verifies the shape at ``n`` (a *widening*).  That is sound because
@@ -83,9 +84,9 @@ monotone in it and a clean verdict at ``N`` is clean at every ``n``:
 The effect summary transfers the same way: the effect grammar maps the
 prefix and the suffix to the same ops at every count and ``LOOP n {B}``
 to ``HammerOp(n, steps(B))`` for every ``n >= 1``, so the handle's ops
-with the loop's op (at :attr:`~repro.engine.backend.CompiledProgram.
-loop_ops`, by position) reading its iteration count from the binding
-are the summary of the program built at ``n``.  Count 0 builds a
+with the loop's op (at :func:`~repro.verify.effects.loop_op_positions`,
+by position) reading its iteration count from the binding are the
+summary of the program built at ``n``.  Count 0 builds a
 program without the loop and is its own count-free shape.
 ``tests/property/test_count_binding.py`` checks all of this against
 programs built and verified at each ``n``, and the oracle.

@@ -66,11 +66,6 @@ def env_flag(name: str, default: bool) -> bool:
         f"(0/1/true/false), got {raw!r}")
 
 
-def env_jobs(default: int = 1) -> int:
-    """Worker-process count from ``$REPRO_JOBS`` (minimum 1)."""
-    return env_int("REPRO_JOBS", default, minimum=1)
-
-
 def fastpath_enabled() -> bool:
     """Whether ``$REPRO_FASTPATH`` selects the production path (unset =
     enabled; the CI oracle job sets 0/1 and diffs dataset

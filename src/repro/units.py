@@ -53,12 +53,3 @@ def cycles_for_time(time_s: float, frequency_hz: float) -> int:
     if exact > whole:
         whole += 1
     return whole
-
-
-def time_for_cycles(cycles: int, frequency_hz: float) -> float:
-    """Seconds elapsed over ``cycles`` clock cycles at ``frequency_hz``."""
-    if cycles < 0:
-        raise ValueError(f"cycles must be non-negative, got {cycles}")
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz

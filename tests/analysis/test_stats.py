@@ -56,12 +56,12 @@ class TestBoxStats:
         assert stats.minimum == 1
         assert stats.maximum == 8
         assert stats.mean == 4.5
-        assert stats.iqr == 4.0
+        assert (stats.q1, stats.median, stats.q3) == (2.5, 4.5, 6.5)
 
     def test_constant_distribution(self):
         stats = box_stats([3.0] * 10)
         assert stats.minimum == stats.maximum == stats.mean == 3.0
-        assert stats.iqr == 0.0
+        assert stats.q1 == stats.q3 == 3.0
 
     def test_empty_raises(self):
         with pytest.raises(AnalysisError):

@@ -6,7 +6,6 @@ import pytest
 from repro.core.rowdata import (
     bit_error_rate,
     byte_fill_bits,
-    byte_indices_of_bits,
     count_flips,
     flip_positions,
     flip_report,
@@ -73,6 +72,3 @@ class TestReport:
         report = flip_report(bits, bits.copy())
         assert report.flips == 0
         assert report.ber == 0.0
-
-    def test_byte_indices_of_bits(self):
-        assert byte_indices_of_bits(np.array([0, 7, 8, 63])) == [0, 1, 7]

@@ -1,37 +1,6 @@
 """Tests for repro.dram.commands."""
 
-from repro.dram.commands import (
-    Activate,
-    Precharge,
-    PrechargeAll,
-    Read,
-    Refresh,
-    Write,
-    bank_key_of,
-    command_name,
-)
-
-
-class TestNames:
-    def test_mnemonics(self):
-        assert command_name(Activate(0, 0, 0, 1)) == "ACT"
-        assert command_name(Precharge(0, 0, 0)) == "PRE"
-        assert command_name(PrechargeAll(0, 0)) == "PREA"
-        assert command_name(Read(0, 0, 0, 0)) == "RD"
-        assert command_name(Write(0, 0, 0, 0, b"")) == "WR"
-        assert command_name(Refresh(0, 0)) == "REF"
-
-
-class TestBankKey:
-    def test_bank_scoped_commands(self):
-        assert bank_key_of(Activate(1, 0, 3, 10)) == (1, 0, 3)
-        assert bank_key_of(Precharge(1, 0, 3)) == (1, 0, 3)
-        assert bank_key_of(Read(2, 1, 4, 0)) == (2, 1, 4)
-        assert bank_key_of(Write(2, 1, 4, 0, b"x")) == (2, 1, 4)
-
-    def test_channel_scoped_commands_have_no_bank(self):
-        assert bank_key_of(Refresh(0, 1)) is None
-        assert bank_key_of(PrechargeAll(0, 1)) is None
+from repro.dram.commands import Activate, Refresh
 
 
 class TestEquality:

@@ -34,7 +34,7 @@ from repro.engine.cache import ProgramCache, canonicalize
 from repro.errors import EngineError
 from repro.obs import MetricsRegistry, use_metrics
 from repro.verify import VerifyContext, summarize_program, verify_program
-from repro.verify.effects import HammerOp
+from repro.verify.effects import HammerOp, loop_op_positions
 from repro.verify.program import FULL_UNROLL_LIMIT
 from tests.property.test_interpreter_equivalence import (
     MAPPER,
@@ -312,7 +312,7 @@ def test_prefix_loop_suffix_binding_equals_the_program_built_at_n(
     # The bound summary is the summary of the program built at n.
     template, rows, _ = canonicalize(built, count)
     default = VerifyContext.for_host(host, allow_retention_decay=True)
-    (loop_op,) = handle.loop_ops
+    (loop_op,) = loop_op_positions(handle.template.instructions)
     ops = list(handle.summary.ops)
     ops[loop_op] = replace(ops[loop_op], iterations=count)
     assert tuple(ops) == summarize_program(template, default).ops

@@ -441,6 +441,51 @@ REBOUND = (double_sided("hammer", 7, 0, [0xFF, 0x00]),
            double_sided("hammer", 7, 0, [0xFF, 0x00], victim=47))
 #: One write batch (bank, length) replayed with other rows and payloads.
 REWRITTEN = (filled(31, [0x55, 0xFF]), filled(100, [0x0F]))
+#: A refresh-on probe: the fill, REF-bounded bursts whose hammer loop
+#: is below the bulk threshold, the read-back.
+SHORT_BURSTS = double_sided("burst", 5, 48, [0x55, 0xFF])
+
+
+def split_by_ref(victim=31) -> Program:
+    """Two top-level hammer loops of victim ``victim``'s aggressors,
+    with row writes (the victim rewritten another payload), a row read
+    and a REF between them: a count-free program of several streams."""
+    bank = (0, 0, 0)
+    aggressors = [MAPPER.physical_to_logical(row)
+                  for row in (victim - 1, victim + 1)]
+    rows = [MAPPER.physical_to_logical(row)
+            for row in range(victim - 3, victim + 4)]
+    builder = ProgramBuilder()
+
+    def write(row, fill):
+        builder.act(*bank, row)
+        builder.wr_row(*bank, bytes([fill]) * ROW_BYTES)
+        builder.pre(*bank)
+
+    def hammer(iterations):
+        with builder.loop(iterations):
+            for row in aggressors:
+                builder.act(*bank, row)
+                builder.pre(*bank)
+
+    for row in rows:
+        write(row, 0xFF)
+    hammer(500)
+    write(rows[3], 0x00)
+    builder.act(*bank, rows[2])
+    builder.rd_row(*bank)
+    builder.pre(*bank)
+    builder.ref(0, 0)
+    hammer(3000)
+    for row in rows:
+        builder.act(*bank, row)
+        builder.rd_row(*bank)
+        builder.pre(*bank)
+    return builder.build()
+
+
+#: Two loops split at a REF, one row written two payloads.
+SPLIT_BY_REF = split_by_ref()
 
 
 @given(program=programs(), profile=st.sampled_from(PROFILES),
@@ -462,6 +507,10 @@ REWRITTEN = (filled(31, [0x55, 0xFF]), filled(100, [0x0F]))
 @example(program=REBOUND, profile="hbm2", seed=1)
 @example(program=REBOUND, profile="ddr5", seed=2)
 @example(program=REWRITTEN, profile="hbm2", seed=1)
+@example(program=SHORT_BURSTS, profile="hbm2", seed=1)
+@example(program=SHORT_BURSTS, profile="ddr5", seed=2)
+@example(program=SPLIT_BY_REF, profile="hbm2", seed=1)
+@example(program=SPLIT_BY_REF, profile="ddr4", seed=3)
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])

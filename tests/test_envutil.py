@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.envutil import env_flag, env_int, env_jobs, env_str
+from repro.envutil import env_flag, env_int, env_str
 from repro.errors import ExperimentError
 
 
@@ -78,15 +78,3 @@ class TestEnvFlag:
         monkeypatch.setenv("REPRO_TEST_FLAG", "maybe")
         with pytest.raises(ExperimentError, match="REPRO_TEST_FLAG"):
             env_flag("REPRO_TEST_FLAG", True)
-
-
-class TestWrappers:
-    def test_env_jobs_minimum_is_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ExperimentError, match="REPRO_JOBS"):
-            env_jobs()
-
-    def test_env_jobs_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert env_jobs() == 1
-        assert env_jobs(4) == 4

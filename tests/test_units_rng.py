@@ -20,18 +20,11 @@ class TestUnits:
     def test_exact_cycles_do_not_round(self):
         assert units.cycles_for_time(1.0, 10.0) == 10
 
-    def test_time_for_cycles(self):
-        assert units.time_for_cycles(600, 600e6) == pytest.approx(1e-6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             units.cycles_for_time(-1.0, 600e6)
         with pytest.raises(ValueError):
             units.cycles_for_time(1.0, 0.0)
-        with pytest.raises(ValueError):
-            units.time_for_cycles(-1, 600e6)
-        with pytest.raises(ValueError):
-            units.time_for_cycles(1, -5.0)
 
 
 class TestRngDraws:

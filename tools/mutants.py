@@ -53,6 +53,7 @@ class Mutant:
 
 COUNT_BINDING = "tests/property/test_count_binding.py"
 FUSED = "tests/core/test_fused_probes.py"
+EQUIVALENCE = "tests/property/test_interpreter_equivalence.py"
 STREAMS = ("tests/property/test_stream_replay.py::"
            "test_replays_match_the_stepped_recording")
 
@@ -60,9 +61,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="count-blind-stream",
         path="src/repro/engine/backend.py",
-        old="                               handle.count if count is None "
+        old="                    segment.iterations if count is None "
             "else count,",
-        new="                               handle.count,",
+        new="                    segment.iterations,",
         tests=(f"{COUNT_BINDING}::"
                "test_prefix_loop_suffix_binding_equals_the_program_built_at_n",),
         claim="a count-bound probe runs the bound count, not the count "
@@ -79,12 +80,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="count-bound-to-first-hammer-op",
         path="src/repro/engine/backend.py",
-        old="        loop_ops = (loop_op_positions(template.instructions)\n"
-            "                    if summarized else ())",
-        new="        loop_ops = (tuple(index for index, op in "
-            "enumerate(outcome.ops)\n"
-            "                          if isinstance(op, HammerOp))[:1]\n"
-            "                    if summarized else ())",
+        old=" " * 33 + "loops[0] if count is not None else None)",
+        new=" " * 33 + "next(index for index, op in enumerate(outcome.ops)\n"
+            + " " * 38 + "if isinstance(op, HammerOp))\n"
+            + " " * 33 + "if count is not None else None)",
         tests=(f"{COUNT_BINDING}::"
                "test_prefix_loop_suffix_binding_equals_the_program_built_at_n",),
         claim="the count binds the loop's op, not a bare ACT/PRE group "
@@ -92,24 +91,25 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="loop-cycles-over-whole-program",
         path="src/repro/engine/backend.py",
-        old="        result.loop_cycles = loop[1] - loop[0]",
-        new="        result.loop_cycles = device.now - result.start_cycle",
+        old="        result.loop_cycles = self._apply_segments("
+            "handle.segments, rows,\n"
+            + " " * 50 + "count, device, result)\n",
+        new="        self._apply_segments(handle.segments, rows, count, "
+            "device, result)\n"
+            "        result.loop_cycles = device.now - "
+            "result.start_cycle\n",
         tests=(FUSED,),
         claim="a hammer test's duration is its loop's cycles, as the "
               "interpreter times them, not the whole program's"),
     Mutant(
         name="suffix-from-pre-loop-timing",
         path="src/repro/engine/backend.py",
-        old="            loop.append(start)\n"
-            "            return second\n"
+        old="            return clocks.pop()  # the second iteration's start\n"
             "\n"
             "        def run_trailing() -> None:\n"
-            "            loop.append(replay((key, \"tail\"), "
-            "stream.tail)[0])\n",
-        new="            loop.append(start)\n"
-            "            period = device.now - second\n"
-            "            loop.append(replay((key, \"tail\"), "
-            "stream.tail)[0])\n"
+            "            replay((key, \"tail\"), stream.tail)\n",
+        new="            period = device.now - clocks.pop()\n"
+            "            replay((key, \"tail\"), stream.tail)\n"
             "            return device.now - period\n"
             "\n"
             "        def run_trailing() -> None:\n"
@@ -117,6 +117,15 @@ MUTANTS: Tuple[Mutant, ...] = (
         tests=(FUSED,),
         claim="the trailing iteration and the read-back run after the "
               "bulk-applied iterations, from the loop's exit state"),
+    Mutant(
+        name="ref-ahead-of-the-stream-before-it",
+        path="src/repro/engine/backend.py",
+        old="            close()\n"
+            "            segments.append(Refresh(op, index in loops))\n",
+        new="            segments.append(Refresh(op, index in loops))\n",
+        tests=(f"{EQUIVALENCE}::test_fast_path_equals_unrolled_execution",),
+        claim="a REF is applied after the straight-line ops and loops "
+              "before it, not ahead of the stream they make"),
     Mutant(
         name="decoy-after-the-ref",
         path="src/repro/core/hammer.py",
